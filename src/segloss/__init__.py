@@ -1,7 +1,7 @@
 """Segmentation overlap metrics, their differentiable surrogate losses,
 approximation-bound verification, and a desk-scale training harness."""
 
-from .masks import BinaryMask, ConfusionCounts, ProbMap, confusion_counts, enumerate_mask_pairs, threshold
+from .masks import BinaryMask, ConfusionCounts, ProbMap, confusion_counts, threshold
 from .metrics import (
     MetricValue,
     auxiliary_metric,

@@ -1,7 +1,13 @@
 """Approximation bounds between similarity metrics: closed-form
-calculators, brute-force verification of the suprema over the discrete
+calculators, exhaustive verification of the suprema over the discrete
 pair space, and the executable blow-up witness for the weighted-Hamming
 non-approximation result.
+
+Every metric here is a function of the confusion counts (tp, fp, fn) and
+the length d, so the exhaustive search runs over the O(d**3) count triples
+instead of the 4**d mask pairs and gives the same suprema.  The witness
+pair is rebuilt from the winning triple with the tie-break a lexicographic
+scan over the pairs would apply (see ``brute_force_sup``).
 
 Conventions for the empirical suprema: the single both-empty pair is
 excluded entirely, and pairs where either similarity is exactly 0 are
@@ -12,14 +18,13 @@ vacuous or infinite there).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DTooLarge, EmptySet, NonPositiveWeight, OutOfRange
-from .masks import BinaryMask, ProbMap, bit_matrix, threshold
+from .errors import BoundViolation, DTooLarge, EmptySet, NonPositiveWeight, OutOfRange
+from .masks import BinaryMask, ProbMap, threshold
 from .metrics import (
     dice,
     dice_from_counts,
@@ -30,7 +35,7 @@ from .metrics import (
     weighted_hamming_from_counts,
 )
 
-MAX_BRUTE_FORCE_D = 12
+MAX_BRUTE_FORCE_D = 200
 
 # slack absorbing double rounding in the empirical-vs-closed-form checks
 BOUND_SLACK = 1e-12
@@ -180,83 +185,67 @@ class BoundReport:
     witness_rel: Witness | None    # attains empirical_rel
 
 
-# composite tie-break key: (value desc, max(|y|,|ŷ|) asc, |y| asc, pair index
-# asc) -- the simplest, most size-balanced witness wins, deterministically
-# and independently of how the pair space was partitioned
+# marks triples left out of the relative supremum (a similarity is 0)
 _EXCLUDED = -1.0
 
 
-def _chunk_best(values, py_col, ph_row, ylo, n, d):
+def _count_space(d: int):
+    """Every (tp, fp, fn) with 0 < tp + fp + fn <= d, as float64 arrays.
+
+    The (fp, fn) pairs are laid out by fp + fn ascending, so those with
+    fp + fn <= m form a prefix; each tp takes the prefix for m = d - tp.
+    Only the O(d**3) triangle is built, never a (d+1)**3 cube.
+    """
+    m = np.arange(d + 1)
+    s = np.repeat(m, m + 1)
+    fp_tri = np.arange(s.size) - s * (s + 1) // 2
+    fn_tri = s - fp_tri
+    lengths = ((m + 1) * (m + 2) // 2)[::-1]
+    pos = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    tp = np.repeat(m, lengths)
+    # the first triple is the both-empty one, (0, 0, 0)
+    return tuple(a[1:].astype(np.float64) for a in (tp, fp_tri[pos], fn_tri[pos]))
+
+
+def _witness(values, tp, fp, fn, d: int) -> Witness | None:
+    """The canonical pair attaining max(values), or None when every triple
+    is excluded.
+
+    Ties break on max(|y|, |ŷ|) asc, then |y| asc, then the lexicographic
+    index of the (y, ŷ) bit patterns asc.  For fixed counts the smallest
+    index puts y's k = tp + fn ones in its last k positions, ŷ's tp ones in
+    its last tp positions and ŷ's fp ones just before y's block; among such
+    pairs with equal k the index grows with fp, then with tp.
+    """
     vmax = float(values.max())
     if vmax == _EXCLUDED:
         return None
-    tied = values == vmax
-    sentinel = d + 1
-    maxsize = np.maximum(py_col, ph_row)
-    ms = int(np.where(tied, maxsize, sentinel).min())
-    tied &= maxsize == ms
-    ptrue = int(np.where(tied, np.broadcast_to(py_col, tied.shape), sentinel).min())
-    tied &= py_col == ptrue
-    flat = int(np.argmax(tied))
-    row, col = divmod(flat, n)
-    return vmax, ms, ptrue, (ylo + row) * n + col, ylo + row, col
-
-
-def _better(a, b):
-    """Merge two chunk candidates; None loses."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if a[0] != b[0]:
-        return a if a[0] > b[0] else b
-    return a if a[1:4] < b[1:4] else b
-
-
-def _scan_chunk(M, pop, ylo, yhi, fa, fb, d):
-    n = M.shape[0]
-    tp = M[ylo:yhi] @ M.T
-    py = pop[ylo:yhi][:, None]
-    ph = pop[None, :]
-    fp = ph - tp
-    fn = py - tp
-    va = np.asarray(fa(tp, fp, fn), dtype=np.float64)
-    vb = np.asarray(fb(tp, fp, fn), dtype=np.float64)
-    both_empty = (py + ph) == 0
-
-    absdiff = np.abs(va - vb)
-    absdiff[np.broadcast_to(both_empty, absdiff.shape)] = _EXCLUDED
-    best_abs = _chunk_best(absdiff, py, ph, ylo, n, d)
-
-    admissible = (va > 0.0) & (vb > 0.0) & ~both_empty
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.maximum(va / vb, vb / va) - 1.0
-    ratio = np.where(admissible, ratio, _EXCLUDED)
-    best_rel = _chunk_best(ratio, py, ph, ylo, n, d)
-    return best_abs, best_rel
-
-
-def _build_witness(cand, M, d) -> Witness | None:
-    if cand is None:
-        return None
-    value, _, _, _, yi, hi = cand
-    yrow = M[yi].astype(np.uint8)
-    hrow = M[hi].astype(np.uint8)
-    tp = int(yrow @ hrow)
-    fp = int(hrow.sum()) - tp
-    fn = int(yrow.sum()) - tp
+    tied = np.flatnonzero(values == vmax)
+    t, f, n = tp[tied], fp[tied], fn[tied]
+    best = tied[np.lexsort((t, f, t + n, np.maximum(t + f, t + n)))[0]]
+    tp_i, fp_i, fn_i = int(tp[best]), int(fp[best]), int(fn[best])
+    k = tp_i + fn_i
+    y = np.zeros(d, dtype=np.uint8)
+    y[d - k:] = 1
+    yhat = np.zeros(d, dtype=np.uint8)
+    yhat[d - tp_i:] = 1
+    yhat[d - k - fp_i:d - k] = 1
     dims = (d, 1, 1)
-    return Witness(BinaryMask(dims, yrow), BinaryMask(dims, hrow), tp, fp, fn, value)
+    return Witness(BinaryMask(dims, y), BinaryMask(dims, yhat), tp_i, fp_i, fn_i, vmax)
 
 
-def brute_force_sup(metric_a, metric_b, d: int, threads: int = 1) -> BoundReport:
+def brute_force_sup(metric_a, metric_b, d: int) -> BoundReport:
     """Exact suprema of |A - B| and max(A/B, B/A) - 1 over every ordered
-    mask pair of length d, by full enumeration of the 4**d pair space.
+    mask pair of length d.
 
-    The scan is vectorized over the lexicographic pair order; partitioning
-    across threads cannot change the result because the reduction key is
-    order independent.  When a closed form exists the empirical value is
-    checked against it (with 1e-12 slack for double rounding).
+    Every supported metric depends on a pair only through its confusion
+    counts (tp, fp, fn) and d, so the supremum over the 4**d pairs equals
+    the maximum over the O(d**3) count triples with tp + fp + fn <= d,
+    which the ``*_from_counts`` kernels evaluate in one vectorized pass.
+    Each witness is the pair the full lexicographic scan would keep: value
+    desc, max(|y|, |ŷ|) asc, |y| asc, pair index asc.  When a closed form
+    exists the empirical value is checked against it (with 1e-12 slack for
+    double rounding); a violation raises BoundViolation.
     """
     if d < 1:
         raise OutOfRange("d must be >= 1")
@@ -265,38 +254,24 @@ def brute_force_sup(metric_a, metric_b, d: int, threads: int = 1) -> BoundReport
     mid_a = parse_metric_id(metric_a) if isinstance(metric_a, str) else metric_a
     mid_b = parse_metric_id(metric_b) if isinstance(metric_b, str) else metric_b
 
-    M = bit_matrix(d, dtype=np.float64)
-    pop = M.sum(axis=1)
-    n = M.shape[0]
-    fa = _evaluator(mid_a, d)
-    fb = _evaluator(mid_b, d)
-
-    chunk = 256 if d > 8 else n
-    ranges = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-    if threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda r: _scan_chunk(M, pop, r[0], r[1], fa, fb, d), ranges))
-    else:
-        parts = [_scan_chunk(M, pop, lo, hi, fa, fb, d) for lo, hi in ranges]
-
-    best_abs = best_rel = None
-    for pa, pr in parts:
-        best_abs = _better(best_abs, pa)
-        best_rel = _better(best_rel, pr)
-
-    w_abs = _build_witness(best_abs, M, d)
-    w_rel = _build_witness(best_rel, M, d)
-    emp_abs = w_abs.value if w_abs else 0.0
+    tp, fp, fn = _count_space(d)
+    va = np.asarray(_evaluator(mid_a, d)(tp, fp, fn), dtype=np.float64)
+    vb = np.asarray(_evaluator(mid_b, d)(tp, fp, fn), dtype=np.float64)
+    w_abs = _witness(np.abs(va - vb), tp, fp, fn, d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.maximum(va / vb, vb / va) - 1.0
+    w_rel = _witness(np.where((va > 0.0) & (vb > 0.0), ratio, _EXCLUDED), tp, fp, fn, d)
+    emp_abs = w_abs.value
     emp_rel = w_rel.value if w_rel else 0.0
 
     cf_abs, cf_rel = closed_form_bounds(mid_a, mid_b)
     if cf_abs is not None and emp_abs > cf_abs + BOUND_SLACK:
-        raise RuntimeError(
+        raise BoundViolation(
             f"empirical abs {emp_abs!r} exceeds closed form {cf_abs!r} for "
             f"{mid_a.label()} vs {mid_b.label()} at d={d}"
         )
     if cf_rel is not None and math.isfinite(cf_rel) and emp_rel > cf_rel + BOUND_SLACK:
-        raise RuntimeError(
+        raise BoundViolation(
             f"empirical rel {emp_rel!r} exceeds closed form {cf_rel!r} for "
             f"{mid_a.label()} vs {mid_b.label()} at d={d}"
         )

@@ -13,7 +13,7 @@ import sys
 
 from . import bounds as bounds_mod
 from . import fileio
-from .errors import DataError, NumericError, SeglossError, UsageError
+from .errors import DataError, DTooLarge, NumericError, SeglossError, UsageError
 from .losses import LossSpec, gamma_for_prior, parse_loss_spec
 from .masks import BinaryMask, ProbMap, threshold
 from .metrics import MetricValue, auxiliary_metric, dice, hamming, jaccard, tversky, weighted_hamming
@@ -48,7 +48,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None,
                    help="override the experiment seed from the config")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for brute force and experiment arms")
+                   help="worker threads for experiment arms")
     p.add_argument("--out-dir", default=".", help="directory for report files")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -65,7 +65,7 @@ def build_parser() -> _Parser:
     bo.add_argument("--pair", default=None,
                     help="dice-jaccard | dice-tversky:<a>:<b> | dice-whamming[:<g>]")
     bo.add_argument("--dmax", type=int, default=5,
-                    help="verify empirical suprema for d = 1..dmax (<= 12)")
+                    help="verify empirical suprema for d = 1..dmax (<= 200)")
     bo.add_argument("--fig1-grid", action="store_true",
                     help="emit closed-form error curves for equal Tversky "
                          "weights over [0.1, 3.0] step 0.05")
@@ -141,9 +141,11 @@ def cmd_bounds(args) -> int:
     name_a, _, name_b = args.pair.partition("-")
     if not name_a or not name_b:
         raise UsageError(f"--pair must look like dice-jaccard, got {args.pair!r}")
+    if args.dmax > bounds_mod.MAX_BRUTE_FORCE_D:
+        raise DTooLarge(f"--dmax {args.dmax} exceeds the limit {bounds_mod.MAX_BRUTE_FORCE_D}")
     rows = []
     for d in range(1, args.dmax + 1):
-        rep = bounds_mod.brute_force_sup(name_a, name_b, d, threads=args.threads)
+        rep = bounds_mod.brute_force_sup(name_a, name_b, d)
         w = rep.witness
         rows.append([
             d, rep.metric_a, rep.metric_b,

@@ -37,6 +37,10 @@ class OutOfRange(UsageError):
     """A scalar parameter lies outside its documented interval."""
 
 
+class BoundViolation(NumericError):
+    """An empirical supremum exceeds its closed-form bound."""
+
+
 class OutOfDomain(NumericError):
     """A finite-difference perturbation would leave the unit interval."""
 

@@ -9,16 +9,12 @@ only matters for Hausdorff distances and synthetic data generation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .errors import DimMismatch, DTooLarge, OutOfRange
+from .errors import DimMismatch, OutOfRange
 
 Dims = tuple[int, int, int]
-
-# 4**d ordered pairs must stay enumerable
-MAX_ENUM_D = 14
 
 
 def _normalize_dims(dims) -> Dims:
@@ -168,30 +164,3 @@ def threshold(p: ProbMap, t: float) -> BinaryMask:
     if not 0.0 <= t <= 1.0:
         raise OutOfRange(f"threshold must lie in [0, 1], got {t}")
     return BinaryMask(p.dims, (p.data > t).astype(np.uint8))
-
-
-def bit_matrix(d: int, dtype=np.uint8) -> np.ndarray:
-    """(2**d, d) matrix whose row i is the bit pattern of i, data[0] most
-    significant, so ascending row index equals lexicographic pattern order."""
-    idx = np.arange(1 << d, dtype=np.uint32)
-    shifts = np.arange(d - 1, -1, -1, dtype=np.uint32)
-    return ((idx[:, None] >> shifts[None, :]) & 1).astype(dtype)
-
-
-def enumerate_mask_pairs(d: int) -> Iterator[tuple[BinaryMask, BinaryMask]]:
-    """Yield all 4**d ordered (y, ŷ) pairs of length-d masks exactly once,
-    in lexicographic order of the (y, ŷ) bit patterns.
-
-    The order is fixed so brute-force search results are reproducible and
-    an index range [lo, hi) of the 4**d stream can be handed to a worker.
-    """
-    if d < 1:
-        raise OutOfRange("d must be >= 1")
-    if d > MAX_ENUM_D:
-        raise DTooLarge(f"d = {d} exceeds the enumeration limit {MAX_ENUM_D}")
-    dims = (d, 1, 1)
-    rows = bit_matrix(d)
-    masks = [BinaryMask(dims, rows[i]) for i in range(1 << d)]
-    for y in masks:
-        for yhat in masks:
-            yield y, yhat

@@ -11,8 +11,8 @@ Degenerate-case conventions (the formulas themselves are silent):
   volume difference when the ground truth has none.
 
 The ``*_from_counts`` kernels accept scalars or numpy arrays and are the
-single source of truth for the formulas; the brute-force bound search
-evaluates them over whole pair spaces at once.
+single source of truth for the formulas; the exhaustive bound search
+evaluates them over every (tp, fp, fn) triple of a length d at once.
 """
 
 from __future__ import annotations

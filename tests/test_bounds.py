@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from segloss.bounds import (
+    MAX_BRUTE_FORCE_D,
     brute_force_sup,
     closed_form_bounds,
     dice_jaccard_bounds,
@@ -21,6 +22,7 @@ from util import (
     frac_jaccard,
     frac_tversky,
     mask_of,
+    mask_pair_sup,
     prob_of,
     set_counts,
 )
@@ -130,19 +132,47 @@ def test_brute_force_whamming_pair():
     assert 0.0 < rep.empirical_abs <= 1.0
 
 
-def test_brute_force_thread_independence():
-    a = brute_force_sup("dice", "jaccard", 9, threads=1)
-    b = brute_force_sup("dice", "jaccard", 9, threads=4)
-    assert a.empirical_abs == b.empirical_abs
-    assert a.empirical_rel == b.empirical_rel
-    assert bytes(a.witness.y.data) == bytes(b.witness.y.data)
-    assert bytes(a.witness.yhat.data) == bytes(b.witness.yhat.data)
-    assert bytes(a.witness_rel.y.data) == bytes(b.witness_rel.y.data)
+def _fields(rep):
+    def w(x):
+        if x is None:
+            return None
+        return (x.tp, x.fp, x.fn, x.value, x.y.dims, bytes(x.y.data), x.yhat.dims, bytes(x.yhat.data))
+
+    return (rep.metric_a, rep.metric_b, rep.d, rep.closed_form_abs, rep.closed_form_rel,
+            rep.empirical_abs, rep.empirical_rel, w(rep.witness), w(rep.witness_rel))
+
+
+@pytest.mark.parametrize("pair", [
+    ("dice", "jaccard"), ("jaccard", "dice"), ("dice", "tversky:0.3:0.7"),
+    ("dice", "tversky:2:0.1"), ("dice", "whamming:0.5"), ("dice", "whamming:0"),
+    ("dice", "hamming"),
+    # its rel supremum at d = 3 ties two triples that differ only in fp
+    ("whamming:0", "whamming:0.5"),
+])
+def test_brute_force_equals_mask_pair_scan(pair):
+    for d in range(1, 10):
+        assert _fields(brute_force_sup(*pair, d)) == _fields(mask_pair_sup(*pair, d)), d
+
+
+@pytest.mark.parametrize("b", ["jaccard", "tversky:0.3:0.7", "tversky:2:0.1", "tversky:1:1"])
+def test_brute_force_approaches_closed_form(b):
+    reps = [brute_force_sup("dice", b, d) for d in (12, 50, 100)]
+    assert reps[-1].closed_form_abs - reps[-1].empirical_abs < 1e-6
+    rel_gaps = [r.closed_form_rel - r.empirical_rel for r in reps]
+    assert all(x >= y for x, y in zip(rel_gaps, rel_gaps[1:]))
+    if b in ("tversky:0.3:0.7", "tversky:1:1"):
+        assert rel_gaps[-1] < 0.05
+
+
+def test_brute_force_whamming_has_no_relative_bound():
+    # weighted Hamming does not relatively approximate Dice: the ratio
+    # keeps growing with d
+    assert brute_force_sup("dice", "whamming:0.5", 100).empirical_rel > 20
 
 
 def test_brute_force_limits():
     with pytest.raises(DTooLarge):
-        brute_force_sup("dice", "jaccard", 13)
+        brute_force_sup("dice", "jaccard", MAX_BRUTE_FORCE_D + 1)
     with pytest.raises(OutOfRange):
         brute_force_sup("dice", "jaccard", 0)
 

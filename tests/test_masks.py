@@ -4,15 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segloss.errors import DimMismatch, DTooLarge, OutOfRange
-from segloss.masks import (
-    BinaryMask,
-    ProbMap,
-    bit_matrix,
-    confusion_counts,
-    enumerate_mask_pairs,
-    threshold,
-)
-from util import all_masks, mask_of, prob_of, set_counts
+from segloss.masks import BinaryMask, ProbMap, confusion_counts, threshold
+from util import all_masks, bit_matrix, enumerate_mask_pairs, mask_of, prob_of, set_counts
 
 
 def test_confusion_counts_worked_pair():

@@ -1,15 +1,23 @@
-"""Shared helpers for the test suite: independent set-based oracles and
-the gradient-check harness.  Everything here deliberately avoids the
-library's own count/metric kernels so tests check two routes."""
+"""Shared helpers for the test suite: independent set-based oracles, the
+full 4**d mask-pair enumeration and the gradient-check harness.  Apart
+from the 4**d bound scan, which checks the count-space reduction and so
+evaluates the library's own kernels, nothing here uses the library's
+count/metric kernels, so tests check two routes."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
+from segloss.bounds import BoundReport, Witness, _evaluator, closed_form_bounds, parse_metric_id
+from segloss.errors import DTooLarge, OutOfRange
 from segloss.losses import eval_loss, finite_diff_gradient
 from segloss.masks import BinaryMask, ProbMap
+
+# 4**d ordered pairs must stay enumerable
+MAX_ENUM_D = 14
 
 
 def set_counts(y_bits, yhat_bits):
@@ -85,3 +93,118 @@ def lovasz_has_near_ties(y: BinaryMask, p: ProbMap, tol: float = 1e-4) -> bool:
     m = np.where(y.data > 0, 1.0 - p.data, p.data)
     ms = np.sort(m)
     return bool(ms.size > 1 and np.min(np.diff(ms)) < tol)
+
+
+def bit_matrix(d: int, dtype=np.uint8) -> np.ndarray:
+    """(2**d, d) matrix whose row i is the bit pattern of i, data[0] most
+    significant, so ascending row index equals lexicographic pattern order."""
+    idx = np.arange(1 << d, dtype=np.uint32)
+    shifts = np.arange(d - 1, -1, -1, dtype=np.uint32)
+    return ((idx[:, None] >> shifts[None, :]) & 1).astype(dtype)
+
+
+def enumerate_mask_pairs(d: int) -> Iterator[tuple[BinaryMask, BinaryMask]]:
+    """Yield all 4**d ordered (y, ŷ) pairs of length-d masks exactly once,
+    in lexicographic order of the (y, ŷ) bit patterns."""
+    if d < 1:
+        raise OutOfRange("d must be >= 1")
+    if d > MAX_ENUM_D:
+        raise DTooLarge(f"d = {d} exceeds the enumeration limit {MAX_ENUM_D}")
+    dims = (d, 1, 1)
+    rows = bit_matrix(d)
+    masks = [BinaryMask(dims, rows[i]) for i in range(1 << d)]
+    for y in masks:
+        for yhat in masks:
+            yield y, yhat
+
+
+# --- reference bound scan over all 4**d mask pairs ---------------------------
+# Candidates carry the tie-break key (value desc, max(|y|,|ŷ|) asc, |y| asc,
+# pair index asc) so chunks reduce in any order to the same winner.
+
+_EXCLUDED = -1.0
+
+
+def _chunk_best(values, py_col, ph_row, ylo, n, d):
+    vmax = float(values.max())
+    if vmax == _EXCLUDED:
+        return None
+    tied = values == vmax
+    sentinel = d + 1
+    maxsize = np.maximum(py_col, ph_row)
+    ms = int(np.where(tied, maxsize, sentinel).min())
+    tied &= maxsize == ms
+    ptrue = int(np.where(tied, np.broadcast_to(py_col, tied.shape), sentinel).min())
+    tied &= py_col == ptrue
+    flat = int(np.argmax(tied))
+    row, col = divmod(flat, n)
+    return vmax, ms, ptrue, (ylo + row) * n + col, ylo + row, col
+
+
+def _better(a, b):
+    """Merge two chunk candidates; None loses."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    if a[0] != b[0]:
+        return a if a[0] > b[0] else b
+    return a if a[1:4] < b[1:4] else b
+
+
+def _scan_chunk(M, pop, ylo, yhi, fa, fb, d):
+    n = M.shape[0]
+    tp = M[ylo:yhi] @ M.T
+    py = pop[ylo:yhi][:, None]
+    ph = pop[None, :]
+    fp = ph - tp
+    fn = py - tp
+    va = np.asarray(fa(tp, fp, fn), dtype=np.float64)
+    vb = np.asarray(fb(tp, fp, fn), dtype=np.float64)
+    both_empty = (py + ph) == 0
+
+    absdiff = np.abs(va - vb)
+    absdiff[np.broadcast_to(both_empty, absdiff.shape)] = _EXCLUDED
+    best_abs = _chunk_best(absdiff, py, ph, ylo, n, d)
+
+    admissible = (va > 0.0) & (vb > 0.0) & ~both_empty
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.maximum(va / vb, vb / va) - 1.0
+    ratio = np.where(admissible, ratio, _EXCLUDED)
+    best_rel = _chunk_best(ratio, py, ph, ylo, n, d)
+    return best_abs, best_rel
+
+
+def _build_witness(cand, M, d):
+    if cand is None:
+        return None
+    value, _, _, _, yi, hi = cand
+    yrow = M[yi].astype(np.uint8)
+    hrow = M[hi].astype(np.uint8)
+    tp = int(yrow @ hrow)
+    fp = int(hrow.sum()) - tp
+    fn = int(yrow.sum()) - tp
+    dims = (d, 1, 1)
+    return Witness(BinaryMask(dims, yrow), BinaryMask(dims, hrow), tp, fp, fn, value)
+
+
+def mask_pair_sup(metric_a: str, metric_b: str, d: int) -> BoundReport:
+    """The suprema and witnesses brute_force_sup must report, found by
+    scanning every one of the 4**d mask pairs in 256-row chunks."""
+    mid_a, mid_b = parse_metric_id(metric_a), parse_metric_id(metric_b)
+    M = bit_matrix(d, dtype=np.float64)
+    pop = M.sum(axis=1)
+    n = M.shape[0]
+    fa, fb = _evaluator(mid_a, d), _evaluator(mid_b, d)
+    best_abs = best_rel = None
+    for lo in range(0, n, 256):
+        pa, pr = _scan_chunk(M, pop, lo, min(lo + 256, n), fa, fb, d)
+        best_abs = _better(best_abs, pa)
+        best_rel = _better(best_rel, pr)
+    w_abs = _build_witness(best_abs, M, d)
+    w_rel = _build_witness(best_rel, M, d)
+    cf_abs, cf_rel = closed_form_bounds(mid_a, mid_b)
+    return BoundReport(
+        mid_a.label(), mid_b.label(), d, cf_abs, cf_rel,
+        w_abs.value if w_abs else 0.0, w_rel.value if w_rel else 0.0, w_abs, w_rel,
+    )
