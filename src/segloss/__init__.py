@@ -4,9 +4,9 @@ approximation-bound verification, and a desk-scale training harness."""
 from .masks import BinaryMask, ConfusionCounts, ProbMap, confusion_counts, threshold
 from .metrics import (
     MetricValue,
-    auxiliary_metric,
     dice,
     dice_jaccard_convert,
+    evaluate,
     hamming,
     jaccard,
     tversky,

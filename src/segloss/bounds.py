@@ -23,17 +23,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BoundViolation, DTooLarge, EmptySet, NonPositiveWeight, OutOfRange
+from .errors import BoundViolation, DTooLarge, EmptySet, OutOfRange
 from .masks import BinaryMask, ProbMap, threshold
-from .metrics import (
-    dice,
-    dice_from_counts,
-    hamming_from_counts,
-    jaccard,
-    jaccard_from_counts,
-    tversky_from_counts,
-    weighted_hamming_from_counts,
-)
+from .metrics import MetricId, dice, dice_from_counts, jaccard, parse_metric_id, weighted_hamming_from_counts
 
 MAX_BRUTE_FORCE_D = 200
 
@@ -56,8 +48,7 @@ def tversky_dice_bounds(alpha: float, beta: float) -> tuple[float, float]:
     rel = max(2a, 2b, 0.5/a, 0.5/b) - 1.  Both vanish iff a = b = 0.5 and
     grow as the weights deviate from it.
     """
-    if alpha <= 0 or beta <= 0:
-        raise NonPositiveWeight(f"alpha and beta must be > 0, got {alpha}, {beta}")
+    MetricId("tversky", (alpha, beta))  # the same range check as the token
 
     def one_sided(w: float) -> float:
         r = math.sqrt(2.0 * w)
@@ -66,42 +57,6 @@ def tversky_dice_bounds(alpha: float, beta: float) -> tuple[float, float]:
     abs_err = max(one_sided(alpha), one_sided(beta))
     rel_err = max(2.0 * alpha, 2.0 * beta, 0.5 / alpha, 0.5 / beta) - 1.0
     return abs_err, rel_err
-
-
-@dataclass(frozen=True)
-class MetricId:
-    """A similarity name with optional parameters, e.g. tversky:0.3:0.7."""
-
-    kind: str
-    params: tuple[float, ...] = ()
-
-    def label(self) -> str:
-        if not self.params:
-            return self.kind
-        return self.kind + "".join(f":{p:g}" for p in self.params)
-
-
-def parse_metric_id(token: str) -> MetricId:
-    """Parse dice | jaccard | hamming | whamming[:<gamma>] |
-    tversky:<alpha>:<beta>.  whamming defaults to gamma = 0.5."""
-    parts = token.strip().split(":")
-    head = parts[0]
-    try:
-        if head in ("dice", "jaccard", "hamming") and len(parts) == 1:
-            return MetricId(head)
-        if head == "whamming" and len(parts) in (1, 2):
-            gamma = float(parts[1]) if len(parts) == 2 else 0.5
-            if not 0.0 <= gamma <= 1.0:
-                raise OutOfRange(f"gamma must lie in [0, 1], got {gamma}")
-            return MetricId(head, (gamma,))
-        if head == "tversky" and len(parts) == 3:
-            a, b = float(parts[1]), float(parts[2])
-            if a <= 0 or b <= 0:
-                raise NonPositiveWeight(f"tversky weights must be > 0, got {a}, {b}")
-            return MetricId(head, (a, b))
-    except ValueError as exc:
-        raise OutOfRange(f"bad numeric parameter in metric token {token!r}") from exc
-    raise OutOfRange(f"unknown metric token {token!r}")
 
 
 def _normalize(mid: MetricId) -> MetricId:
@@ -133,23 +88,6 @@ def closed_form_bounds(a: MetricId, b: MetricId) -> tuple[float | None, float | 
     if kinds in ({"dice", "hamming"}, {"dice", "whamming"}):
         return 1.0, math.inf
     return None, None
-
-
-def _evaluator(mid: MetricId, d: int):
-    """Vectorized metric over confusion-count arrays (tp, fp, fn)."""
-    if mid.kind == "dice":
-        return lambda tp, fp, fn: dice_from_counts(tp, fp, fn)
-    if mid.kind == "jaccard":
-        return lambda tp, fp, fn: jaccard_from_counts(tp, fp, fn)
-    if mid.kind == "hamming":
-        return lambda tp, fp, fn: hamming_from_counts(fp, fn, d)
-    if mid.kind == "whamming":
-        gamma = mid.params[0]
-        return lambda tp, fp, fn: weighted_hamming_from_counts(fp, fn, tp + fn, d, gamma)
-    if mid.kind == "tversky":
-        a, b = mid.params
-        return lambda tp, fp, fn: tversky_from_counts(tp, fp, fn, a, b)
-    raise OutOfRange(f"unknown metric kind {mid.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -238,10 +176,11 @@ def brute_force_sup(metric_a, metric_b, d: int) -> BoundReport:
     """Exact suprema of |A - B| and max(A/B, B/A) - 1 over every ordered
     mask pair of length d.
 
-    Every supported metric depends on a pair only through its confusion
-    counts (tp, fp, fn) and d, so the supremum over the 4**d pairs equals
-    the maximum over the O(d**3) count triples with tp + fp + fn <= d,
-    which the ``*_from_counts`` kernels evaluate in one vectorized pass.
+    Every metric with a counts kernel (all but hausdorff and avd) depends
+    on a pair only through its confusion counts (tp, fp, fn) and d, so the
+    supremum over the 4**d pairs equals the maximum over the O(d**3) count
+    triples with tp + fp + fn <= d, which the kernels evaluate in one
+    vectorized pass.
     Each witness is the pair the full lexicographic scan would keep: value
     desc, max(|y|, |ŷ|) asc, |y| asc, pair index asc.  When a closed form
     exists the empirical value is checked against it (with 1e-12 slack for
@@ -255,8 +194,8 @@ def brute_force_sup(metric_a, metric_b, d: int) -> BoundReport:
     mid_b = parse_metric_id(metric_b) if isinstance(metric_b, str) else metric_b
 
     tp, fp, fn = _count_space(d)
-    va = np.asarray(_evaluator(mid_a, d)(tp, fp, fn), dtype=np.float64)
-    vb = np.asarray(_evaluator(mid_b, d)(tp, fp, fn), dtype=np.float64)
+    va = np.asarray(mid_a.counts(tp, fp, fn, d), dtype=np.float64)
+    vb = np.asarray(mid_b.counts(tp, fp, fn, d), dtype=np.float64)
     w_abs = _witness(np.abs(va - vb), tp, fp, fn, d)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.maximum(va / vb, vb / va) - 1.0
@@ -310,13 +249,12 @@ def hamming_blowup_witness(a: float) -> HammingBlowupWitness:
     p, q = frac.numerator, frac.denominator
     d = q * q
     tp, fp, fn = p * p, p * q, 0
-    n_true = tp + fn
     # H_gamma is linear in gamma, so the minimum over [0, 1] sits at a
     # boundary; with fn = 0 that is gamma = 0
-    h0 = float(weighted_hamming_from_counts(fp, fn, n_true, d, 0.0))
-    h1 = float(weighted_hamming_from_counts(fp, fn, n_true, d, 1.0))
+    h0 = float(weighted_hamming_from_counts(tp, fp, fn, d, 0.0))
+    h1 = float(weighted_hamming_from_counts(tp, fp, fn, d, 1.0))
     gamma_star, h_star = (0.0, h0) if h0 <= h1 else (1.0, h1)
-    d_val = float(dice_from_counts(tp, fp, fn))
+    d_val = float(dice_from_counts(tp, fp, fn, d))
     return HammingBlowupWitness(tp, fp, fn, d, gamma_star, h_star, d_val, h_star / d_val)
 
 

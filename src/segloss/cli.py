@@ -13,10 +13,10 @@ import sys
 
 from . import bounds as bounds_mod
 from . import fileio
-from .errors import DataError, DTooLarge, NumericError, SeglossError, UsageError
+from .errors import DataError, DTooLarge, NumericError, OutOfRange, SeglossError, UsageError
 from .losses import LossSpec, gamma_for_prior, parse_loss_spec
 from .masks import BinaryMask, ProbMap, threshold
-from .metrics import MetricValue, auxiliary_metric, dice, hamming, jaccard, tversky, weighted_hamming
+from .metrics import COUNTS_METRIC_GRAMMAR, METRIC_GRAMMAR, evaluate
 from .stats import DEFAULT_RESAMPLES, ScoreVector, rank_methods
 from .toytrain import (
     DEFAULT_GAIN_JITTER,
@@ -58,12 +58,12 @@ def build_parser() -> _Parser:
     ev.add_argument("--threshold", type=float, default=0.5,
                     help="binarization threshold for probability predictions")
     ev.add_argument("--metrics", default=DEFAULT_METRICS,
-                    help="comma list: dice,jaccard,hamming,whamming:<g>,"
-                         "tversky:<a>:<b>,fbeta:<b>,accuracy,hausdorff,avd")
+                    help=f"comma list of: {METRIC_GRAMMAR}")
 
     bo = sub.add_parser("bounds", help="closed-form and brute-force bounds")
     bo.add_argument("--pair", default=None,
-                    help="dice-jaccard | dice-tversky:<a>:<b> | dice-whamming[:<g>]")
+                    help=f"two metrics joined by '-', e.g. dice-tversky:0.3:0.7; each "
+                         f"one of: {COUNTS_METRIC_GRAMMAR}")
     bo.add_argument("--dmax", type=int, default=5,
                     help="verify empirical suprema for d = 1..dmax (<= 200)")
     bo.add_argument("--fig1-grid", action="store_true",
@@ -81,29 +81,6 @@ def build_parser() -> _Parser:
     return p
 
 
-def _parse_eval_metric(token: str):
-    parts = token.strip().split(":")
-    head = parts[0]
-    if head == "dice" and len(parts) == 1:
-        return lambda y, p: MetricValue("dice", dice(y, p))
-    if head == "jaccard" and len(parts) == 1:
-        return lambda y, p: MetricValue("jaccard", jaccard(y, p))
-    if head == "hamming" and len(parts) == 1:
-        return lambda y, p: MetricValue("hamming", hamming(y, p))
-    if head == "whamming" and len(parts) == 2:
-        g = float(parts[1])
-        return lambda y, p: MetricValue(f"whamming:{g:g}", weighted_hamming(y, p, g))
-    if head == "tversky" and len(parts) == 3:
-        a, b = float(parts[1]), float(parts[2])
-        return lambda y, p: MetricValue(f"tversky:{a:g}:{b:g}", tversky(y, p, a, b))
-    if head == "fbeta" and len(parts) == 2:
-        b = float(parts[1])
-        return lambda y, p: auxiliary_metric("fbeta", y, p, b=b)
-    if head in ("accuracy", "hausdorff", "avd") and len(parts) == 1:
-        return lambda y, p: auxiliary_metric(head, y, p)
-    raise UsageError(f"unknown metric token {token!r}")
-
-
 def cmd_evaluate(args) -> int:
     gt = fileio.read_mask(args.gt).payload
     if not isinstance(gt, BinaryMask):
@@ -111,13 +88,8 @@ def cmd_evaluate(args) -> int:
     pred = fileio.read_mask(args.pred).payload
     if isinstance(pred, ProbMap):
         pred = threshold(pred, args.threshold)
-    fns = [_parse_eval_metric(tok) for tok in args.metrics.split(",") if tok.strip()]
-    if not fns:
-        raise UsageError("no metrics requested")
-    rows = []
-    for fn in fns:
-        mv = fn(gt, pred)
-        rows.append([mv.name, mv.value if mv.defined else None, mv.defined])
+    rows = [[mv.name, mv.value if mv.defined else None, mv.defined]
+            for mv in evaluate(args.metrics.split(","), gt, pred)]
     table = fileio.ReportTable("evaluate", ["metric", "value", "defined"], rows)
     fileio.write_report(table, args.out_dir, "evaluate")
     return 0
@@ -141,6 +113,8 @@ def cmd_bounds(args) -> int:
     name_a, _, name_b = args.pair.partition("-")
     if not name_a or not name_b:
         raise UsageError(f"--pair must look like dice-jaccard, got {args.pair!r}")
+    if args.dmax < 1:
+        raise OutOfRange(f"--dmax {args.dmax} is below 1")
     if args.dmax > bounds_mod.MAX_BRUTE_FORCE_D:
         raise DTooLarge(f"--dmax {args.dmax} exceeds the limit {bounds_mod.MAX_BRUTE_FORCE_D}")
     rows = []

@@ -19,6 +19,7 @@ verifies pairwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,8 +61,8 @@ class LossSpec:
         needs_ab = self.kind == SOFT_TVERSKY
         if (self.alpha is not None) != needs_ab or (self.beta is not None) != needs_ab:
             raise OutOfRange("alpha/beta are required by soft_tversky and only by it")
-        if needs_ab and (self.alpha <= 0 or self.beta <= 0):
-            raise OutOfRange("tversky weights must be > 0")
+        if needs_ab and not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
+            raise OutOfRange(f"tversky weights must be finite and > 0, got {self.alpha}, {self.beta}")
         if (self.norm_variant is not None) != (self.kind == SOFT_DICE):
             raise OutOfRange("norm_variant is required by soft_dice and only by it")
         if self.kind == SOFT_DICE and self.norm_variant not in ("l1", "l2"):

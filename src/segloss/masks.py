@@ -127,30 +127,24 @@ class ConfusionCounts:
     def d(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
 
-    @property
-    def n_true(self) -> int:
-        """|y| = tp + fn."""
-        return self.tp + self.fn
-
-    @property
-    def n_pred(self) -> int:
-        """|ŷ| = tp + fp."""
-        return self.tp + self.fp
-
 
 def check_dims(a, b) -> None:
     if a.dims != b.dims:
         raise DimMismatch(f"dims differ: {a.dims} vs {b.dims}")
 
 
+def overlap_counts(truth: np.ndarray, pred: np.ndarray) -> tuple[int, int, int]:
+    """(tp, fp, fn) of a boolean prediction vector against the truth."""
+    tp = int(np.count_nonzero(truth & pred))
+    fp = int(np.count_nonzero(~truth & pred))
+    fn = int(np.count_nonzero(truth & ~pred))
+    return tp, fp, fn
+
+
 def confusion_counts(y: BinaryMask, yhat: BinaryMask) -> ConfusionCounts:
     """Exact set cardinalities for a pair of binary masks."""
     check_dims(y, yhat)
-    a = y.data.astype(bool)
-    b = yhat.data.astype(bool)
-    tp = int(np.count_nonzero(a & b))
-    fp = int(np.count_nonzero(~a & b))
-    fn = int(np.count_nonzero(a & ~b))
+    tp, fp, fn = overlap_counts(y.data.astype(bool), yhat.data.astype(bool))
     tn = y.d - tp - fp - fn
     return ConfusionCounts(tp, fp, fn, tn)
 

@@ -1,5 +1,11 @@
 """Exact discrete similarity and distance metrics over binary mask pairs.
 
+``METRICS`` is the one table of metric tokens.  Each row, keyed by token
+head, names the parameters with their defaults and range rule, and gives a
+vectorized ``(tp, fp, fn, d, *params)`` counts kernel or, for Hausdorff and
+absolute volume difference, a mask-pair function.  ``parse_metric_id`` is
+the only token parser; ``evaluate`` scores a token list on a mask pair.
+
 Degenerate-case conventions (the formulas themselves are silent):
 
 * both masks empty -> Dice = Jaccard = Tversky = F-beta = 1 (perfect
@@ -10,18 +16,20 @@ Degenerate-case conventions (the formulas themselves are silent):
 * Hausdorff is undefined when either side has no foreground, absolute
   volume difference when the ground truth has none.
 
-The ``*_from_counts`` kernels accept scalars or numpy arrays and are the
-single source of truth for the formulas; the exhaustive bound search
-evaluates them over every (tp, fp, fn) triple of a length d at once.
+The ``*_from_counts`` kernels all take ``(tp, fp, fn, d, *params)`` as
+scalars or numpy arrays; the bound search evaluates them over every
+(tp, fp, fn) triple of a length d at once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import NonPositiveWeight, OutOfRange
+from .errors import NonPositiveWeight, NumericError, OutOfRange
 from .masks import BinaryMask, check_dims, confusion_counts
 
 
@@ -43,29 +51,30 @@ def _safe_div(num, den, fallback):
     return np.where(zero, fallback, out)
 
 
-def dice_from_counts(tp, fp, fn):
+def dice_from_counts(tp, fp, fn, d):
     """2tp / (2tp + fp + fn); 1.0 when all three counts are zero."""
     return _safe_div(2.0 * np.asarray(tp, dtype=np.float64), 2.0 * np.asarray(tp) + np.asarray(fp) + np.asarray(fn), 1.0)
 
 
-def jaccard_from_counts(tp, fp, fn):
+def jaccard_from_counts(tp, fp, fn, d):
     """tp / (tp + fp + fn); 1.0 when all three counts are zero."""
     return _safe_div(np.asarray(tp, dtype=np.float64), np.asarray(tp) + np.asarray(fp) + np.asarray(fn), 1.0)
 
 
-def hamming_from_counts(fp, fn, d):
+def hamming_from_counts(tp, fp, fn, d):
     """1 - (fp + fn)/d, the pixel accuracy."""
     return 1.0 - (np.asarray(fp, dtype=np.float64) + np.asarray(fn)) / d
 
 
-def weighted_hamming_from_counts(fp, fn, n_true, d, gamma):
+def weighted_hamming_from_counts(tp, fp, fn, d, gamma):
     """1 - gamma*fn/|y| - (1-gamma)*fp/(d-|y|) with 0/0 terms read as 0."""
+    n_true = tp + fn
     fn_term = gamma * _safe_div(np.asarray(fn, dtype=np.float64), n_true, 0.0)
     fp_term = (1.0 - gamma) * _safe_div(np.asarray(fp, dtype=np.float64), d - np.asarray(n_true), 0.0)
     return 1.0 - fn_term - fp_term
 
 
-def tversky_from_counts(tp, fp, fn, alpha, beta):
+def tversky_from_counts(tp, fp, fn, d, alpha, beta):
     """tp / (tp + alpha*fp + beta*fn); 1.0 when all three counts are zero.
 
     With alpha, beta > 0 the denominator vanishes only in the both-empty
@@ -76,28 +85,31 @@ def tversky_from_counts(tp, fp, fn, alpha, beta):
     return np.where((tp + np.asarray(fp) + np.asarray(fn)) == 0, 1.0, _safe_div(tp, den, 0.0))
 
 
-def fbeta_from_counts(tp, fp, fn, b):
+def fbeta_from_counts(tp, fp, fn, d, b):
     """(1+b^2)tp / ((1+b^2)tp + b^2*fn + fp); 1.0 when all counts are zero."""
     b2 = b * b
     return _safe_div((1.0 + b2) * np.asarray(tp, dtype=np.float64), (1.0 + b2) * np.asarray(tp) + b2 * np.asarray(fn) + np.asarray(fp), 1.0)
 
 
+def _score(kind: str, y: BinaryMask, yhat: BinaryMask, *params: float) -> float:
+    mid = MetricId(kind, params)
+    c = confusion_counts(y, yhat)
+    return float(mid.counts(c.tp, c.fp, c.fn, c.d))
+
+
 def dice(y: BinaryMask, yhat: BinaryMask) -> float:
     """Dice score 2|y ∩ ŷ| / (|y| + |ŷ|)."""
-    c = confusion_counts(y, yhat)
-    return float(dice_from_counts(c.tp, c.fp, c.fn))
+    return _score("dice", y, yhat)
 
 
 def jaccard(y: BinaryMask, yhat: BinaryMask) -> float:
     """Jaccard index |y ∩ ŷ| / |y ∪ ŷ|; satisfies J = D/(2-D)."""
-    c = confusion_counts(y, yhat)
-    return float(jaccard_from_counts(c.tp, c.fp, c.fn))
+    return _score("jaccard", y, yhat)
 
 
 def hamming(y: BinaryMask, yhat: BinaryMask) -> float:
-    """Hamming similarity 1 - |y △ ŷ|/d; numerically equals accuracy."""
-    c = confusion_counts(y, yhat)
-    return float(hamming_from_counts(c.fp, c.fn, c.d))
+    """Hamming similarity 1 - |y △ ŷ|/d; equals accuracy up to rounding."""
+    return _score("hamming", y, yhat)
 
 
 def weighted_hamming(y: BinaryMask, yhat: BinaryMask, gamma: float) -> float:
@@ -105,19 +117,13 @@ def weighted_hamming(y: BinaryMask, yhat: BinaryMask, gamma: float) -> float:
 
     Equals plain Hamming when gamma = |y|/d (and 0 < |y| < d).
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise OutOfRange(f"gamma must lie in [0, 1], got {gamma}")
-    c = confusion_counts(y, yhat)
-    return float(weighted_hamming_from_counts(c.fp, c.fn, c.n_true, c.d, gamma))
+    return _score("whamming", y, yhat, gamma)
 
 
 def tversky(y: BinaryMask, yhat: BinaryMask, alpha: float, beta: float) -> float:
     """Tversky index weighting false positives by alpha, false negatives
     by beta.  Equals Dice at alpha = beta = 0.5 and Jaccard at 1, 1."""
-    if alpha <= 0 or beta <= 0:
-        raise NonPositiveWeight(f"alpha and beta must be > 0, got {alpha}, {beta}")
-    c = confusion_counts(y, yhat)
-    return float(tversky_from_counts(c.tp, c.fp, c.fn, alpha, beta))
+    return _score("tversky", y, yhat, alpha, beta)
 
 
 def dice_to_jaccard(value: float) -> float:
@@ -178,19 +184,109 @@ def absolute_volume_difference(y: BinaryMask, yhat: BinaryMask) -> MetricValue:
     return MetricValue("avd", 100.0 * abs(yhat.count() - ny) / ny)
 
 
-def auxiliary_metric(kind: str, y: BinaryMask, yhat: BinaryMask, b: float | None = None) -> MetricValue:
-    """Dispatch for the secondary metrics: "fbeta" (requires b > 0),
-    "accuracy", "hausdorff", "avd"."""
-    if kind == "fbeta":
-        if b is None or b <= 0:
-            raise OutOfRange("fbeta requires b > 0")
-        c = confusion_counts(y, yhat)
-        return MetricValue(f"fbeta:{b:g}", float(fbeta_from_counts(c.tp, c.fp, c.fn, b)))
-    if kind == "accuracy":
-        c = confusion_counts(y, yhat)
-        return MetricValue("accuracy", (c.tp + c.tn) / c.d)
-    if kind == "hausdorff":
-        return hausdorff_distance(y, yhat)
-    if kind == "avd":
-        return absolute_volume_difference(y, yhat)
-    raise OutOfRange(f"unknown auxiliary metric kind {kind!r}")
+@dataclass(frozen=True)
+class MetricKind:
+    """One row of the metric table.  A token names all ``params`` or, when
+    the row has ``defaults``, none of them; ``valid`` is the range rule."""
+
+    params: tuple[str, ...] = ()
+    defaults: tuple[float, ...] = ()
+    counts: Callable | None = None   # a *_from_counts kernel
+    masks: Callable | None = None    # (y, yhat) -> MetricValue, if no counts
+    valid: Callable = lambda *params: True
+    rule: str = ""
+    error: type = OutOfRange
+
+
+METRICS: dict[str, MetricKind] = {
+    "dice": MetricKind(counts=dice_from_counts),
+    "jaccard": MetricKind(counts=jaccard_from_counts),
+    "hamming": MetricKind(counts=hamming_from_counts),
+    # (tp + tn)/d, which can round differently from hamming's 1 - (fp + fn)/d
+    "accuracy": MetricKind(counts=lambda tp, fp, fn, d: (d - fp - fn) / d),
+    "whamming": MetricKind(("g",), (0.5,), weighted_hamming_from_counts,
+                           valid=lambda g: 0.0 <= g <= 1.0, rule="gamma must lie in [0, 1]"),
+    "tversky": MetricKind(("a", "b"), (), tversky_from_counts, valid=lambda a, b: a > 0 and b > 0,
+                          rule="alpha and beta must be > 0", error=NonPositiveWeight),
+    "fbeta": MetricKind(("b",), (), fbeta_from_counts, valid=lambda b: b > 0, rule="fbeta requires b > 0"),
+    # looked up at call time, so a replaced module attribute takes effect
+    "hausdorff": MetricKind(masks=lambda y, yhat: hausdorff_distance(y, yhat)),
+    "avd": MetricKind(masks=absolute_volume_difference),
+}
+
+
+@dataclass(frozen=True)
+class MetricId:
+    """A metric token head with its parameters, e.g. tversky:0.3:0.7;
+    construction checks both against the table."""
+
+    kind: str
+    params: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        kind = METRICS.get(self.kind)
+        if kind is None or len(self.params) != len(kind.params):
+            raise OutOfRange(f"{self.label()} is not one of {METRIC_GRAMMAR}")
+        if not all(math.isfinite(p) for p in self.params):
+            raise OutOfRange(f"{self.kind} parameters must be finite, got {self.params}")
+        if not kind.valid(*self.params):
+            raise kind.error(f"{kind.rule}, got {self.label()}")
+
+    def label(self) -> str:
+        return self.kind + "".join(f":{p:g}" for p in self.params)
+
+    def counts(self, tp, fp, fn, d):
+        """The metric as a function of the confusion counts and d,
+        elementwise over arrays."""
+        kernel = METRICS[self.kind].counts
+        if kernel is None:
+            raise OutOfRange(f"{self.kind} is not a function of the confusion counts")
+        values = kernel(tp, fp, fn, d, *self.params)
+        if not np.isfinite(values).all():
+            raise NumericError(f"{self.label()} gave a non-finite value")
+        return values
+
+
+def _grammar(heads) -> str:
+    """The token forms of the given table rows, for help texts."""
+    forms, notes = [], ""
+    for h in heads:
+        spec = "".join(f":<{p}>" for p in METRICS[h].params)
+        if METRICS[h].defaults:
+            spec = f"[{spec}]"
+            notes += f"; bare {h} means {MetricId(h, METRICS[h].defaults).label()}"
+        forms.append(h + spec)
+    return " | ".join(forms) + notes
+
+
+METRIC_GRAMMAR = _grammar(METRICS)
+COUNTS_METRIC_GRAMMAR = _grammar(h for h, k in METRICS.items() if k.counts is not None)
+
+
+def parse_metric_id(token: str) -> MetricId:
+    """Parse one metric token: ``METRIC_GRAMMAR`` lists the forms."""
+    head, *parts = token.strip().split(":")
+    if head not in METRICS:
+        raise OutOfRange(f"unknown metric token {token!r}")
+    try:
+        params = tuple(float(p) for p in parts) if parts else METRICS[head].defaults
+    except ValueError as exc:
+        raise OutOfRange(f"bad numeric parameter in metric token {token!r}") from exc
+    return MetricId(head, params)
+
+
+def evaluate(tokens, y: BinaryMask, yhat: BinaryMask) -> list[MetricValue]:
+    """Score a mask pair on each metric token, in order; blank tokens are
+    skipped.  Every token is parsed before any metric is computed."""
+    mids = [parse_metric_id(t) for t in tokens if t.strip()]
+    if not mids:
+        raise OutOfRange("no metrics requested")
+    c = confusion_counts(y, yhat)
+    out = []
+    for mid in mids:
+        masks = METRICS[mid.kind].masks
+        if masks is not None:
+            out.append(masks(y, yhat))
+        else:
+            out.append(MetricValue(mid.label(), float(mid.counts(c.tp, c.fp, c.fn, c.d))))
+    return out

@@ -28,7 +28,7 @@ from .errors import (
     TooFewSamples,
 )
 from .losses import LossSpec, eval_loss_arrays
-from .masks import BinaryMask
+from .masks import BinaryMask, overlap_counts
 from .metrics import dice_from_counts, fbeta_from_counts, jaccard_from_counts
 
 N_FEATURES = 5  # raw, 3x3 box mean, x/nx, y/ny, constant 1
@@ -373,15 +373,6 @@ def train(data: SampleSet, cfg: TrainConfig) -> TrainResult:
     return TrainResult(best_w, epochs_run, best_val, np.array(train_hist), np.array(val_hist))
 
 
-def _counts_at_half(yv: np.ndarray, p: np.ndarray) -> tuple[int, int, int]:
-    pred = p > 0.5
-    true = yv > 0.5
-    tp = int(np.count_nonzero(pred & true))
-    fp = int(np.count_nonzero(pred & ~true))
-    fn = int(np.count_nonzero(~pred & true))
-    return tp, fp, fn
-
-
 def score_images(data: SampleSet, idx, w: np.ndarray, masks=None) -> dict[str, np.ndarray]:
     """Discrete per-image scores at threshold 0.5: dice, jaccard and the
     F-beta family, restricted to in-mask pixels when masks are given."""
@@ -390,17 +381,15 @@ def score_images(data: SampleSet, idx, w: np.ndarray, masks=None) -> dict[str, n
         out[f"f{b:g}"] = []
     for i in idx:
         s = data[int(i)]
-        if masks is None:
-            X, yv = s.features, s.label.data.astype(np.float64)
-        else:
+        X, truth = s.features, s.label.data.astype(bool)
+        if masks is not None:
             sel = masks[int(i)]
-            X, yv = s.features[sel], s.label.data[sel].astype(np.float64)
-        p = _sigmoid(X @ w)
-        tp, fp, fn = _counts_at_half(yv, p)
-        out["dice"].append(float(dice_from_counts(tp, fp, fn)))
-        out["jaccard"].append(float(jaccard_from_counts(tp, fp, fn)))
+            X, truth = X[sel], truth[sel]
+        tp, fp, fn = overlap_counts(truth, _sigmoid(X @ w) > 0.5)
+        out["dice"].append(float(dice_from_counts(tp, fp, fn, truth.size)))
+        out["jaccard"].append(float(jaccard_from_counts(tp, fp, fn, truth.size)))
         for b in FBETAS:
-            out[f"f{b:g}"].append(float(fbeta_from_counts(tp, fp, fn, b)))
+            out[f"f{b:g}"].append(float(fbeta_from_counts(tp, fp, fn, truth.size, b)))
     return {k: np.array(v) for k, v in out.items()}
 
 

@@ -1,10 +1,17 @@
 import os
 
+import numpy as np
 import pytest
 
-from segloss import bounds, cli
+from segloss import bounds, cli, fileio
+from segloss.masks import BinaryMask, ProbMap
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+# every evaluate token kind, plus a non-default weighted-Hamming gamma and
+# Tversky at its Dice point
+EVAL_TOKENS = ("dice,jaccard,hamming,accuracy,whamming:0.5,whamming:0.3,"
+               "tversky:0.3:0.7,tversky:0.5:0.5,fbeta:2,hausdorff,avd")
 
 
 @pytest.mark.parametrize("pair", ["dice-jaccard", "dice-tversky:0.3:0.7", "dice-whamming:0.5"])
@@ -35,3 +42,133 @@ def test_bounds_closed_form_violation_is_numeric_failure(tmp_path, capsys, monke
     monkeypatch.setattr(bounds, "closed_form_bounds", lambda a, b: too_tight)
     assert cli.main(["--out-dir", str(tmp_path), "bounds", "--pair", "dice-jaccard", "--dmax", "3"]) == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+def write_eval_inputs(directory, case: str) -> tuple[str, str]:
+    """A fixed (ground truth, prediction) file pair for an evaluate case:
+    "pair" is a 2x4x5 MSK1 volume with a probability-map prediction;
+    "empty_pred" and "empty_gt" are 5x4 PGM binary masks with one side
+    empty."""
+    if case == "pair":
+        z, y, x = np.indices((2, 4, 5))
+        gt = BinaryMask.from_array(((x + 2 * y + 3 * z) % 5 == 0).astype(np.uint8))
+        pred = ProbMap.from_array(np.array([0.1, 0.3, 0.7, 0.9])[(3 * x + y + 2 * z) % 4])
+    else:
+        some = np.zeros((4, 5), dtype=np.uint8)
+        some[1:3, 1:4] = 1
+        none = np.zeros((4, 5), dtype=np.uint8)
+        gt, pred = (some, none) if case == "empty_pred" else (none, some)
+        gt, pred = BinaryMask.from_array(gt), BinaryMask.from_array(pred)
+    ext = "msk" if case == "pair" else "pgm"
+    paths = (os.path.join(directory, f"gt.{ext}"), os.path.join(directory, f"pred.{ext}"))
+    fileio.write_mask(gt, paths[0])
+    fileio.write_mask(pred, paths[1])
+    return paths
+
+
+@pytest.mark.parametrize("case", ["pair", "empty_pred", "empty_gt"])
+def test_evaluate_reports_match_golden(tmp_path, case):
+    gt, pred = write_eval_inputs(tmp_path, case)
+    out = tmp_path / "out"
+    assert cli.main(["--out-dir", str(out), "evaluate", gt, pred, "--metrics", EVAL_TOKENS]) == 0
+    for ext in ("csv", "json"):
+        with open(os.path.join(GOLDEN, f"evaluate_{case}.{ext}"), "rb") as fh:
+            assert (out / f"evaluate.{ext}").read_bytes() == fh.read(), ext
+
+
+def test_evaluate_missing_file_is_data_error(tmp_path, capsys):
+    gt, _ = write_eval_inputs(tmp_path, "pair")
+    out = tmp_path / "out"
+    assert cli.main(["--out-dir", str(out), "evaluate", gt, str(tmp_path / "absent.msk")]) == 2
+    assert "data error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_probability_ground_truth_is_data_error(tmp_path, capsys):
+    _, pred = write_eval_inputs(tmp_path, "pair")
+    out = tmp_path / "out"
+    assert cli.main(["--out-dir", str(out), "evaluate", pred, pred]) == 2
+    assert "data error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_without_metrics_is_usage_error(tmp_path, capsys):
+    gt, pred = write_eval_inputs(tmp_path, "pair")
+    out = tmp_path / "out"
+    assert cli.main(["--out-dir", str(out), "evaluate", gt, pred, "--metrics", ","]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_bare_whamming_means_gamma_half(tmp_path):
+    gt, pred = write_eval_inputs(tmp_path, "pair")
+    reports = []
+    for token in ("whamming", "whamming:0.5"):
+        out = tmp_path / token.replace(":", "_")
+        assert cli.main(["--out-dir", str(out), "evaluate", gt, pred, "--metrics", token]) == 0
+        reports.append([(out / f"evaluate.{ext}").read_bytes() for ext in ("csv", "json")])
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("argv", [
+    *(["evaluate", "{gt}", "{pred}", "--metrics", f"dice,{token}"]
+      for token in ("whamming:abc", "fbeta:x", "fbeta:nan", "tversky:nan:1", "tversky:inf:1",
+                    "dice:1", "fbeta")),
+    ["bounds", "--pair", "dice-tversky:nan:1"],
+    ["bounds", "--pair", "dice-hausdorff"],
+])
+def test_bad_metric_token_is_usage_error(tmp_path, capsys, argv):
+    gt, pred = write_eval_inputs(tmp_path, "pair")
+    out = tmp_path / "out"
+    assert cli.main(["--out-dir", str(out), *(a.format(gt=gt, pred=pred) for a in argv)]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_non_finite_metric_value_is_numeric_failure(tmp_path, capsys):
+    # b*b overflows to inf, so the F-beta ratio is inf/inf
+    gt, pred = write_eval_inputs(tmp_path, "pair")
+    out = tmp_path / "out"
+    assert cli.main(["--out-dir", str(out), "evaluate", gt, pred, "--metrics", "fbeta:1e200"]) == 3
+    assert "numeric failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dmax", ["0", "-3"])
+def test_bounds_dmax_below_one_is_usage_error(tmp_path, capsys, dmax):
+    assert cli.main(["--out-dir", str(tmp_path), "bounds", "--pair", "dice-jaccard", "--dmax", dmax]) == 1
+    assert "below 1" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+TINY_TRAIN = ("n_images = 12\nnx = 32\nny = 32\nradius_min = 3\nradius_max = 6\nfg_prior = 0.08\n"
+              "folds = 2\nmax_epochs = 6\npretrain_epochs_ce = 2\nn_resamples = 1000\n"
+              "losses = ce, soft_dice\nfgbg_ratios = 0.3\n")
+
+
+def _tree(directory):
+    return {name: (directory / name).read_bytes() for name in sorted(os.listdir(directory))}
+
+
+def test_train_reports_identical_across_threads(tmp_path):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(TINY_TRAIN)
+    trees = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        assert cli.main(["--threads", threads, "--out-dir", str(out), "train", str(cfg)]) == 0
+        trees.append(_tree(out))
+    # scores per arm, significance, summary and strata, then the fg/bg run's
+    # scores per arm, significance and summary; each as csv and json
+    assert len(trees[0]) == 18
+    assert trees[0] == trees[1]
+
+
+@pytest.mark.parametrize("loss", ["tversky:nan:1", "tversky:inf:1"])
+def test_train_non_finite_loss_weight_is_usage_error(tmp_path, capsys, loss):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(TINY_TRAIN.replace("losses = ce, soft_dice", f"losses = ce, {loss}"))
+    out = tmp_path / "out"
+    assert cli.main(["--out-dir", str(out), "train", str(cfg)]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()

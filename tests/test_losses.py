@@ -262,3 +262,13 @@ def test_parse_loss_spec_round_trip():
         assert parse_loss_spec(token) == expect
     with pytest.raises(OutOfRange):
         parse_loss_spec("focal")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_spec_rejects_non_finite_parameters(bad):
+    for make in (lambda: LossSpec.soft_tversky(bad, 0.5), lambda: LossSpec.soft_tversky(0.5, bad),
+                 lambda: LossSpec.ce(clamp_eps=bad), lambda: LossSpec.wce(bad)):
+        with pytest.raises(OutOfRange):
+            make()
+    with pytest.raises(OutOfRange):
+        parse_loss_spec(f"tversky:{bad}:1")

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from segloss import metrics
+from segloss.bounds import brute_force_sup
 from segloss.errors import NonPositiveWeight, OutOfRange
-from segloss.masks import BinaryMask
+from segloss.masks import BinaryMask, confusion_counts
 from util import (
     all_masks,
     frac_dice,
@@ -120,7 +121,7 @@ def test_exhaustive_invariants_small_d():
                     assert jv <= dv
                 assert metrics.tversky(y, yh, 0.5, 0.5) == dv
                 assert metrics.tversky(y, yh, 1.0, 1.0) == jv
-                acc = metrics.auxiliary_metric("accuracy", y, yh).value
+                acc = metrics.evaluate(["accuracy"], y, yh)[0].value
                 assert metrics.hamming(y, yh) == pytest.approx(acc, abs=1e-15)
                 if 0 < y.count() < d:
                     assert metrics.weighted_hamming(y, yh, y.count() / d) == pytest.approx(
@@ -140,7 +141,7 @@ def test_fbeta_one_equals_dice():
     for _ in range(20):
         y = mask_of(rng.integers(0, 2, size=9))
         yh = mask_of(rng.integers(0, 2, size=9))
-        f1 = metrics.auxiliary_metric("fbeta", y, yh, b=1.0)
+        f1 = metrics.evaluate(["fbeta:1.0"], y, yh)[0]
         assert f1.value == pytest.approx(metrics.dice(y, yh), abs=1e-15)
 
 
@@ -148,12 +149,12 @@ def test_fbeta_frozen_values():
     # tp=2, fp=0, fn=2
     y = mask_of([1, 1, 1, 1, 0])
     yh = mask_of([1, 1, 0, 0, 0])
-    f05 = metrics.auxiliary_metric("fbeta", y, yh, b=0.5).value
-    f20 = metrics.auxiliary_metric("fbeta", y, yh, b=2.0).value
+    f05 = metrics.evaluate(["fbeta:0.5"], y, yh)[0].value
+    f20 = metrics.evaluate(["fbeta:2.0"], y, yh)[0].value
     assert f05 == pytest.approx(2.5 / 3, abs=1e-15)
     assert f20 == pytest.approx(10 / 18, abs=1e-15)
     with pytest.raises(OutOfRange):
-        metrics.auxiliary_metric("fbeta", y, yh)
+        metrics.evaluate(["fbeta"], y, yh)
 
 
 def test_hausdorff_three_four_five():
@@ -161,7 +162,7 @@ def test_hausdorff_three_four_five():
     a[0, 0] = 1  # (x=0, y=0)
     b = np.zeros((5, 5), dtype=np.uint8)
     b[4, 3] = 1  # (x=3, y=4)
-    hd = metrics.auxiliary_metric("hausdorff", BinaryMask.from_array(a), BinaryMask.from_array(b))
+    hd = metrics.evaluate(["hausdorff"], BinaryMask.from_array(a), BinaryMask.from_array(b))[0]
     assert hd.defined and hd.value == pytest.approx(5.0, abs=1e-12)
 
 
@@ -169,31 +170,64 @@ def test_hausdorff_identity_and_subset():
     a = np.zeros((4, 4), dtype=np.uint8)
     a[1:3, 1:3] = 1
     ma = BinaryMask.from_array(a)
-    assert metrics.auxiliary_metric("hausdorff", ma, ma).value == 0.0
+    assert metrics.evaluate(["hausdorff"], ma, ma)[0].value == 0.0
     b = a.copy()
     b[1, 1] = 0
     mb = BinaryMask.from_array(b)
     # dropped corner sits one pixel from its nearest remaining neighbour
-    v = metrics.auxiliary_metric("hausdorff", ma, mb).value
+    v = metrics.evaluate(["hausdorff"], ma, mb)[0].value
     assert v == pytest.approx(1.0, abs=1e-12)
 
 
 def test_hausdorff_undefined_when_side_empty():
     empty = mask_of([0, 0, 0, 0])
     full = mask_of([1, 1, 0, 0])
-    r = metrics.auxiliary_metric("hausdorff", empty, full)
+    r = metrics.evaluate(["hausdorff"], empty, full)[0]
     assert not r.defined and math.isnan(r.value)
 
 
 def test_avd_percent_and_undefined():
     y = mask_of([1, 1, 0, 0, 0])
     yh = mask_of([1, 1, 1, 0, 0])
-    r = metrics.auxiliary_metric("avd", y, yh)
+    r = metrics.evaluate(["avd"], y, yh)[0]
     assert r.defined and r.value == pytest.approx(50.0, abs=1e-12)
-    r2 = metrics.auxiliary_metric("avd", mask_of([0, 0]), mask_of([1, 0]))
+    r2 = metrics.evaluate(["avd"], mask_of([0, 0]), mask_of([1, 0]))[0]
     assert not r2.defined
 
 
 def test_auxiliary_unknown_kind():
     with pytest.raises(OutOfRange):
-        metrics.auxiliary_metric("perimeter", Y, YH)
+        metrics.evaluate(["perimeter"], Y, YH)
+
+
+def test_every_table_row_parses_evaluates_and_feeds_the_bound_search():
+    rng = np.random.default_rng(11)
+    y, yh = mask_of(rng.integers(0, 2, size=12)), mask_of(rng.integers(0, 2, size=12))
+    c = confusion_counts(y, yh)
+    for head, kind in metrics.METRICS.items():
+        mid = metrics.parse_metric_id(head + ":0.4" * len(kind.params))
+        assert metrics.parse_metric_id(mid.label()) == mid
+        (value,) = metrics.evaluate([mid.label()], y, yh)
+        assert value.name == mid.label()
+        if kind.counts is None:
+            with pytest.raises(OutOfRange):
+                brute_force_sup(mid, metrics.MetricId("dice"), 3)
+            continue
+        assert value.value == float(kind.counts(c.tp, c.fp, c.fn, c.d, *mid.params))
+        assert brute_force_sup(mid, metrics.MetricId("dice"), 3).d == 3
+
+
+@pytest.mark.parametrize("token", ["whamming:1.5", "whamming:nan", "fbeta:0", "fbeta:-1",
+                                   "fbeta:inf", "tversky:1:nan", "tversky:0.3", "dice:1", "fbeta",
+                                   "jaccard:", "hausdorff:2", "euclid"])
+def test_parse_metric_id_rejects_bad_tokens(token):
+    with pytest.raises(OutOfRange):
+        metrics.parse_metric_id(token)
+
+
+def test_parse_metric_id_defaults_and_grammar():
+    assert metrics.parse_metric_id(" whamming ") == metrics.MetricId("whamming", (0.5,))
+    assert "whamming[:<g>]" in metrics.METRIC_GRAMMAR
+    assert "bare whamming means whamming:0.5" in metrics.METRIC_GRAMMAR
+    assert "hausdorff" in metrics.METRIC_GRAMMAR
+    assert "hausdorff" not in metrics.COUNTS_METRIC_GRAMMAR

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from segloss import metrics
 from segloss.errors import (
     EmptySet,
     InfeasibleConfig,
@@ -10,11 +11,12 @@ from segloss.errors import (
     TooFewSamples,
 )
 from segloss.losses import LossSpec
-from segloss.masks import BinaryMask
+from segloss.masks import BinaryMask, threshold
 from segloss.toytrain import (
     EmptyBinWarning,
     SyntheticConfig,
     TrainConfig,
+    _sigmoid,
     build_fgbg_masks,
     generate_dataset,
     run_loss_comparison,
@@ -23,6 +25,7 @@ from segloss.toytrain import (
     stratify_by_size,
     train,
 )
+from util import mask_of, prob_of
 
 SMALL = SyntheticConfig(n_images=40, dims=(32, 32), object_radius_range=(3.0, 6.0),
                         fg_prior_target=0.08, noise_sigma=0.3, seed=5)
@@ -255,3 +258,20 @@ def test_fgbg_infeasible_ratio():
         build_fgbg_masks(data, 0.001)
     with pytest.raises(OutOfRange):
         build_fgbg_masks(data, 0.0)
+
+
+def test_score_images_equals_metrics_of_thresholded_probabilities():
+    data = generate_dataset(SMALL)
+    w = train(data, QUICK).weights
+    rects = [m.data.astype(bool) for m in build_fgbg_masks(data, 0.3)[0]]
+    idx = range(len(data))
+    for sel in (None, rects):
+        sc = score_images(data, idx, w, sel)
+        for i in idx:
+            s = data[i]
+            keep = slice(None) if sel is None else sel[i]
+            y = mask_of(s.label.data[keep])
+            yhat = threshold(prob_of(_sigmoid(s.features[keep] @ w)), 0.5)
+            assert sc["dice"][i] == metrics.dice(y, yhat)
+            assert sc["jaccard"][i] == metrics.jaccard(y, yhat)
+        assert 0.0 < sc["dice"].mean() < 1.0

@@ -11,7 +11,7 @@ from typing import Iterator
 
 import numpy as np
 
-from segloss.bounds import BoundReport, Witness, _evaluator, closed_form_bounds, parse_metric_id
+from segloss.bounds import BoundReport, Witness, closed_form_bounds, parse_metric_id
 from segloss.errors import DTooLarge, OutOfRange
 from segloss.losses import eval_loss, finite_diff_gradient
 from segloss.masks import BinaryMask, ProbMap
@@ -152,15 +152,15 @@ def _better(a, b):
     return a if a[1:4] < b[1:4] else b
 
 
-def _scan_chunk(M, pop, ylo, yhi, fa, fb, d):
+def _scan_chunk(M, pop, ylo, yhi, mid_a, mid_b, d):
     n = M.shape[0]
     tp = M[ylo:yhi] @ M.T
     py = pop[ylo:yhi][:, None]
     ph = pop[None, :]
     fp = ph - tp
     fn = py - tp
-    va = np.asarray(fa(tp, fp, fn), dtype=np.float64)
-    vb = np.asarray(fb(tp, fp, fn), dtype=np.float64)
+    va = np.asarray(mid_a.counts(tp, fp, fn, d), dtype=np.float64)
+    vb = np.asarray(mid_b.counts(tp, fp, fn, d), dtype=np.float64)
     both_empty = (py + ph) == 0
 
     absdiff = np.abs(va - vb)
@@ -195,10 +195,9 @@ def mask_pair_sup(metric_a: str, metric_b: str, d: int) -> BoundReport:
     M = bit_matrix(d, dtype=np.float64)
     pop = M.sum(axis=1)
     n = M.shape[0]
-    fa, fb = _evaluator(mid_a, d), _evaluator(mid_b, d)
     best_abs = best_rel = None
     for lo in range(0, n, 256):
-        pa, pr = _scan_chunk(M, pop, lo, min(lo + 256, n), fa, fb, d)
+        pa, pr = _scan_chunk(M, pop, lo, min(lo + 256, n), mid_a, mid_b, d)
         best_abs = _better(best_abs, pa)
         best_rel = _better(best_rel, pr)
     w_abs = _build_witness(best_abs, M, d)
