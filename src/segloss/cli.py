@@ -3,12 +3,14 @@ and run the synthetic training experiments from a config file.
 
 Exit codes: 0 ok, 1 usage/config error, 2 data error, 3 numeric failure.
 Every run with identical arguments, config and seed produces byte-identical
-report files, regardless of --threads.
+report files.  Experiments run their (fold, arm) jobs one after another in
+one process; --threads is still accepted and checked, but changes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import bounds as bounds_mod
@@ -48,7 +50,8 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None,
                    help="override the experiment seed from the config")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for experiment arms")
+                   help="accepted for compatibility (must be >= 1) and ignored: "
+                        "experiments run sequentially")
     p.add_argument("--out-dir", default=".", help="directory for report files")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -110,9 +113,12 @@ def cmd_bounds(args) -> int:
         return 0
     if args.pair is None:
         raise UsageError("either --pair or --fig1-grid is required")
-    name_a, _, name_b = args.pair.partition("-")
-    if not name_a or not name_b:
+    # every metric head starts with a letter, so a '-' before a digit
+    # belongs to a number such as 1e-3
+    names = re.split(r"-(?=[A-Za-z])", args.pair, maxsplit=1)
+    if len(names) != 2 or not all(names):
         raise UsageError(f"--pair must look like dice-jaccard, got {args.pair!r}")
+    name_a, name_b = names
     if args.dmax < 1:
         raise OutOfRange(f"--dmax {args.dmax} is below 1")
     if args.dmax > bounds_mod.MAX_BRUTE_FORCE_D:
@@ -265,14 +271,13 @@ def cmd_train(args) -> int:
     seed, synth, base, folds, n_resamples = _experiment_setup(cfg, args.seed)
     data = generate_dataset(synth)
     losses = _resolve_losses(cfg.get("losses", ["ce", "soft_dice"]), data)
-    result = run_loss_comparison(data, losses, folds, seed, base, threads=args.threads)
+    result = run_loss_comparison(data, losses, folds, seed, base)
     _write_scores(result, args.out_dir)
     matrix = _rank_and_write(result, args.out_dir, n_resamples, seed)
     _write_summary(result, matrix, args.out_dir)
     _write_strata(result, args.out_dir)
     for ratio in cfg.get("fgbg_ratios", []):
-        runs = run_fgbg_masking(data, [ratio], folds=folds, seed=seed,
-                                base_cfg=base, threads=args.threads)
+        runs = run_fgbg_masking(data, [ratio], folds=folds, seed=seed, base_cfg=base)
         run = runs[0]
         tag = f"fgbg_{ratio:g}".replace(".", "p")
         _write_scores(run.result, args.out_dir, prefix=f"{tag}_scores")
@@ -301,8 +306,7 @@ def cmd_sweep(args) -> int:
     data = generate_dataset(synth)
     alphas = cfg.get("alphas", list(SWEEP_ALPHAS))
     equal_arms = cfg.get("equal_alphas", list(SWEEP_EQUAL_ARMS))
-    result = run_tversky_sweep(data, alphas, equal_arms, folds, seed, base,
-                               threads=args.threads)
+    result = run_tversky_sweep(data, alphas, equal_arms, folds, seed, base)
     _write_scores(result, args.out_dir)
     matrix = _rank_and_write(result, args.out_dir, n_resamples, seed)
     _write_summary(result, matrix, args.out_dir, basename="sweep_summary")

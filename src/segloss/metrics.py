@@ -47,7 +47,9 @@ def _safe_div(num, den, fallback):
     """Elementwise num/den with den == 0 mapped to ``fallback``."""
     den_arr = np.asarray(den, dtype=np.float64)
     zero = den_arr == 0
-    out = np.asarray(num, dtype=np.float64) / np.where(zero, 1.0, den_arr)
+    # inf/inf gives NaN quietly; callers check finiteness themselves
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = np.asarray(num, dtype=np.float64) / np.where(zero, 1.0, den_arr)
     return np.where(zero, fallback, out)
 
 
@@ -233,7 +235,10 @@ class MetricId:
             raise kind.error(f"{kind.rule}, got {self.label()}")
 
     def label(self) -> str:
-        return self.kind + "".join(f":{p:g}" for p in self.params)
+        """The token, with each parameter in :g form unless that loses
+        digits; then in its shortest round-trip form."""
+        return self.kind + "".join(
+            f":{p:g}" if float(f"{p:g}") == p else f":{float(p)!r}" for p in self.params)
 
     def counts(self, tp, fp, fn, d):
         """The metric as a function of the confusion counts and d,

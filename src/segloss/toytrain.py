@@ -4,8 +4,9 @@ and the experiment protocols (loss comparison, Tversky sweep, object-size
 stratification, fg/bg output masking).
 
 Every operation is a pure function of its inputs and seed; reruns agree
-bit for bit.  Independent (fold x arm) runs get seeds derived by hashing
-(global seed, fold, arm) and may execute in any order or in parallel.
+bit for bit.  Each (fold x arm) run gets a seed derived by hashing
+(global seed, fold, arm), so its result does not depend on the other runs;
+the runner executes them one after another in a single process.
 Evaluation only ever uses the discrete metrics at threshold 0.5; the
 training loss never contaminates it.
 """
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -256,9 +256,11 @@ def _sigmoid(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _resolve_masks(data: SampleSet, output_mask) -> list[np.ndarray] | None:
+def _resolve_masks(data: SampleSet, output_mask) -> list:
+    """One pixel selector per image: a boolean vector, or slice(None) for
+    every pixel when there is no mask."""
     if output_mask is None:
-        return None
+        return [slice(None)] * len(data)
     if isinstance(output_mask, BinaryMask):
         if output_mask.dims != data.dims:
             raise OutOfRange("output_mask dims do not match the data")
@@ -275,15 +277,10 @@ def _resolve_masks(data: SampleSet, output_mask) -> list[np.ndarray] | None:
     return out
 
 
-def _prepare(data: SampleSet, masks) -> list[tuple[np.ndarray, np.ndarray]]:
-    items = []
-    for i, s in enumerate(data):
-        if masks is None:
-            items.append((s.features, s.label.data.astype(np.float64)))
-        else:
-            sel = masks[i]
-            items.append((s.features[sel], s.label.data[sel].astype(np.float64)))
-    return items
+def _prepare(samples, sels) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(features, float labels) of each sample's selected pixels."""
+    return [(s.features[sel], s.label.data[sel].astype(np.float64))
+            for s, sel in zip(samples, sels)]
 
 
 def _image_grad(spec: LossSpec, X: np.ndarray, yv: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -323,8 +320,11 @@ def train(data: SampleSet, cfg: TrainConfig) -> TrainResult:
     """
     if len(data) == 0:
         raise EmptySet("train needs at least one image")
-    masks = _resolve_masks(data, cfg.output_mask)
-    items = _prepare(data, masks)
+    return _fit(_prepare(data, _resolve_masks(data, cfg.output_mask)), cfg)
+
+
+def _fit(items, cfg: TrainConfig) -> TrainResult:
+    """train() on prepared items; cfg.output_mask is not read."""
     n = len(items)
     n_val = int(round(VAL_FRACTION * n))
     n_val = min(n_val, n - 1)
@@ -375,16 +375,20 @@ def train(data: SampleSet, cfg: TrainConfig) -> TrainResult:
 
 def score_images(data: SampleSet, idx, w: np.ndarray, masks=None) -> dict[str, np.ndarray]:
     """Discrete per-image scores at threshold 0.5: dice, jaccard and the
-    F-beta family, restricted to in-mask pixels when masks are given."""
+    F-beta family, restricted to in-mask pixels when masks (one boolean
+    vector per image of data) are given."""
+    idx = [int(i) for i in idx]
+    sels = [slice(None) if masks is None else masks[i] for i in idx]
+    return _score(_prepare([data[i] for i in idx], sels), w)
+
+
+def _score(items, w: np.ndarray) -> dict[str, np.ndarray]:
+    """score_images() on prepared items."""
     out = {"dice": [], "jaccard": []}
     for b in FBETAS:
         out[f"f{b:g}"] = []
-    for i in idx:
-        s = data[int(i)]
-        X, truth = s.features, s.label.data.astype(bool)
-        if masks is not None:
-            sel = masks[int(i)]
-            X, truth = X[sel], truth[sel]
+    for X, yv in items:
+        truth = yv.astype(bool)
         tp, fp, fn = overlap_counts(truth, _sigmoid(X @ w) > 0.5)
         out["dice"].append(float(dice_from_counts(tp, fp, fn, truth.size)))
         out["jaccard"].append(float(jaccard_from_counts(tp, fp, fn, truth.size)))
@@ -436,17 +440,19 @@ def run_loss_comparison(
     Fold of image i is i % folds.  Per fold and arm a model is trained on
     the remaining images (the last 20% of them serving as validation for
     checkpoint selection) and scored on the left-out images, so each image
-    is scored exactly once per arm.
+    is scored exactly once per arm.  output_masks (one per image) takes
+    precedence over base_cfg.output_mask; either is resolved once for the
+    whole experiment.  The jobs run one after another; threads is
+    accepted for compatibility and ignored.
     """
-    losses = list(losses)
     n = len(data)
     if folds < 2:
         raise OutOfRange("folds must be >= 2")
     if n < folds:
         raise TooFewSamples(f"need at least {folds} images, got {n}")
     base = base_cfg if base_cfg is not None else TrainConfig(loss=LossSpec.ce())
-    if output_masks is not None and len(output_masks) != n:
-        raise OutOfRange("need one output mask per image")
+    output_mask = output_masks if output_masks is not None else base.output_mask
+    items = _prepare(data, _resolve_masks(data, output_mask))
 
     fold_of = np.arange(n) % folds
     fg_sizes = data.fg_counts()
@@ -460,42 +466,18 @@ def run_loss_comparison(
         for spec in losses
     ]
 
-    def run_one(job):
-        f, ai = job
-        test_idx = np.where(fold_of == f)[0]
-        train_idx = np.where(fold_of != f)[0]
-        sub = data.subset(train_idx)
-        sub_masks = (
-            tuple(output_masks[int(i)] for i in train_idx)
-            if output_masks is not None
-            else base.output_mask
-        )
-        cfg = replace(
-            base, loss=losses[ai], seed=derive_seed(seed, f, ai), output_mask=sub_masks
-        )
-        res = train(sub, cfg)
-        sel = (
-            [output_masks[int(i)].data.astype(bool) for i in range(n)]
-            if output_masks is not None
-            else _resolve_masks(data, base.output_mask)
-        )
-        scores = score_images(data, test_idx, res.weights, sel)
-        return f, ai, test_idx, res.weights, scores
-
-    jobs = [(f, ai) for f in range(folds) for ai in range(len(losses))]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, jobs))
-    else:
-        results = [run_one(j) for j in jobs]
-
-    for f, ai, test_idx, weights, scores in results:
-        arm = arms[ai]
-        arm.fold_weights[f] = weights
-        arm.dice[test_idx] = scores["dice"]
-        arm.jaccard[test_idx] = scores["jaccard"]
-        for b in FBETAS:
-            arm.fbeta[b][test_idx] = scores[f"f{b:g}"]
+    for f in range(folds):
+        test_idx = np.flatnonzero(fold_of == f)
+        train_items = [items[i] for i in np.flatnonzero(fold_of != f)]
+        test_items = [items[i] for i in test_idx]
+        for ai, arm in enumerate(arms):
+            res = _fit(train_items, replace(base, loss=arm.spec, seed=derive_seed(seed, f, ai)))
+            scores = _score(test_items, res.weights)
+            arm.fold_weights[f] = res.weights
+            arm.dice[test_idx] = scores["dice"]
+            arm.jaccard[test_idx] = scores["jaccard"]
+            for b in FBETAS:
+                arm.fbeta[b][test_idx] = scores[f"f{b:g}"]
     return ExperimentResult(arms, fold_of, fg_sizes)
 
 
@@ -506,13 +488,12 @@ def run_tversky_sweep(
     folds: int = 5,
     seed: int = 0,
     base_cfg: TrainConfig | None = None,
-    threads: int = 1,
 ) -> ExperimentResult:
     """One soft-Tversky(alpha, 1-alpha) arm per alpha plus alpha = beta
     arms (0.75 and 1.0 by default), under the comparison protocol."""
     specs = [LossSpec.soft_tversky(a, round(1.0 - a, 10)) for a in alphas]
     specs += [LossSpec.soft_tversky(v, v) for v in equal_arms]
-    return run_loss_comparison(data, specs, folds, seed, base_cfg, threads=threads)
+    return run_loss_comparison(data, specs, folds, seed, base_cfg)
 
 
 class EmptyBinWarning(UserWarning):
@@ -636,7 +617,6 @@ def run_fgbg_masking(
     folds: int = 5,
     seed: int = 0,
     base_cfg: TrainConfig | None = None,
-    threads: int = 1,
 ) -> list[FgbgRun]:
     """Re-run the loss comparison with per-image rectangular output masks
     at each requested in-rectangle foreground fraction; pixels outside the
@@ -648,7 +628,7 @@ def run_fgbg_masking(
         masks, rect_w, rect_h, achieved = build_fgbg_masks(data, ratio)
         result = run_loss_comparison(
             data, losses, folds, derive_seed(seed, round(ratio * 1000)),
-            base_cfg, output_masks=masks, threads=threads,
+            base_cfg, output_masks=masks,
         )
         runs.append(FgbgRun(ratio, rect_w, rect_h, achieved, result))
     return runs

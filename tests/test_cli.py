@@ -1,4 +1,5 @@
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -23,6 +24,17 @@ def test_bounds_reports_match_golden(tmp_path, pair):
             want = fh.read()
         with open(tmp_path / f"{base}.{ext}", "rb") as fh:
             assert fh.read() == want, ext
+
+
+def test_bounds_pair_first_metric_may_have_negative_exponent(tmp_path):
+    reports = []
+    for pair in ("tversky:1e-3:1-dice", "tversky:0.001:1-dice"):
+        assert cli.main(["--out-dir", str(tmp_path), "bounds", "--pair", pair, "--dmax", "4"]) == 0
+        base = "bounds_" + pair.replace(":", "_")
+        reports.append([(tmp_path / f"{base}.{ext}").read_bytes() for ext in ("csv", "json")])
+    assert reports[0] == reports[1]
+    table = fileio.read_report_json(str(tmp_path / "bounds_tversky_1e-3_1-dice.json"))
+    assert {(row[1], row[2]) for row in table.rows} == {("tversky:0.001:1", "dice")}
 
 
 def test_bounds_dmax_past_limit_is_usage_error(tmp_path, capsys):
@@ -162,6 +174,41 @@ def test_train_reports_identical_across_threads(tmp_path):
     # scores per arm, significance and summary; each as csv and json
     assert len(trees[0]) == 18
     assert trees[0] == trees[1]
+
+
+TINY_SWEEP = ("n_images = 10\nnx = 32\nny = 32\nradius_min = 3\nradius_max = 6\nfg_prior = 0.08\n"
+              "folds = 2\nmax_epochs = 4\npretrain_epochs_ce = 1\nn_resamples = 1000\n"
+              "alphas = 0.3, 0.7\nequal_alphas = 1\n")
+
+
+@pytest.mark.parametrize("command, config", [("train", TINY_TRAIN), ("sweep", TINY_SWEEP)])
+def test_experiment_reports_match_golden(tmp_path, command, config):
+    # the train config has an fg/bg ratio, so the golden tree covers the
+    # masked path as well as the plain comparison
+    cfg = tmp_path / f"{command}.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    assert cli.main(["--out-dir", str(out), command, str(cfg)]) == 0
+    assert _tree(out) == _tree(pathlib.Path(GOLDEN) / command)
+
+
+def test_report_prints_every_row_of_a_json_report(capsys):
+    path = os.path.join(GOLDEN, "train", "summary.json")
+    assert cli.main(["report", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    with open(os.path.join(GOLDEN, "train", "summary.csv"), encoding="utf-8") as fh:
+        csv_lines = fh.read().splitlines()
+    assert lines[0] == "# summary"
+    assert lines[1].split() == csv_lines[0].split(",")
+    # the csv cells hold no commas or blanks, so each printed row splits
+    # into the same cells
+    assert [line.split() for line in lines[2:]] == [row.split(",") for row in csv_lines[1:]]
+    assert len(lines) == 4  # name, header and one row per arm
+
+
+def test_report_missing_path_is_data_error(tmp_path, capsys):
+    assert cli.main(["report", str(tmp_path / "absent.json")]) == 2
+    assert "data error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("loss", ["tversky:nan:1", "tversky:inf:1"])

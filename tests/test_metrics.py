@@ -217,6 +217,23 @@ def test_every_table_row_parses_evaluates_and_feeds_the_bound_search():
         assert brute_force_sup(mid, metrics.MetricId("dice"), 3).d == 3
 
 
+def test_distinct_tokens_get_distinct_labels_that_parse_back():
+    tokens = ["fbeta:1", "fbeta:1.0000001", "fbeta:1e-7", "fbeta:1.23456789e-7",
+              "tversky:0.3:0.7", "tversky:0.30000001:0.7", "tversky:0.1:0.2",
+              "tversky:0.1:0.20000000000000001", "whamming", "whamming:0.3"]
+    mids = {metrics.parse_metric_id(t) for t in tokens}
+    assert len(mids) == len(tokens) - 1  # tversky:0.1:0.2 is written twice
+    labels = {mid.label() for mid in mids}
+    assert len(labels) == len(mids)
+    for mid in mids:
+        assert metrics.parse_metric_id(mid.label()) == mid
+    # a numpy parameter labels as a plain float
+    assert metrics.MetricId("fbeta", (np.float64(1.0000001),)).label() == "fbeta:1.0000001"
+    # parameters that :g keeps exactly keep their old labels
+    assert metrics.parse_metric_id("tversky:0.3:0.7").label() == "tversky:0.3:0.7"
+    assert metrics.parse_metric_id("fbeta:2.0").label() == "fbeta:2"
+
+
 @pytest.mark.parametrize("token", ["whamming:1.5", "whamming:nan", "fbeta:0", "fbeta:-1",
                                    "fbeta:inf", "tversky:1:nan", "tversky:0.3", "dice:1", "fbeta",
                                    "jaccard:", "hausdorff:2", "euclid"])
