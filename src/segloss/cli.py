@@ -1,7 +1,8 @@
 """The segloss command line: evaluate masks, verify approximation bounds,
 and run the synthetic training experiments from a config file.
 
-Exit codes: 0 ok, 1 usage/config error, 2 data error, 3 numeric failure.
+Exit codes: 0 ok, 1 usage/config error, 2 data error (an OS error on a
+path included), 3 numeric failure.
 Every run with identical arguments, config and seed produces byte-identical
 report files.  Experiments run their (fold, arm) jobs one after another in
 one process; --threads is still accepted and checked, but changes nothing.
@@ -346,10 +347,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"segloss: usage error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"segloss: data error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
+    except (OSError, DataError) as exc:
         print(f"segloss: data error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -19,6 +19,13 @@ Degenerate-case conventions (the formulas themselves are silent):
 The ``*_from_counts`` kernels all take ``(tp, fp, fn, d, *params)`` as
 scalars or numpy arrays; the bound search evaluates them over every
 (tp, fp, fn) triple of a length d at once.
+
+Hausdorff reads each mask's foreground off an exact separable squared
+Euclidean distance transform of the other mask (Felzenszwalb &
+Huttenlocher, "Distance Transforms of Sampled Functions", 2012): a running
+scan along axis 0, then a min-plus pass along each other axis in blocks of
+about 8 MB.  It takes O(d * (ny + nx)) time, in numpy alone, and every
+squared distance is an exact integer.
 """
 
 from __future__ import annotations
@@ -148,33 +155,65 @@ def dice_jaccard_convert(value: float, direction: str) -> float:
     raise OutOfRange(f"direction must be 'd2j' or 'j2d', got {direction!r}")
 
 
-def _foreground_points(mask: BinaryMask) -> np.ndarray:
-    """(n, 3) pixel-center coordinates (z, y, x) of foreground pixels."""
-    return np.argwhere(mask.to_array()).astype(np.float64)
+def _min_plus(g: np.ndarray, axis: int) -> np.ndarray:
+    """out[..., i, ...] = min over j of g[..., j, ...] + (i - j)^2 along
+    ``axis``, in row blocks whose broadcast temporary stays near 8 MB."""
+    n = g.shape[axis]
+    lines = np.moveaxis(g, axis, -1)
+    rows = lines.reshape(-1, n)
+    offsets = np.arange(n, dtype=np.float64)
+    sq = (offsets[:, None] - offsets[None, :]) ** 2
+    out = np.empty_like(rows)
+    step = max(1, 1_000_000 // (n * n))
+    block = np.empty((min(step, rows.shape[0]), n, n))
+    for lo in range(0, rows.shape[0], step):
+        part = rows[lo:lo + step]
+        tmp = block[:part.shape[0]]
+        # tmp[r, j, i] = g[j] + (i - j)^2; reducing over j is an
+        # elementwise minimum of contiguous rows
+        np.add(part[:, :, None], sq, out=tmp)
+        np.min(tmp, axis=1, out=out[lo:lo + step])
+    return np.moveaxis(out.reshape(lines.shape), -1, axis)
 
 
-def _directed_hausdorff(u: np.ndarray, v: np.ndarray) -> float:
-    """max over u of min over v of the Euclidean distance, chunked so the
-    pairwise distance block stays small."""
-    worst = 0.0
-    step = max(1, 2_000_000 // max(1, v.shape[0]))
-    for lo in range(0, u.shape[0], step):
-        blk = u[lo:lo + step]
-        d2 = ((blk[:, None, :] - v[None, :, :]) ** 2).sum(axis=2)
-        worst = max(worst, float(d2.min(axis=1).max()))
-    return float(np.sqrt(worst))
+def _squared_distance_to(v: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance from every voxel center of the
+    (nz, ny, nx) bool array ``v`` to the nearest True voxel, which must
+    exist.
+
+    A forward and a backward running scan give the distance along axis 0,
+    where a line with no True voxel reads ``far``, larger than any true
+    squared distance; a min-plus pass per remaining axis then adds the
+    others.  Every value is an integer-valued float64, so all are exact.
+    """
+    n0 = v.shape[0]
+    idx = np.arange(n0)[:, None, None]
+    last = np.maximum.accumulate(np.where(v, idx, -2 * n0), axis=0)
+    nxt = np.minimum.accumulate(np.where(v, idx, 3 * n0)[::-1], axis=0)[::-1]
+    d1 = np.minimum(idx - last, nxt - idx)
+    far = sum(n * n for n in v.shape) + 1
+    g = np.where(d1 < n0, d1 * d1, far).astype(np.float64)
+    for axis in (1, 2):
+        g = _min_plus(g, axis)
+    return g
 
 
 def hausdorff_distance(y: BinaryMask, yhat: BinaryMask) -> MetricValue:
     """Exact symmetric Hausdorff distance between the full foreground
-    point sets, Euclidean on pixel centers with unit spacing."""
+    point sets, Euclidean on pixel centers with unit spacing.
+
+    Each directed distance is the largest value, over one mask's
+    foreground, of an exact separable squared distance transform of the
+    other (Felzenszwalb & Huttenlocher, 2012): O(d * (ny + nx)) time, in
+    blocks of about 8 MB, instead of one distance per foreground pair.
+    """
     check_dims(y, yhat)
-    pu = _foreground_points(y)
-    pv = _foreground_points(yhat)
-    if pu.shape[0] == 0 or pv.shape[0] == 0:
+    u = y.to_array() != 0
+    v = yhat.to_array() != 0
+    if not u.any() or not v.any():
         return MetricValue("hausdorff", float("nan"), defined=False)
-    val = max(_directed_hausdorff(pu, pv), _directed_hausdorff(pv, pu))
-    return MetricValue("hausdorff", val)
+    worst = max(_squared_distance_to(v)[u].max(), _squared_distance_to(u)[v].max())
+    return MetricValue("hausdorff", float(np.sqrt(worst)))
 
 
 def absolute_volume_difference(y: BinaryMask, yhat: BinaryMask) -> MetricValue:

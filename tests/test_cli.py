@@ -211,6 +211,34 @@ def test_report_missing_path_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "{gt}", "{dir}"],
+    ["evaluate", "{dir}", "{gt}"],
+    ["report", "{dir}"],
+    ["train", "{dir}"],
+    ["sweep", "{dir}"],
+    ["--out-dir", "{file}", "evaluate", "{gt}", "{gt}"],
+    ["--out-dir", "{file}/sub", "bounds", "--pair", "dice-jaccard", "--dmax", "2"],
+], ids=["evaluate-pred-dir", "evaluate-gt-dir", "report-dir", "train-dir", "sweep-dir",
+        "out-dir-is-file", "out-dir-under-file"])
+def test_os_error_on_a_path_is_data_error(tmp_path, capsys, argv):
+    # IsADirectoryError, FileExistsError and NotADirectoryError in turn
+    gt, _ = write_eval_inputs(tmp_path, "pair")
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_bytes(b"")
+    before = sorted(tmp_path.rglob("*"))
+    paths = {"gt": gt, "dir": str(tmp_path / "dir"), "file": str(tmp_path / "file")}
+    argv = [a.format(**paths) for a in argv]
+    if argv[0] != "--out-dir":
+        argv = ["--out-dir", str(tmp_path / "out")] + argv
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("segloss: data error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "file").read_bytes() == b""
+
+
 @pytest.mark.parametrize("loss", ["tversky:nan:1", "tversky:inf:1"])
 def test_train_non_finite_loss_weight_is_usage_error(tmp_path, capsys, loss):
     cfg = tmp_path / "train.cfg"

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +19,7 @@ from util import (
     frac_tversky,
     frac_weighted_hamming,
     mask_of,
+    pairwise_hausdorff,
     set_counts,
 )
 
@@ -184,6 +188,81 @@ def test_hausdorff_undefined_when_side_empty():
     full = mask_of([1, 1, 0, 0])
     r = metrics.evaluate(["hausdorff"], empty, full)[0]
     assert not r.defined and math.isnan(r.value)
+
+
+def _hausdorff_pair(a: np.ndarray, b: np.ndarray):
+    """hausdorff_distance on uint8 masks, and the pairwise-scan oracle."""
+    got = metrics.hausdorff_distance(BinaryMask.from_array(a.astype(np.uint8)),
+                                     BinaryMask.from_array(b.astype(np.uint8)))
+    return got, pairwise_hausdorff(a != 0, b != 0)
+
+
+HAUSDORFF_SHAPES = [(1, 1, 1), (1, 1, 9), (1, 9, 1), (7, 1, 1), (12, 17), (1, 12, 17),
+                    (3, 1, 20), (2, 15, 1), (4, 9, 13), (6, 11, 5), (9, 16, 24)]
+
+
+@pytest.mark.parametrize("shape", HAUSDORFF_SHAPES)
+def test_hausdorff_equals_pairwise_scan(shape):
+    rng = np.random.default_rng(sum(shape) * 1009 + len(shape))
+    for density in (0.02, 0.2, 0.6, 1.0):
+        a = rng.random(shape) < density
+        b = rng.random(shape) < density
+        single = np.zeros(shape, dtype=bool)
+        single[tuple(rng.integers(0, n) for n in shape)] = True
+        for y, yhat in ((a, b), (single, b), (a, single)):
+            got, want = _hausdorff_pair(y, yhat)
+            if math.isnan(want):
+                assert not got.defined and math.isnan(got.value)
+            else:
+                assert got.defined and got.value == want
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 6, 1), (1, 1, 6), (5, 1, 1), (1, 7, 4), (3, 8, 5)])
+def test_hausdorff_opposite_corners_is_exact_diagonal(shape):
+    a = np.zeros(shape, dtype=np.uint8)
+    b = np.zeros(shape, dtype=np.uint8)
+    a[0, 0, 0] = 1
+    b[-1, -1, -1] = 1
+    got = metrics.hausdorff_distance(BinaryMask.from_array(a), BinaryMask.from_array(b))
+    assert got.defined and got.value == math.sqrt(sum((n - 1) ** 2 for n in shape))
+
+
+def test_hausdorff_foreground_on_one_axis0_line_matches_pairwise_scan():
+    shape = (6, 9, 11)
+    rng = np.random.default_rng(7)
+    line = np.zeros(shape, dtype=bool)
+    line[rng.random(shape[0]) < 0.5, 4, 7] = True
+    line[0, 4, 7] = True
+    other = rng.random(shape) < 0.3
+    for a, b in ((line, other), (other, line), (line, line[::-1])):
+        got, want = _hausdorff_pair(a, b)
+        assert got.defined and got.value == want
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 4, 5), (3, 4, 5)])
+def test_hausdorff_undefined_when_either_side_empty(shape):
+    empty = np.zeros(shape, dtype=np.uint8)
+    full = np.ones(shape, dtype=np.uint8)
+    for a, b in ((empty, full), (full, empty), (empty, empty)):
+        got = metrics.hausdorff_distance(BinaryMask.from_array(a), BinaryMask.from_array(b))
+        assert not got.defined and math.isnan(got.value)
+
+
+def test_hausdorff_imports_no_scipy():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys, numpy as np\n"
+            "import segloss.cli\n"
+            "from segloss import metrics\n"
+            "from segloss.masks import BinaryMask\n"
+            "def loaded():\n"
+            "    return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+            "assert not loaded(), 'scipy loaded at import'\n"
+            "m = BinaryMask.from_array(np.eye(5, dtype=np.uint8))\n"
+            "assert metrics.evaluate(['hausdorff'], m, m)[0].value == 0.0\n"
+            "assert not loaded(), 'scipy loaded by hausdorff'\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_avd_percent_and_undefined():

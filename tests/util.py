@@ -1,8 +1,8 @@
 """Shared helpers for the test suite: independent set-based oracles, the
-full 4**d mask-pair enumeration and the gradient-check harness.  Apart
-from the 4**d bound scan, which checks the count-space reduction and so
-evaluates the library's own kernels, nothing here uses the library's
-count/metric kernels, so tests check two routes."""
+full 4**d mask-pair enumeration, the pairwise Hausdorff scan and the
+gradient-check harness.  Apart from the 4**d bound scan, which checks the
+count-space reduction and so evaluates the library's own kernels, nothing
+here uses the library's count/metric kernels, so tests check two routes."""
 
 from __future__ import annotations
 
@@ -207,3 +207,33 @@ def mask_pair_sup(metric_a: str, metric_b: str, d: int) -> BoundReport:
         mid_a.label(), mid_b.label(), d, cf_abs, cf_rel,
         w_abs.value if w_abs else 0.0, w_rel.value if w_rel else 0.0, w_abs, w_rel,
     )
+
+
+# --- reference Hausdorff scan over every foreground pair ---------------------
+
+
+def _foreground_points(mask: np.ndarray) -> np.ndarray:
+    """(n, ndim) pixel-center coordinates of the True voxels."""
+    return np.argwhere(mask).astype(np.float64)
+
+
+def _directed_hausdorff(u: np.ndarray, v: np.ndarray) -> float:
+    """max over u of min over v of the Euclidean distance, chunked so the
+    pairwise distance block stays small."""
+    worst = 0.0
+    step = max(1, 2_000_000 // max(1, v.shape[0]))
+    for lo in range(0, u.shape[0], step):
+        blk = u[lo:lo + step]
+        d2 = ((blk[:, None, :] - v[None, :, :]) ** 2).sum(axis=2)
+        worst = max(worst, float(d2.min(axis=1).max()))
+    return float(np.sqrt(worst))
+
+
+def pairwise_hausdorff(y_bool: np.ndarray, yhat_bool: np.ndarray) -> float:
+    """The symmetric Hausdorff distance hausdorff_distance must report, by
+    measuring every (y, ŷ) foreground pair; NaN when either side is empty."""
+    pu = _foreground_points(y_bool)
+    pv = _foreground_points(yhat_bool)
+    if pu.shape[0] == 0 or pv.shape[0] == 0:
+        return float("nan")
+    return max(_directed_hausdorff(pu, pv), _directed_hausdorff(pv, pu))
