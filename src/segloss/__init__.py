@@ -28,9 +28,7 @@ from .toytrain import (
     SyntheticConfig,
     TrainConfig,
     generate_dataset,
-    run_fgbg_masking,
     run_loss_comparison,
-    run_tversky_sweep,
     stratify_by_size,
     train,
 )

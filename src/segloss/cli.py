@@ -6,6 +6,15 @@ path included), 3 numeric failure.
 Every run with identical arguments, config and seed produces byte-identical
 report files.  Experiments run their (fold, arm) jobs one after another in
 one process; --threads is still accepted and checked, but changes nothing.
+
+`train` compares the loss arms its config lists under `losses`, one token
+per arm (`segloss train --help` lists the forms); arms must have distinct
+labels.  `sweep` is a `train` run with generated Tversky arms: one
+tversky:a:(1-a) per entry of `alphas`, then one tversky:v:v per entry of
+`equal_alphas`, with the summary written as sweep_summary.  A weighted-CE
+gamma sweep needs no command of its own: it is a `train` config such as
+`losses = wce:0.1, wce:0.3, wce:0.5, wce:0.7, wce:0.9, ce, soft_dice`,
+which tests whether any wCE weighting matches soft Dice on Dice.
 """
 
 from __future__ import annotations
@@ -17,28 +26,26 @@ import sys
 from . import bounds as bounds_mod
 from . import fileio
 from .errors import DataError, DTooLarge, NumericError, OutOfRange, SeglossError, UsageError
-from .losses import LossSpec, gamma_for_prior, parse_loss_spec
+from .losses import LOSS_GRAMMAR, LossSpec, parse_loss_spec
 from .masks import BinaryMask, ProbMap, threshold
 from .metrics import COUNTS_METRIC_GRAMMAR, METRIC_GRAMMAR, evaluate
 from .stats import DEFAULT_RESAMPLES, ScoreVector, rank_methods
 from .toytrain import (
     DEFAULT_GAIN_JITTER,
     FBETAS,
-    FGBG_RATIOS,
-    SWEEP_ALPHAS,
-    SWEEP_EQUAL_ARMS,
     SyntheticConfig,
     TrainConfig,
+    build_fgbg_masks,
     derive_seed,
     generate_dataset,
-    run_fgbg_masking,
     run_loss_comparison,
-    run_tversky_sweep,
     stratify_by_size,
 )
 
 DEFAULT_METRICS = "dice,jaccard"
 FIG1_GRID = [round(0.1 + 0.05 * k, 10) for k in range(59)]  # 0.1 .. 3.0
+SWEEP_ALPHAS = tuple(round(0.1 * k, 10) for k in range(1, 10))
+SWEEP_EQUAL_ARMS = (0.75, 1.0)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,9 +82,10 @@ def build_parser() -> _Parser:
                          "weights over [0.1, 3.0] step 0.05")
 
     tr = sub.add_parser("train", help="loss-comparison experiment from a config")
-    tr.add_argument("config", help="flat key = value config file")
+    tr.add_argument("config", help=f"flat key = value config file; its losses key is a "
+                                   f"comma list of: {LOSS_GRAMMAR}")
 
-    sw = sub.add_parser("sweep", help="Tversky weight sweep from a config")
+    sw = sub.add_parser("sweep", help="Tversky weight sweep: a train run with generated arms")
     sw.add_argument("config", help="flat key = value config file")
 
     rp = sub.add_parser("report", help="pretty-print a JSON report")
@@ -187,7 +195,7 @@ def _experiment_setup(cfg: dict, seed_override: int | None):
         seed=cfg.get("data_seed", derive_seed(seed, 17)),
     )
     base = TrainConfig(
-        loss=LossSpec.ce(),
+        loss=LossSpec("ce"),
         learning_rate=cfg.get("learning_rate", 4.0),
         max_epochs=cfg.get("max_epochs", 120),
         batch_size=cfg.get("batch_size", 4),
@@ -195,18 +203,6 @@ def _experiment_setup(cfg: dict, seed_override: int | None):
         early_stop_patience=cfg.get("early_stop_patience", 12),
     )
     return seed, synth, base, cfg.get("folds", 5), cfg.get("n_resamples", DEFAULT_RESAMPLES)
-
-
-def _resolve_losses(tokens, data) -> list[LossSpec]:
-    """Loss tokens from the config; bare "wce" takes the balancing gamma
-    from the measured dataset foreground prior."""
-    specs = []
-    for tok in tokens:
-        if tok in ("wce", "wce:auto"):
-            specs.append(LossSpec.wce(gamma_for_prior(data.mean_fg_prior())))
-        else:
-            specs.append(parse_loss_spec(tok))
-    return specs
 
 
 def _arm_filename(name: str) -> str:
@@ -242,7 +238,7 @@ def _rank_and_write(result, out_dir: str, n_resamples: int, seed: int,
     return matrix
 
 
-def _write_summary(result, matrix, out_dir: str, basename: str = "summary") -> None:
+def _write_summary(result, matrix, out_dir: str, basename: str) -> None:
     rows = []
     for arm in result.arms:
         rows.append([
@@ -268,26 +264,42 @@ def _write_strata(result, out_dir: str, basename: str = "strata") -> None:
 
 
 def cmd_train(args) -> int:
-    cfg = fileio.load_config(args.config, TRAIN_SCHEMA)
+    return _run_train(args, fileio.load_config(args.config, TRAIN_SCHEMA), "summary")
+
+
+def cmd_sweep(args) -> int:
+    """A train run with one tversky:a:(1-a) arm per alpha, then one
+    tversky:v:v arm per equal alpha."""
+    cfg = fileio.load_config(args.config, SWEEP_SCHEMA)
+    cfg["losses"] = ([f"tversky:{a!r}:{round(1.0 - a, 10)!r}" for a in cfg.pop("alphas", SWEEP_ALPHAS)]
+                     + [f"tversky:{v!r}:{v!r}" for v in cfg.pop("equal_alphas", SWEEP_EQUAL_ARMS)])
+    return _run_train(args, cfg, "sweep_summary")
+
+
+def _run_train(args, cfg: dict, summary: str) -> int:
     seed, synth, base, folds, n_resamples = _experiment_setup(cfg, args.seed)
     data = generate_dataset(synth)
-    losses = _resolve_losses(cfg.get("losses", ["ce", "soft_dice"]), data)
+    fg_prior = data.mean_fg_prior()
+    losses = [parse_loss_spec(tok, fg_prior) for tok in cfg.get("losses", ["ce", "soft_dice"])]
     result = run_loss_comparison(data, losses, folds, seed, base)
     _write_scores(result, args.out_dir)
     matrix = _rank_and_write(result, args.out_dir, n_resamples, seed)
-    _write_summary(result, matrix, args.out_dir)
+    _write_summary(result, matrix, args.out_dir, summary)
     _write_strata(result, args.out_dir)
+    # each fg/bg ratio reruns CE against soft Dice with pixels outside a
+    # per-image rectangle left out of both the loss and the scores
     for ratio in cfg.get("fgbg_ratios", []):
-        runs = run_fgbg_masking(data, [ratio], folds=folds, seed=seed, base_cfg=base)
-        run = runs[0]
+        masks, rect_w, rect_h, achieved = build_fgbg_masks(data, ratio)
+        ratio_seed = derive_seed(seed, round(ratio * 1000))
+        result = run_loss_comparison(data, [LossSpec("ce"), LossSpec("soft_dice_l1")], folds,
+                                     ratio_seed, base, output_masks=masks)
         tag = f"fgbg_{ratio:g}".replace(".", "p")
-        _write_scores(run.result, args.out_dir, prefix=f"{tag}_scores")
-        m = _rank_and_write(run.result, args.out_dir, n_resamples,
-                            derive_seed(seed, round(ratio * 1000)), f"{tag}_significance")
+        _write_scores(result, args.out_dir, prefix=f"{tag}_scores")
+        m = _rank_and_write(result, args.out_dir, n_resamples, ratio_seed, f"{tag}_significance")
         rows = [
-            [run.ratio, run.rect_w, run.rect_h, run.achieved_fraction, a.name,
+            [ratio, rect_w, rect_h, achieved, a.name,
              a.mean_dice(), a.mean_jaccard(), a.name in m.top_ranked]
-            for a in run.result.arms
+            for a in result.arms
         ]
         fileio.write_report(
             fileio.ReportTable(
@@ -298,20 +310,6 @@ def cmd_train(args) -> int:
             ),
             args.out_dir, f"{tag}_summary",
         )
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    cfg = fileio.load_config(args.config, SWEEP_SCHEMA)
-    seed, synth, base, folds, n_resamples = _experiment_setup(cfg, args.seed)
-    data = generate_dataset(synth)
-    alphas = cfg.get("alphas", list(SWEEP_ALPHAS))
-    equal_arms = cfg.get("equal_alphas", list(SWEEP_EQUAL_ARMS))
-    result = run_tversky_sweep(data, alphas, equal_arms, folds, seed, base)
-    _write_scores(result, args.out_dir)
-    matrix = _rank_and_write(result, args.out_dir, n_resamples, seed)
-    _write_summary(result, matrix, args.out_dir, basename="sweep_summary")
-    _write_strata(result, args.out_dir)
     return 0
 
 

@@ -45,10 +45,6 @@ class OutOfDomain(NumericError):
     """A finite-difference perturbation would leave the unit interval."""
 
 
-class DegenerateDenominator(NumericError):
-    """A surrogate-loss denominator is exactly zero."""
-
-
 class NonFiniteLoss(NumericError):
     """Training produced a NaN/inf loss value."""
 

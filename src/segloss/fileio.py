@@ -280,7 +280,7 @@ def read_report_json(path: str) -> ReportTable:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DataError(f"{path}: not valid JSON ({exc})") from exc
     try:
         return ReportTable(doc["name"], list(doc["columns"]), [list(r) for r in doc["rows"]])
@@ -320,7 +320,11 @@ def parse_config_text(text: str, schema: dict) -> dict:
 
 def load_config(path: str, schema: dict) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), schema)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
+    return parse_config_text(text, schema)
 
 
 def cfg_int(value: str) -> int:

@@ -12,6 +12,12 @@ Conventions:
 * a zero surrogate denominator (possible only when y and p are both
   identically zero) yields value 0, gradient 0 and a ``degenerate`` flag.
 
+``LOSSES`` is the one table of loss tokens.  Each row, keyed by token
+head, names the parameters with their range rule, and gives the
+``(y, p, *params)`` kernel and the discrete similarity the loss relaxes.
+``parse_loss_spec`` is the only token parser; ``LOSS_GRAMMAR`` lists the
+forms.
+
 All metric-sensitive surrogates coincide with 1 - (their discrete
 similarity) on binary predictions, which ``vertex_consistency_check``
 verifies pairwise.
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -28,110 +35,7 @@ from . import metrics
 from .errors import OutOfDomain, OutOfRange
 from .masks import BinaryMask, ProbMap, check_dims
 
-CE = "ce"
-WCE = "wce"
-SOFT_DICE = "soft_dice"
-SOFT_JACCARD = "soft_jaccard"
-LOVASZ_JACCARD = "lovasz_jaccard"
-SOFT_TVERSKY = "soft_tversky"
-
-LOSS_KINDS = (CE, WCE, SOFT_DICE, SOFT_JACCARD, LOVASZ_JACCARD, SOFT_TVERSKY)
-
 DEFAULT_CLAMP_EPS = 1e-7
-
-
-@dataclass(frozen=True)
-class LossSpec:
-    """Tagged configuration naming one surrogate loss and its parameters."""
-
-    kind: str
-    gamma: float | None = None        # wce only
-    alpha: float | None = None        # soft_tversky only
-    beta: float | None = None         # soft_tversky only
-    norm_variant: str | None = None   # soft_dice only: "l1" | "l2"
-    clamp_eps: float | None = None    # ce/wce only
-
-    def __post_init__(self):
-        if self.kind not in LOSS_KINDS:
-            raise OutOfRange(f"unknown loss kind {self.kind!r}")
-        if (self.gamma is not None) != (self.kind == WCE):
-            raise OutOfRange("gamma is required by wce and only by wce")
-        if self.kind == WCE and not 0.0 <= self.gamma <= 1.0:
-            raise OutOfRange(f"gamma must lie in [0, 1], got {self.gamma}")
-        needs_ab = self.kind == SOFT_TVERSKY
-        if (self.alpha is not None) != needs_ab or (self.beta is not None) != needs_ab:
-            raise OutOfRange("alpha/beta are required by soft_tversky and only by it")
-        if needs_ab and not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
-            raise OutOfRange(f"tversky weights must be finite and > 0, got {self.alpha}, {self.beta}")
-        if (self.norm_variant is not None) != (self.kind == SOFT_DICE):
-            raise OutOfRange("norm_variant is required by soft_dice and only by it")
-        if self.kind == SOFT_DICE and self.norm_variant not in ("l1", "l2"):
-            raise OutOfRange(f"norm_variant must be 'l1' or 'l2', got {self.norm_variant!r}")
-        if (self.clamp_eps is not None) != (self.kind in (CE, WCE)):
-            raise OutOfRange("clamp_eps applies to ce/wce only")
-        if self.kind in (CE, WCE) and not 0.0 < self.clamp_eps < 0.5:
-            raise OutOfRange(f"clamp_eps must lie in (0, 0.5), got {self.clamp_eps}")
-
-    @classmethod
-    def ce(cls, clamp_eps: float = DEFAULT_CLAMP_EPS) -> "LossSpec":
-        return cls(CE, clamp_eps=clamp_eps)
-
-    @classmethod
-    def wce(cls, gamma: float, clamp_eps: float = DEFAULT_CLAMP_EPS) -> "LossSpec":
-        return cls(WCE, gamma=gamma, clamp_eps=clamp_eps)
-
-    @classmethod
-    def soft_dice(cls, norm_variant: str = "l1") -> "LossSpec":
-        return cls(SOFT_DICE, norm_variant=norm_variant)
-
-    @classmethod
-    def soft_jaccard(cls) -> "LossSpec":
-        return cls(SOFT_JACCARD)
-
-    @classmethod
-    def lovasz(cls) -> "LossSpec":
-        return cls(LOVASZ_JACCARD)
-
-    @classmethod
-    def soft_tversky(cls, alpha: float, beta: float) -> "LossSpec":
-        return cls(SOFT_TVERSKY, alpha=alpha, beta=beta)
-
-    def label(self) -> str:
-        """Canonical short name used in reports and file names."""
-        if self.kind == WCE:
-            return f"wce:{self.gamma:g}"
-        if self.kind == SOFT_DICE:
-            return f"soft_dice_{self.norm_variant}"
-        if self.kind == SOFT_TVERSKY:
-            return f"tversky:{self.alpha:g}:{self.beta:g}"
-        if self.kind == LOVASZ_JACCARD:
-            return "lovasz"
-        return self.kind
-
-
-def parse_loss_spec(token: str) -> LossSpec:
-    """Parse a loss token: ce, wce:<gamma>, soft_dice, soft_dice_l2,
-    soft_jaccard, lovasz, tversky:<alpha>:<beta>."""
-    parts = token.strip().split(":")
-    head = parts[0]
-    try:
-        if head == "ce" and len(parts) == 1:
-            return LossSpec.ce()
-        if head == "wce" and len(parts) == 2:
-            return LossSpec.wce(float(parts[1]))
-        if head in ("soft_dice", "soft_dice_l1") and len(parts) == 1:
-            return LossSpec.soft_dice("l1")
-        if head == "soft_dice_l2" and len(parts) == 1:
-            return LossSpec.soft_dice("l2")
-        if head == "soft_jaccard" and len(parts) == 1:
-            return LossSpec.soft_jaccard()
-        if head == "lovasz" and len(parts) == 1:
-            return LossSpec.lovasz()
-        if head == "tversky" and len(parts) == 3:
-            return LossSpec.soft_tversky(float(parts[1]), float(parts[2]))
-    except ValueError as exc:
-        raise OutOfRange(f"bad numeric parameter in loss token {token!r}") from exc
-    raise OutOfRange(f"unknown loss token {token!r}")
 
 
 @dataclass(frozen=True)
@@ -225,26 +129,116 @@ def _lovasz_arrays(y, p):
     return value, grad, False
 
 
+@dataclass(frozen=True)
+class LossKind:
+    """One row of the loss table.  ``kernel(y, p, *params)``, with the
+    spec's clamp_eps appended on a ``clamped`` row, returns (value,
+    gradient, degenerate); ``counterpart(y, yhat, *params)`` is the
+    discrete similarity the loss relaxes; ``valid`` is the range rule.
+    ``auto``, if set, maps the dataset foreground prior to the parameters
+    of the bare token."""
+
+    params: tuple[str, ...]
+    kernel: Callable
+    counterpart: Callable
+    valid: Callable = lambda *params: True
+    rule: str = ""
+    clamped: bool = False
+    auto: Callable | None = None
+
+
+LOSSES: dict[str, LossKind] = {
+    "ce": LossKind((), lambda y, p, eps: _wce_arrays(y, p, 0.5, eps, 2.0), metrics.hamming, clamped=True),
+    "wce": LossKind(("gamma",), lambda y, p, gamma, eps: _wce_arrays(y, p, gamma, eps, 1.0),
+                    metrics.weighted_hamming, valid=lambda gamma: 0.0 <= gamma <= 1.0,
+                    rule="gamma must lie in [0, 1]", clamped=True,
+                    auto=lambda fg_prior: (gamma_for_prior(fg_prior),)),
+    "soft_dice_l1": LossKind((), lambda y, p: _soft_dice_arrays(y, p, "l1"), metrics.dice),
+    "soft_dice_l2": LossKind((), lambda y, p: _soft_dice_arrays(y, p, "l2"), metrics.dice),
+    "soft_jaccard": LossKind((), _soft_jaccard_arrays, metrics.jaccard),
+    "lovasz": LossKind((), _lovasz_arrays, metrics.jaccard),
+    "tversky": LossKind(("alpha", "beta"), _soft_tversky_arrays, metrics.tversky,
+                        valid=lambda alpha, beta: alpha > 0 and beta > 0,
+                        rule="tversky weights must be > 0"),
+}
+LOSS_ALIASES = {"soft_dice": "soft_dice_l1"}
+
+
+@dataclass(frozen=True)
+class LossSpec:
+    """A loss token head with its parameters, e.g. tversky:0.3:0.7;
+    construction checks both against the table.  ``clamp_eps`` is the
+    log clamp of a clamped row, DEFAULT_CLAMP_EPS when not given, and
+    must stay None on every other row."""
+
+    kind: str
+    params: tuple[float, ...] = ()
+    clamp_eps: float | None = None
+
+    def __post_init__(self):
+        row = LOSSES.get(self.kind)
+        if row is None or len(self.params) != len(row.params):
+            raise OutOfRange(f"{self.label()} is not one of {LOSS_GRAMMAR}")
+        if not all(math.isfinite(p) for p in self.params):
+            raise OutOfRange(f"{self.kind} parameters must be finite, got {self.params}")
+        if not row.valid(*self.params):
+            raise OutOfRange(f"{row.rule}, got {self.label()}")
+        if not row.clamped:
+            if self.clamp_eps is not None:
+                raise OutOfRange(f"clamp_eps does not apply to {self.kind}")
+            return
+        if self.clamp_eps is None:
+            object.__setattr__(self, "clamp_eps", DEFAULT_CLAMP_EPS)
+        if not 0.0 < self.clamp_eps < 0.5:
+            raise OutOfRange(f"clamp_eps must lie in (0, 0.5), got {self.clamp_eps}")
+
+    def label(self) -> str:
+        """Canonical short name used in reports and file names."""
+        return metrics.token_label(self.kind, self.params)
+
+
+def _grammar() -> str:
+    """The loss token forms, for help texts."""
+    forms, notes = [], ""
+    for head, row in LOSSES.items():
+        forms.append(head + "".join(f":<{p}>" for p in row.params))
+        if row.auto is not None:
+            notes += f"; bare {head} (or {head}:auto) sets {', '.join(row.params)} from the foreground prior"
+    notes += "".join(f"; {alias} means {head}" for alias, head in LOSS_ALIASES.items())
+    return " | ".join(forms) + notes
+
+
+LOSS_GRAMMAR = _grammar()
+
+
+def parse_loss_spec(token: str, fg_prior: float | None = None) -> LossSpec:
+    """Parse one loss token: ``LOSS_GRAMMAR`` lists the forms.  A bare
+    token of a row with ``auto`` parameters takes them from ``fg_prior``,
+    the foreground prior of the data."""
+    head, *parts = token.strip().split(":")
+    head = LOSS_ALIASES.get(head, head)
+    row = LOSSES.get(head)
+    if row is None:
+        raise OutOfRange(f"unknown loss token {token!r}")
+    if row.auto is not None and parts in ([], ["auto"]):
+        if fg_prior is None:
+            raise OutOfRange(f"loss token {token!r} needs the data's foreground prior")
+        return LossSpec(head, row.auto(fg_prior))
+    try:
+        params = tuple(float(p) for p in parts)
+    except ValueError as exc:
+        raise OutOfRange(f"bad numeric parameter in loss token {token!r}") from exc
+    return LossSpec(head, params)
+
+
 def eval_loss_arrays(spec: LossSpec, y: np.ndarray, p: np.ndarray):
     """Array-level evaluation; returns (value, gradient, degenerate).
 
     y is a 0/1 float or int vector, p a float vector in [0, 1].
     """
-    yf = np.asarray(y, dtype=np.float64)
-    pf = np.asarray(p, dtype=np.float64)
-    if spec.kind == CE:
-        return _wce_arrays(yf, pf, 0.5, spec.clamp_eps, 2.0)
-    if spec.kind == WCE:
-        return _wce_arrays(yf, pf, spec.gamma, spec.clamp_eps, 1.0)
-    if spec.kind == SOFT_DICE:
-        return _soft_dice_arrays(yf, pf, spec.norm_variant)
-    if spec.kind == SOFT_JACCARD:
-        return _soft_jaccard_arrays(yf, pf)
-    if spec.kind == SOFT_TVERSKY:
-        return _soft_tversky_arrays(yf, pf, spec.alpha, spec.beta)
-    if spec.kind == LOVASZ_JACCARD:
-        return _lovasz_arrays(yf, pf)
-    raise OutOfRange(f"unknown loss kind {spec.kind!r}")
+    eps = () if spec.clamp_eps is None else (spec.clamp_eps,)
+    return LOSSES[spec.kind].kernel(np.asarray(y, dtype=np.float64), np.asarray(p, dtype=np.float64),
+                                    *spec.params, *eps)
 
 
 def eval_loss(spec: LossSpec, y: BinaryMask, p: ProbMap) -> LossEval:
@@ -278,15 +272,6 @@ def finite_diff_gradient(spec: LossSpec, y: BinaryMask, p: ProbMap, h: float) ->
     return out
 
 
-_DISCRETE_COUNTERPART = {
-    CE: lambda spec, a, b: metrics.hamming(a, b),
-    WCE: lambda spec, a, b: metrics.weighted_hamming(a, b, spec.gamma),
-    SOFT_DICE: lambda spec, a, b: metrics.dice(a, b),
-    SOFT_JACCARD: lambda spec, a, b: metrics.jaccard(a, b),
-    LOVASZ_JACCARD: lambda spec, a, b: metrics.jaccard(a, b),
-    SOFT_TVERSKY: lambda spec, a, b: metrics.tversky(a, b, spec.alpha, spec.beta),
-}
-
 VERTEX_TOL = 1e-12
 
 
@@ -301,5 +286,5 @@ def vertex_consistency_check(spec: LossSpec, y: BinaryMask, yhat: BinaryMask):
     check_dims(y, yhat)
     p = ProbMap(yhat.dims, yhat.data.astype(np.float64))
     surrogate = eval_loss(spec, y, p).value
-    discrete = 1.0 - _DISCRETE_COUNTERPART[spec.kind](spec, y, yhat)
+    discrete = 1.0 - LOSSES[spec.kind].counterpart(y, yhat, *spec.params)
     return surrogate, discrete, abs(surrogate - discrete) < VERTEX_TOL

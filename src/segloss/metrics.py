@@ -256,6 +256,12 @@ METRICS: dict[str, MetricKind] = {
 }
 
 
+def token_label(head: str, params) -> str:
+    """A token head with each parameter in :g form unless that loses
+    digits; then in its shortest round-trip form."""
+    return head + "".join(f":{p:g}" if float(f"{p:g}") == p else f":{float(p)!r}" for p in params)
+
+
 @dataclass(frozen=True)
 class MetricId:
     """A metric token head with its parameters, e.g. tversky:0.3:0.7;
@@ -274,10 +280,8 @@ class MetricId:
             raise kind.error(f"{kind.rule}, got {self.label()}")
 
     def label(self) -> str:
-        """The token, with each parameter in :g form unless that loses
-        digits; then in its shortest round-trip form."""
-        return self.kind + "".join(
-            f":{p:g}" if float(f"{p:g}") == p else f":{float(p)!r}" for p in self.params)
+        """The token, as ``token_label`` writes it."""
+        return token_label(self.kind, self.params)
 
     def counts(self, tp, fp, fn, d):
         """The metric as a function of the confusion counts and d,

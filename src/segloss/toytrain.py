@@ -1,7 +1,7 @@
 """Desk-scale empirical harness: synthetic blob datasets, a linear
 per-pixel classifier trained by plain gradient descent under any LossSpec,
-and the experiment protocols (loss comparison, Tversky sweep, object-size
-stratification, fg/bg output masking).
+and the experiment protocols (loss comparison, object-size stratification,
+fg/bg output masking).
 
 Every operation is a pure function of its inputs and seed; reruns agree
 bit for bit.  Each (fold x arm) run gets a seed derived by hashing
@@ -49,11 +49,6 @@ VAL_FRACTION = 0.2       # last 20% of training images by index
 PLATEAU_DIVISOR = 5.0    # learning-rate cut on validation plateau
 
 FBETAS = (0.5, 1.0, 1.5, 2.0)
-
-SWEEP_ALPHAS = tuple(round(0.1 * k, 10) for k in range(1, 10))
-SWEEP_EQUAL_ARMS = (0.75, 1.0)
-
-FGBG_RATIOS = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
 
 
 def derive_seed(*parts: int) -> int:
@@ -334,7 +329,7 @@ def _fit(items, cfg: TrainConfig) -> TrainResult:
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     w = rng.normal(0.0, 0.5, N_FEATURES)
 
-    ce = LossSpec.ce()
+    ce = LossSpec("ce")
     for _ in range(cfg.pretrain_epochs_ce):
         w = _run_epoch(train_items, w, ce, cfg.learning_rate, cfg.batch_size, rng)
         if not np.all(np.isfinite(w)):
@@ -442,15 +437,19 @@ def run_loss_comparison(
     checkpoint selection) and scored on the left-out images, so each image
     is scored exactly once per arm.  output_masks (one per image) takes
     precedence over base_cfg.output_mask; either is resolved once for the
-    whole experiment.  The jobs run one after another; threads is
-    accepted for compatibility and ignored.
+    whole experiment.  Arms must have distinct labels, which name their
+    report files.  The jobs run one after another; threads is accepted
+    for compatibility and ignored.
     """
+    labels = [spec.label() for spec in losses]
+    if len(set(labels)) < len(labels):
+        raise OutOfRange(f"loss arms must have distinct labels, got {', '.join(labels)}")
     n = len(data)
     if folds < 2:
         raise OutOfRange("folds must be >= 2")
     if n < folds:
         raise TooFewSamples(f"need at least {folds} images, got {n}")
-    base = base_cfg if base_cfg is not None else TrainConfig(loss=LossSpec.ce())
+    base = base_cfg if base_cfg is not None else TrainConfig(loss=LossSpec("ce"))
     output_mask = output_masks if output_masks is not None else base.output_mask
     items = _prepare(data, _resolve_masks(data, output_mask))
 
@@ -458,12 +457,12 @@ def run_loss_comparison(
     fg_sizes = data.fg_counts()
     arms = [
         ArmScores(
-            spec.label(), spec,
+            name, spec,
             np.full(n, np.nan), np.full(n, np.nan),
             {b: np.full(n, np.nan) for b in FBETAS},
             [None] * folds,
         )
-        for spec in losses
+        for name, spec in zip(labels, losses)
     ]
 
     for f in range(folds):
@@ -479,21 +478,6 @@ def run_loss_comparison(
             for b in FBETAS:
                 arm.fbeta[b][test_idx] = scores[f"f{b:g}"]
     return ExperimentResult(arms, fold_of, fg_sizes)
-
-
-def run_tversky_sweep(
-    data: SampleSet,
-    alphas=SWEEP_ALPHAS,
-    equal_arms=SWEEP_EQUAL_ARMS,
-    folds: int = 5,
-    seed: int = 0,
-    base_cfg: TrainConfig | None = None,
-) -> ExperimentResult:
-    """One soft-Tversky(alpha, 1-alpha) arm per alpha plus alpha = beta
-    arms (0.75 and 1.0 by default), under the comparison protocol."""
-    specs = [LossSpec.soft_tversky(a, round(1.0 - a, 10)) for a in alphas]
-    specs += [LossSpec.soft_tversky(v, v) for v in equal_arms]
-    return run_loss_comparison(data, specs, folds, seed, base_cfg)
 
 
 class EmptyBinWarning(UserWarning):
@@ -599,36 +583,3 @@ def build_fgbg_masks(data: SampleSet, ratio: float):
         m[top:top + rect_h, left:left + rect_w] = 1
         masks.append(BinaryMask.from_array(m))
     return masks, rect_w, rect_h, achieved
-
-
-@dataclass
-class FgbgRun:
-    ratio: float
-    rect_w: int
-    rect_h: int
-    achieved_fraction: float
-    result: ExperimentResult
-
-
-def run_fgbg_masking(
-    data: SampleSet,
-    ratios=FGBG_RATIOS,
-    losses=None,
-    folds: int = 5,
-    seed: int = 0,
-    base_cfg: TrainConfig | None = None,
-) -> list[FgbgRun]:
-    """Re-run the loss comparison with per-image rectangular output masks
-    at each requested in-rectangle foreground fraction; pixels outside the
-    rectangle are excluded from both the loss and the evaluation."""
-    if losses is None:
-        losses = [LossSpec.ce(), LossSpec.soft_dice()]
-    runs = []
-    for ratio in ratios:
-        masks, rect_w, rect_h, achieved = build_fgbg_masks(data, ratio)
-        result = run_loss_comparison(
-            data, losses, folds, derive_seed(seed, round(ratio * 1000)),
-            base_cfg, output_masks=masks,
-        )
-        runs.append(FgbgRun(ratio, rect_w, rect_h, achieved, result))
-    return runs

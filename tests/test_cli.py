@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from segloss import bounds, cli, fileio
+from segloss import bounds, cli, fileio, toytrain
 from segloss.masks import BinaryMask, ProbMap
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -192,6 +192,19 @@ def test_experiment_reports_match_golden(tmp_path, command, config):
     assert _tree(out) == _tree(pathlib.Path(GOLDEN) / command)
 
 
+def test_sweep_builds_eleven_arms(tmp_path):
+    # no alphas or equal_alphas in the config: the default arms
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("n_images = 20\nnx = 32\nny = 32\nradius_min = 3\nradius_max = 6\nfg_prior = 0.08\n"
+                   "folds = 2\nmax_epochs = 1\npretrain_epochs_ce = 0\nn_resamples = 1000\nseed = 1\n")
+    out = tmp_path / "out"
+    assert cli.main(["--out-dir", str(out), "sweep", str(cfg)]) == 0
+    names = [row[0] for row in fileio.read_report_json(str(out / "sweep_summary.json")).rows]
+    assert len(names) == 11
+    assert "tversky:0.5:0.5" in names
+    assert names[-2:] == ["tversky:0.75:0.75", "tversky:1:1"]
+
+
 def test_report_prints_every_row_of_a_json_report(capsys):
     path = os.path.join(GOLDEN, "train", "summary.json")
     assert cli.main(["report", path]) == 0
@@ -219,10 +232,15 @@ def test_report_missing_path_is_data_error(tmp_path, capsys):
     ["sweep", "{dir}"],
     ["--out-dir", "{file}", "evaluate", "{gt}", "{gt}"],
     ["--out-dir", "{file}/sub", "bounds", "--pair", "dice-jaccard", "--dmax", "2"],
+    ["report", "{gt}"],
+    ["train", "{gt}"],
+    ["sweep", "{gt}"],
 ], ids=["evaluate-pred-dir", "evaluate-gt-dir", "report-dir", "train-dir", "sweep-dir",
-        "out-dir-is-file", "out-dir-under-file"])
+        "out-dir-is-file", "out-dir-under-file", "report-msk", "train-msk", "sweep-msk"])
 def test_os_error_on_a_path_is_data_error(tmp_path, capsys, argv):
-    # IsADirectoryError, FileExistsError and NotADirectoryError in turn
+    # IsADirectoryError, FileExistsError and NotADirectoryError in turn,
+    # then a mask file, which is not UTF-8 text, where a report or config
+    # is expected
     gt, _ = write_eval_inputs(tmp_path, "pair")
     (tmp_path / "dir").mkdir()
     (tmp_path / "file").write_bytes(b"")
@@ -237,6 +255,34 @@ def test_os_error_on_a_path_is_data_error(tmp_path, capsys, argv):
     assert "Traceback" not in err
     assert sorted(tmp_path.rglob("*")) == before
     assert (tmp_path / "file").read_bytes() == b""
+
+
+@pytest.mark.parametrize("losses", ["ce, ce", "soft_dice, soft_dice_l1"])
+def test_train_duplicate_arm_labels_are_usage_error_before_training(tmp_path, capsys, monkeypatch, losses):
+    def no_training(*args, **kwargs):
+        raise AssertionError("an arm was trained")
+
+    monkeypatch.setattr(toytrain, "_fit", no_training)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(TINY_TRAIN.replace("losses = ce, soft_dice", f"losses = {losses}"))
+    out = tmp_path / "out"
+    assert cli.main(["--out-dir", str(out), "train", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("segloss: usage error: loss arms must have distinct labels")
+    assert not out.exists()
+
+
+def test_train_arms_equal_in_g_format_get_distinct_reports(tmp_path):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(TINY_TRAIN.replace("losses = ce, soft_dice",
+                                      "losses = tversky:0.3:0.7, tversky:0.30000001:0.7"))
+    out = tmp_path / "out"
+    assert cli.main(["--out-dir", str(out), "train", str(cfg)]) == 0
+    summary = fileio.read_report_json(str(out / "summary.json"))
+    assert [row[0] for row in summary.rows] == ["tversky:0.3:0.7", "tversky:0.30000001:0.7"]
+    for base, name in [("scores_tversky_0p3_0p7", "scores_tversky:0.3:0.7"),
+                       ("scores_tversky_0p30000001_0p7", "scores_tversky:0.30000001:0.7")]:
+        assert fileio.read_report_json(str(out / f"{base}.json")).name == name
 
 
 @pytest.mark.parametrize("loss", ["tversky:nan:1", "tversky:inf:1"])

@@ -4,8 +4,10 @@ import pytest
 from segloss import metrics
 from segloss.errors import OutOfDomain, OutOfRange
 from segloss.losses import (
+    LOSSES,
     LossSpec,
     eval_loss,
+    eval_loss_arrays,
     finite_diff_gradient,
     gamma_for_prior,
     parse_loss_spec,
@@ -22,78 +24,78 @@ from util import (
 )
 
 METRIC_SENSITIVE = [
-    LossSpec.soft_dice("l1"),
-    LossSpec.soft_dice("l2"),
-    LossSpec.soft_jaccard(),
-    LossSpec.lovasz(),
-    LossSpec.soft_tversky(0.3, 0.7),
+    LossSpec("soft_dice_l1"),
+    LossSpec("soft_dice_l2"),
+    LossSpec("soft_jaccard"),
+    LossSpec("lovasz"),
+    LossSpec("tversky", (0.3, 0.7)),
 ]
 
 ALL_KINDS = [
-    LossSpec.ce(),
-    LossSpec.wce(0.2),
-    LossSpec.wce(0.5),
-    LossSpec.wce(0.8),
-    LossSpec.soft_dice("l1"),
-    LossSpec.soft_dice("l2"),
-    LossSpec.soft_jaccard(),
-    LossSpec.lovasz(),
-    LossSpec.soft_tversky(0.3, 0.7),
-    LossSpec.soft_tversky(0.5, 0.5),
-    LossSpec.soft_tversky(1.0, 1.0),
+    LossSpec("ce"),
+    LossSpec("wce", (0.2,)),
+    LossSpec("wce", (0.5,)),
+    LossSpec("wce", (0.8,)),
+    LossSpec("soft_dice_l1"),
+    LossSpec("soft_dice_l2"),
+    LossSpec("soft_jaccard"),
+    LossSpec("lovasz"),
+    LossSpec("tversky", (0.3, 0.7)),
+    LossSpec("tversky", (0.5, 0.5)),
+    LossSpec("tversky", (1.0, 1.0)),
 ]
 
 
 def test_soft_dice_l1_frozen_value():
-    ev = eval_loss(LossSpec.soft_dice("l1"), mask_of([1, 0]), prob_of([0.8, 0.2]))
+    ev = eval_loss(LossSpec("soft_dice_l1"), mask_of([1, 0]), prob_of([0.8, 0.2]))
     assert ev.value == pytest.approx(0.2, abs=1e-15)
 
 
 def test_soft_dice_l2_frozen_value():
-    ev = eval_loss(LossSpec.soft_dice("l2"), mask_of([1, 0]), prob_of([0.8, 0.2]))
+    ev = eval_loss(LossSpec("soft_dice_l2"), mask_of([1, 0]), prob_of([0.8, 0.2]))
     assert ev.value == pytest.approx(1 - 1.6 / 1.68, abs=1e-15)
 
 
 def test_soft_jaccard_frozen_value():
-    ev = eval_loss(LossSpec.soft_jaccard(), mask_of([1, 0]), prob_of([0.8, 0.2]))
+    ev = eval_loss(LossSpec("soft_jaccard"), mask_of([1, 0]), prob_of([0.8, 0.2]))
     assert ev.value == pytest.approx(1 / 3, abs=1e-15)
 
 
 def test_lovasz_single_pixel():
-    ev = eval_loss(LossSpec.lovasz(), mask_of([1]), prob_of([0.3]))
+    ev = eval_loss(LossSpec("lovasz"), mask_of([1]), prob_of([0.3]))
     assert ev.value == pytest.approx(0.7, abs=1e-15)
     assert ev.gradient.tolist() == [-1.0]
 
 
 def test_lovasz_worked_pair_hand_trace():
     # errors (0, 1, 1, 0); sorted weights 1/2, 1/6, 1/3, 0 -> loss 2/3
-    ev = eval_loss(LossSpec.lovasz(), mask_of([1, 1, 0, 0]), prob_of([1.0, 0.0, 1.0, 0.0]))
+    ev = eval_loss(LossSpec("lovasz"), mask_of([1, 1, 0, 0]), prob_of([1.0, 0.0, 1.0, 0.0]))
     assert ev.value == pytest.approx(2 / 3, abs=1e-15)
 
 
 def test_lovasz_all_background_is_max_like():
-    ev = eval_loss(LossSpec.lovasz(), mask_of([0, 0, 0]), prob_of([0.2, 0.7, 0.4]))
+    ev = eval_loss(LossSpec("lovasz"), mask_of([0, 0, 0]), prob_of([0.2, 0.7, 0.4]))
     assert ev.value == pytest.approx(0.7, abs=1e-15)
 
 
 def test_wce_frozen_gradient():
-    ev = eval_loss(LossSpec.wce(0.5), mask_of([1]), prob_of([0.5]))
+    ev = eval_loss(LossSpec("wce", (0.5,)), mask_of([1]), prob_of([0.5]))
     assert ev.gradient[0] == pytest.approx(-1.0, abs=1e-12)
-    fd = finite_diff_gradient(LossSpec.wce(0.5), mask_of([1]), prob_of([0.5]), 1e-6)
+    fd = finite_diff_gradient(LossSpec("wce", (0.5,)), mask_of([1]), prob_of([0.5]), 1e-6)
     assert fd[0] == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_ce_is_doubled_balanced_wce():
     y, p = mask_of([1, 0, 1]), prob_of([0.7, 0.4, 0.9])
-    ce = eval_loss(LossSpec.ce(), y, p)
-    wce = eval_loss(LossSpec.wce(0.5), y, p)
+    ce = eval_loss(LossSpec("ce"), y, p)
+    wce = eval_loss(LossSpec("wce", (0.5,)), y, p)
     assert ce.value == pytest.approx(2 * wce.value, abs=1e-15)
     assert np.allclose(ce.gradient, 2 * wce.gradient, atol=1e-15)
 
 
 def test_ce_clamp_keeps_vertex_inputs_finite():
     y, p = mask_of([1, 0]), prob_of([0.0, 1.0])
-    ev = eval_loss(LossSpec.ce(), y, p)
+    ev = eval_loss(LossSpec("ce"), y, p)
     assert np.isfinite(ev.value) and ev.value > 0
     assert np.all(ev.gradient == 0.0)  # clamp active: flat in p
 
@@ -102,12 +104,12 @@ def test_tversky_collapse_exact():
     rng = np.random.default_rng(5)
     for _ in range(50):
         y, p = random_instance(rng, 16)
-        td = eval_loss(LossSpec.soft_tversky(0.5, 0.5), y, p)
-        sd = eval_loss(LossSpec.soft_dice("l1"), y, p)
+        td = eval_loss(LossSpec("tversky", (0.5, 0.5)), y, p)
+        sd = eval_loss(LossSpec("soft_dice_l1"), y, p)
         assert td.value == sd.value
         assert np.array_equal(td.gradient, sd.gradient)
-        tj = eval_loss(LossSpec.soft_tversky(1.0, 1.0), y, p)
-        sj = eval_loss(LossSpec.soft_jaccard(), y, p)
+        tj = eval_loss(LossSpec("tversky", (1.0, 1.0)), y, p)
+        sj = eval_loss(LossSpec("soft_jaccard"), y, p)
         assert tj.value == sj.value
         assert np.array_equal(tj.gradient, sj.gradient)
 
@@ -116,8 +118,8 @@ def test_tversky_general_formula_near_collapse_points():
     # the dispatch at exactly 0.5/0.5 must agree with the raw formula nearby
     rng = np.random.default_rng(6)
     y, p = random_instance(rng, 32)
-    at = eval_loss(LossSpec.soft_tversky(0.5, 0.5), y, p).value
-    near = eval_loss(LossSpec.soft_tversky(0.5 + 1e-9, 0.5 - 1e-9), y, p).value
+    at = eval_loss(LossSpec("tversky", (0.5, 0.5)), y, p).value
+    near = eval_loss(LossSpec("tversky", (0.5 + 1e-9, 0.5 - 1e-9)), y, p).value
     assert near == pytest.approx(at, abs=1e-7)
 
 
@@ -134,8 +136,8 @@ def test_perfect_prediction_zero_loss():
 def test_degenerate_both_zero():
     y = mask_of([0, 0, 0])
     p = prob_of([0.0, 0.0, 0.0])
-    for spec in [LossSpec.soft_dice("l1"), LossSpec.soft_dice("l2"),
-                 LossSpec.soft_jaccard(), LossSpec.soft_tversky(0.3, 0.7)]:
+    for spec in [LossSpec("soft_dice_l1"), LossSpec("soft_dice_l2"),
+                 LossSpec("soft_jaccard"), LossSpec("tversky", (0.3, 0.7))]:
         ev = eval_loss(spec, y, p)
         assert ev.degenerate
         assert ev.value == 0.0
@@ -149,7 +151,7 @@ def test_loss_values_in_range():
         for spec in METRIC_SENSITIVE:
             v = eval_loss(spec, y, p).value
             assert -1e-12 <= v <= 1.0 + 1e-12
-        for spec in (LossSpec.ce(), LossSpec.wce(0.8)):
+        for spec in (LossSpec("ce"), LossSpec("wce", (0.8,))):
             v = eval_loss(spec, y, p).value
             assert np.isfinite(v) and v >= 0
 
@@ -167,7 +169,7 @@ def test_gradient_against_finite_differences(spec):
             trial += 1
             assert trial < 1000, "instance filter rejected too many draws"
             y, p = random_instance(rng, d)
-            if spec.kind == "lovasz_jaccard" and lovasz_has_near_ties(y, p):
+            if spec.kind == "lovasz" and lovasz_has_near_ties(y, p):
                 continue
             assert max_rel_grad_error(spec, y, p) < GRAD_TOL
             checked += 1
@@ -175,27 +177,27 @@ def test_gradient_against_finite_differences(spec):
 
 def test_finite_diff_domain_check():
     with pytest.raises(OutOfDomain):
-        finite_diff_gradient(LossSpec.soft_dice("l1"), mask_of([1]), prob_of([1e-9]), 1e-6)
+        finite_diff_gradient(LossSpec("soft_dice_l1"), mask_of([1]), prob_of([1e-9]), 1e-6)
     with pytest.raises(OutOfRange):
-        finite_diff_gradient(LossSpec.soft_dice("l1"), mask_of([1]), prob_of([0.5]), 0.0)
+        finite_diff_gradient(LossSpec("soft_dice_l1"), mask_of([1]), prob_of([0.5]), 0.0)
 
 
 def test_gradient_zero_on_flat_region():
     # both probabilities sit inside a wide clamp zone -> value locally constant
-    spec = LossSpec.ce(clamp_eps=0.2)
     y, p = mask_of([1, 0]), prob_of([0.1, 0.9])
-    ev = eval_loss(spec, y, p)
-    assert np.all(ev.gradient == 0.0)
-    fd = finite_diff_gradient(spec, y, p, 1e-6)
-    assert np.allclose(fd, 0.0, atol=1e-8)
+    for spec in (LossSpec("ce", clamp_eps=0.2), LossSpec("wce", (0.7,), clamp_eps=0.2)):
+        ev = eval_loss(spec, y, p)
+        assert np.all(ev.gradient == 0.0)
+        fd = finite_diff_gradient(spec, y, p, 1e-6)
+        assert np.allclose(fd, 0.0, atol=1e-8)
 
 
 def test_vertex_consistency_exhaustive_small_d():
     specs = [
-        (LossSpec.soft_dice("l1"), metrics.dice),
-        (LossSpec.soft_dice("l2"), metrics.dice),
-        (LossSpec.soft_jaccard(), metrics.jaccard),
-        (LossSpec.lovasz(), metrics.jaccard),
+        (LossSpec("soft_dice_l1"), metrics.dice),
+        (LossSpec("soft_dice_l2"), metrics.dice),
+        (LossSpec("soft_jaccard"), metrics.jaccard),
+        (LossSpec("lovasz"), metrics.jaccard),
     ]
     for d in (1, 2, 3, 4):
         for y in all_masks(d):
@@ -204,18 +206,18 @@ def test_vertex_consistency_exhaustive_small_d():
                     s, disc, ok = vertex_consistency_check(spec, y, yh)
                     assert ok, (spec.label(), y.data, yh.data, s, disc)
                     assert disc == pytest.approx(1 - fn(y, yh), abs=1e-15)
-                s, disc, ok = vertex_consistency_check(LossSpec.soft_tversky(0.3, 0.7), y, yh)
+                s, disc, ok = vertex_consistency_check(LossSpec("tversky", (0.3, 0.7)), y, yh)
                 assert ok
                 assert disc == pytest.approx(1 - metrics.tversky(y, yh, 0.3, 0.7), abs=1e-15)
 
 
 def test_vertex_consistency_worked_values():
     y, yh = mask_of([1, 1, 0, 0]), mask_of([1, 0, 1, 0])
-    s, disc, ok = vertex_consistency_check(LossSpec.soft_dice("l1"), y, yh)
+    s, disc, ok = vertex_consistency_check(LossSpec("soft_dice_l1"), y, yh)
     assert ok and s == pytest.approx(0.5, abs=1e-13) and disc == 0.5
-    s, disc, ok = vertex_consistency_check(LossSpec.lovasz(), y, yh)
+    s, disc, ok = vertex_consistency_check(LossSpec("lovasz"), y, yh)
     assert ok and s == pytest.approx(2 / 3, abs=1e-13)
-    s, disc, ok = vertex_consistency_check(LossSpec.soft_dice("l1"), y, y)
+    s, disc, ok = vertex_consistency_check(LossSpec("soft_dice_l1"), y, y)
     assert ok and s == 0.0 and disc == 0.0
 
 
@@ -240,24 +242,24 @@ def test_spec_validation():
     with pytest.raises(OutOfRange):
         LossSpec("soft_dice")  # missing norm_variant
     with pytest.raises(OutOfRange):
-        LossSpec("wce", gamma=1.5, clamp_eps=1e-7)
+        LossSpec("wce", (1.5,), clamp_eps=1e-7)
     with pytest.raises(OutOfRange):
-        LossSpec.soft_tversky(0.0, 1.0)
+        LossSpec("tversky", (0.0, 1.0))
     with pytest.raises(OutOfRange):
         LossSpec("ce", clamp_eps=0.7)
     with pytest.raises(OutOfRange):
-        LossSpec("soft_jaccard", gamma=0.5)
+        LossSpec("soft_jaccard", (0.5,))
 
 
 def test_parse_loss_spec_round_trip():
     for token, expect in [
-        ("ce", LossSpec.ce()),
-        ("wce:0.8", LossSpec.wce(0.8)),
-        ("soft_dice", LossSpec.soft_dice("l1")),
-        ("soft_dice_l2", LossSpec.soft_dice("l2")),
-        ("soft_jaccard", LossSpec.soft_jaccard()),
-        ("lovasz", LossSpec.lovasz()),
-        ("tversky:0.3:0.7", LossSpec.soft_tversky(0.3, 0.7)),
+        ("ce", LossSpec("ce")),
+        ("wce:0.8", LossSpec("wce", (0.8,))),
+        ("soft_dice", LossSpec("soft_dice_l1")),
+        ("soft_dice_l2", LossSpec("soft_dice_l2")),
+        ("soft_jaccard", LossSpec("soft_jaccard")),
+        ("lovasz", LossSpec("lovasz")),
+        ("tversky:0.3:0.7", LossSpec("tversky", (0.3, 0.7))),
     ]:
         assert parse_loss_spec(token) == expect
     with pytest.raises(OutOfRange):
@@ -266,9 +268,73 @@ def test_parse_loss_spec_round_trip():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_spec_rejects_non_finite_parameters(bad):
-    for make in (lambda: LossSpec.soft_tversky(bad, 0.5), lambda: LossSpec.soft_tversky(0.5, bad),
-                 lambda: LossSpec.ce(clamp_eps=bad), lambda: LossSpec.wce(bad)):
+    for make in (lambda: LossSpec("tversky", (bad, 0.5)), lambda: LossSpec("tversky", (0.5, bad)),
+                 lambda: LossSpec("ce", clamp_eps=bad), lambda: LossSpec("wce", (bad,))):
         with pytest.raises(OutOfRange):
             make()
     with pytest.raises(OutOfRange):
         parse_loss_spec(f"tversky:{bad}:1")
+
+
+# one spec per LOSSES row, with the discrete similarity it must relax
+TABLE_ROWS = [
+    (LossSpec("ce"), metrics.hamming),
+    (LossSpec("wce", (0.3,)), metrics.weighted_hamming),
+    (LossSpec("soft_dice_l1"), metrics.dice),
+    (LossSpec("soft_dice_l2"), metrics.dice),
+    (LossSpec("soft_jaccard"), metrics.jaccard),
+    (LossSpec("lovasz"), metrics.jaccard),
+    (LossSpec("tversky", (0.3, 0.7)), metrics.tversky),
+]
+
+
+def test_table_rows_cover_every_loss():
+    assert [spec.kind for spec, _ in TABLE_ROWS] == list(LOSSES)
+
+
+@pytest.mark.parametrize("spec, counterpart", TABLE_ROWS, ids=[spec.kind for spec, _ in TABLE_ROWS])
+def test_table_row_parses_evaluates_and_checks_vertices_through_its_entry(spec, counterpart):
+    row = LOSSES[spec.kind]
+    assert parse_loss_spec(spec.label()) == spec
+    rng = np.random.default_rng(12)
+    y, p = random_instance(rng, 40)
+    eps = (spec.clamp_eps,) if row.clamped else ()
+    value, grad, degenerate = eval_loss_arrays(spec, y.data, p.data)
+    want = row.kernel(y.data.astype(np.float64), p.data, *spec.params, *eps)
+    assert value == want[0] and np.array_equal(grad, want[1]) and degenerate == want[2]
+    for _ in range(20):
+        yh = mask_of(rng.integers(0, 2, size=40))
+        _, disc, _ = vertex_consistency_check(spec, y, yh)
+        assert disc == 1.0 - row.counterpart(y, yh, *spec.params)
+        assert disc == 1.0 - counterpart(y, yh, *spec.params)
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _ in TABLE_ROWS if spec.params], ids=LossSpec.label)
+def test_distinct_loss_parameters_give_distinct_labels(spec):
+    for i in range(len(spec.params)):
+        for step in (-1.0, 1.0):
+            params = list(spec.params)
+            params[i] = float(np.nextafter(params[i], params[i] + step))
+            other = LossSpec(spec.kind, tuple(params))
+            assert other.label() != spec.label()
+            assert parse_loss_spec(other.label()) == other
+    assert (parse_loss_spec("tversky:0.3:0.7").label()
+            != parse_loss_spec("tversky:0.30000001:0.7").label() == "tversky:0.30000001:0.7")
+
+
+def test_bare_wce_takes_the_balancing_gamma_with_a_round_trip_label():
+    gamma = gamma_for_prior(0.03)
+    for token in ("wce", "wce:auto"):
+        spec = parse_loss_spec(token, 0.03)
+        assert spec == LossSpec("wce", (gamma,))
+        assert spec.label() == f"wce:{gamma!r}"
+        assert parse_loss_spec(spec.label()) == spec
+        with pytest.raises(OutOfRange):
+            parse_loss_spec(token)
+
+
+@pytest.mark.parametrize("token", ["focal", "ce:1", "wce:1.5", "wce:abc", "tversky:0:1", "tversky:1",
+                                   "soft_dice:2"])
+def test_bad_loss_token_is_out_of_range(token):
+    with pytest.raises(OutOfRange):
+        parse_loss_spec(token)

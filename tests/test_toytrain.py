@@ -20,7 +20,6 @@ from segloss.toytrain import (
     build_fgbg_masks,
     generate_dataset,
     run_loss_comparison,
-    run_tversky_sweep,
     score_images,
     stratify_by_size,
     train,
@@ -29,7 +28,7 @@ from util import mask_of, prob_of
 
 SMALL = SyntheticConfig(n_images=40, dims=(32, 32), object_radius_range=(3.0, 6.0),
                         fg_prior_target=0.08, noise_sigma=0.3, seed=5)
-QUICK = TrainConfig(loss=LossSpec.ce(), learning_rate=4.0, max_epochs=6,
+QUICK = TrainConfig(loss=LossSpec("ce"), learning_rate=4.0, max_epochs=6,
                     pretrain_epochs_ce=2, early_stop_patience=4, batch_size=4, seed=9)
 
 
@@ -87,9 +86,9 @@ def test_train_deterministic_and_tversky_collapse():
     r1 = train(data, QUICK)
     r2 = train(data, QUICK)
     assert np.array_equal(r1.weights, r2.weights)
-    sd = train(data, TrainConfig(loss=LossSpec.soft_dice(), learning_rate=4.0, max_epochs=6,
+    sd = train(data, TrainConfig(loss=LossSpec("soft_dice_l1"), learning_rate=4.0, max_epochs=6,
                                  pretrain_epochs_ce=2, early_stop_patience=4, batch_size=4, seed=9))
-    tv = train(data, TrainConfig(loss=LossSpec.soft_tversky(0.5, 0.5), learning_rate=4.0, max_epochs=6,
+    tv = train(data, TrainConfig(loss=LossSpec("tversky", (0.5, 0.5)), learning_rate=4.0, max_epochs=6,
                                  pretrain_epochs_ce=2, early_stop_patience=4, batch_size=4, seed=9))
     assert np.array_equal(sd.weights, tv.weights)
 
@@ -100,7 +99,7 @@ def test_train_learns_separable_blobs():
     cfg = SyntheticConfig(n_images=30, dims=(32, 32), object_radius_range=(3.0, 6.0),
                           fg_prior_target=0.08, noise_sigma=0.02, gain_jitter=0.0, seed=2)
     data = generate_dataset(cfg)
-    res = train(data, TrainConfig(loss=LossSpec.ce(), learning_rate=4.0, max_epochs=40,
+    res = train(data, TrainConfig(loss=LossSpec("ce"), learning_rate=4.0, max_epochs=40,
                                   pretrain_epochs_ce=0, early_stop_patience=10, batch_size=4, seed=1))
     sc = score_images(data, range(len(data)), res.weights)
     assert sc["dice"].mean() > 0.9
@@ -108,7 +107,7 @@ def test_train_learns_separable_blobs():
 
 def test_train_without_pretraining_runs():
     data = generate_dataset(SMALL)
-    res = train(data, TrainConfig(loss=LossSpec.soft_dice(), max_epochs=3,
+    res = train(data, TrainConfig(loss=LossSpec("soft_dice_l1"), max_epochs=3,
                                   pretrain_epochs_ce=0, seed=4))
     assert res.epochs_run == 3
     assert res.train_losses.shape == (3,)
@@ -116,7 +115,7 @@ def test_train_without_pretraining_runs():
 
 def test_train_single_image_degenerate_split():
     data = generate_dataset(SMALL).subset([0])
-    res = train(data, TrainConfig(loss=LossSpec.ce(), max_epochs=2, pretrain_epochs_ce=0, seed=0))
+    res = train(data, TrainConfig(loss=LossSpec("ce"), max_epochs=2, pretrain_epochs_ce=0, seed=0))
     assert np.all(np.isfinite(res.weights))
 
 
@@ -131,12 +130,12 @@ def test_train_empty_and_nonfinite():
     feats = np.full((d, 5), np.nan)
     bad = SampleSet([Sample(feats, BinaryMask((32, 32, 1), np.zeros(d, dtype=np.uint8)))])
     with pytest.raises(NonFiniteLoss):
-        train(bad, TrainConfig(loss=LossSpec.ce(), max_epochs=2, pretrain_epochs_ce=0, seed=0))
+        train(bad, TrainConfig(loss=LossSpec("ce"), max_epochs=2, pretrain_epochs_ce=0, seed=0))
 
 
 def test_train_loss_mostly_nonincreasing():
     data = generate_dataset(SMALL)
-    for loss in (LossSpec.ce(), LossSpec.soft_dice()):
+    for loss in (LossSpec("ce"), LossSpec("soft_dice_l1")):
         res = train(data, TrainConfig(loss=loss, max_epochs=30, pretrain_epochs_ce=5, seed=7))
         frac = float(np.mean(np.diff(res.train_losses) <= 1e-12))
         assert frac >= 0.9
@@ -146,7 +145,7 @@ def test_output_mask_all_ones_matches_unmasked():
     data = generate_dataset(SMALL)
     ones = BinaryMask(data.dims, np.ones(32 * 32, dtype=np.uint8))
     r_plain = train(data, QUICK)
-    r_masked = train(data, TrainConfig(loss=LossSpec.ce(), learning_rate=4.0, max_epochs=6,
+    r_masked = train(data, TrainConfig(loss=LossSpec("ce"), learning_rate=4.0, max_epochs=6,
                                        pretrain_epochs_ce=2, early_stop_patience=4,
                                        batch_size=4, seed=9, output_mask=ones))
     assert np.array_equal(r_plain.weights, r_masked.weights)
@@ -156,15 +155,15 @@ def test_output_mask_validation():
     data = generate_dataset(SMALL)
     wrong = BinaryMask((8, 8, 1), np.zeros(64, dtype=np.uint8))
     with pytest.raises(OutOfRange):
-        train(data, TrainConfig(loss=LossSpec.ce(), max_epochs=1, output_mask=wrong))
+        train(data, TrainConfig(loss=LossSpec("ce"), max_epochs=1, output_mask=wrong))
     with pytest.raises(OutOfRange):
-        train(data, TrainConfig(loss=LossSpec.ce(), max_epochs=1,
+        train(data, TrainConfig(loss=LossSpec("ce"), max_epochs=1,
                                 output_mask=(wrong,) * (len(data) - 1)))
 
 
 def test_comparison_shapes_folds_and_determinism():
     data = generate_dataset(SMALL)
-    losses = [LossSpec.ce(), LossSpec.soft_dice()]
+    losses = [LossSpec("ce"), LossSpec("soft_dice_l1")]
     r1 = run_loss_comparison(data, losses, folds=4, seed=3, base_cfg=QUICK)
     r2 = run_loss_comparison(data, losses, folds=4, seed=3, base_cfg=QUICK, threads=3)
     assert [a.name for a in r1.arms] == ["ce", "soft_dice_l1"]
@@ -180,23 +179,13 @@ def test_comparison_shapes_folds_and_determinism():
 def test_comparison_needs_enough_images():
     data = generate_dataset(SMALL).subset(range(3))
     with pytest.raises(TooFewSamples):
-        run_loss_comparison(data, [LossSpec.ce()], folds=5, seed=0, base_cfg=QUICK)
-
-
-def test_sweep_builds_eleven_arms():
-    data = generate_dataset(SMALL).subset(range(10))
-    tiny = TrainConfig(loss=LossSpec.ce(), max_epochs=1, pretrain_epochs_ce=0, seed=0)
-    res = run_tversky_sweep(data, folds=2, seed=1, base_cfg=tiny)
-    names = [a.name for a in res.arms]
-    assert len(names) == 11
-    assert "tversky:0.5:0.5" in names
-    assert names[-2:] == ["tversky:0.75:0.75", "tversky:1:1"]
+        run_loss_comparison(data, [LossSpec("ce")], folds=5, seed=0, base_cfg=QUICK)
 
 
 def test_stratify_identical_sizes_collapse_to_global_mean():
     data = generate_dataset(SMALL)
-    tiny = TrainConfig(loss=LossSpec.ce(), max_epochs=2, pretrain_epochs_ce=0, seed=0)
-    res = run_loss_comparison(data, [LossSpec.ce(), LossSpec.soft_dice()], folds=4,
+    tiny = TrainConfig(loss=LossSpec("ce"), max_epochs=2, pretrain_epochs_ce=0, seed=0)
+    res = run_loss_comparison(data, [LossSpec("ce"), LossSpec("soft_dice_l1")], folds=4,
                               seed=3, base_cfg=tiny)
     res.fg_sizes = np.full(len(data), 100)
     with pytest.warns(EmptyBinWarning):
@@ -209,8 +198,8 @@ def test_stratify_identical_sizes_collapse_to_global_mean():
 
 def test_stratify_empty_bins_collapse_with_warning():
     data = generate_dataset(SMALL).subset(range(6))
-    tiny = TrainConfig(loss=LossSpec.ce(), max_epochs=1, pretrain_epochs_ce=0, seed=0)
-    res = run_loss_comparison(data, [LossSpec.ce()], folds=2, seed=1, base_cfg=tiny)
+    tiny = TrainConfig(loss=LossSpec("ce"), max_epochs=1, pretrain_epochs_ce=0, seed=0)
+    res = run_loss_comparison(data, [LossSpec("ce")], folds=2, seed=1, base_cfg=tiny)
     with pytest.warns(EmptyBinWarning):
         strata = stratify_by_size(res, 10)
     assert sum(strata.bin_counts) == 6
@@ -219,8 +208,8 @@ def test_stratify_empty_bins_collapse_with_warning():
 
 def test_stratify_two_identical_losses_identical_curves():
     data = generate_dataset(SMALL)
-    tiny = TrainConfig(loss=LossSpec.ce(), max_epochs=2, pretrain_epochs_ce=0, seed=0)
-    res = run_loss_comparison(data, [LossSpec.soft_dice()], folds=4, seed=3, base_cfg=tiny)
+    tiny = TrainConfig(loss=LossSpec("ce"), max_epochs=2, pretrain_epochs_ce=0, seed=0)
+    res = run_loss_comparison(data, [LossSpec("soft_dice_l1")], folds=4, seed=3, base_cfg=tiny)
     # duplicate the arm under a new name: identical scores -> identical curve
     import copy
     dup = copy.deepcopy(res.arms[0])
