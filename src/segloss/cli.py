@@ -9,10 +9,14 @@ one process; --threads is still accepted and checked, but changes nothing.
 
 `train` compares the loss arms its config lists under `losses`, one token
 per arm (`segloss train --help` lists the forms); arms must have distinct
-labels.  `sweep` is a `train` run with generated Tversky arms: one
-tversky:a:(1-a) per entry of `alphas`, then one tversky:v:v per entry of
-`equal_alphas`, with the summary written as sweep_summary.  A weighted-CE
-gamma sweep needs no command of its own: it is a `train` config such as
+labels.  Each entry of `fgbg_ratios` reruns the same arms with the loss
+and the scores restricted to a per-image rectangle around the objects,
+sized so the mean foreground fraction inside it is that ratio; its
+reports carry a prefix such as fgbg_0p3_.  `sweep` is a `train` run with
+generated Tversky arms: one tversky:a:(1-a) per entry of `alphas`, then
+one tversky:v:v per entry of `equal_alphas`, with the summary written as
+sweep_summary.  A weighted-CE gamma sweep needs no command of its own:
+it is a `train` config such as
 `losses = wce:0.1, wce:0.3, wce:0.5, wce:0.7, wce:0.9, ce, soft_dice`,
 which tests whether any wCE weighting matches soft Dice on Dice.
 """
@@ -286,13 +290,12 @@ def _run_train(args, cfg: dict, summary: str) -> int:
     matrix = _rank_and_write(result, args.out_dir, n_resamples, seed)
     _write_summary(result, matrix, args.out_dir, summary)
     _write_strata(result, args.out_dir)
-    # each fg/bg ratio reruns CE against soft Dice with pixels outside a
+    # each fg/bg ratio reruns the same loss arms with pixels outside a
     # per-image rectangle left out of both the loss and the scores
     for ratio in cfg.get("fgbg_ratios", []):
         masks, rect_w, rect_h, achieved = build_fgbg_masks(data, ratio)
         ratio_seed = derive_seed(seed, round(ratio * 1000))
-        result = run_loss_comparison(data, [LossSpec("ce"), LossSpec("soft_dice_l1")], folds,
-                                     ratio_seed, base, output_masks=masks)
+        result = run_loss_comparison(data, losses, folds, ratio_seed, base, output_masks=masks)
         tag = f"fgbg_{ratio:g}".replace(".", "p")
         _write_scores(result, args.out_dir, prefix=f"{tag}_scores")
         m = _rank_and_write(result, args.out_dir, n_resamples, ratio_seed, f"{tag}_significance")

@@ -18,6 +18,13 @@ head, names the parameters with their range rule, and gives the
 ``parse_loss_spec`` is the only token parser; ``LOSS_GRAMMAR`` lists the
 forms.
 
+Three entry points evaluate a kernel on arrays: ``eval_loss_arrays``
+returns (value, gradient, degenerate), ``loss_value`` only the value and
+``loss_gradient`` only the gradient.  The last two skip the other half's
+work and agree bit for bit with the first.  Training calls
+``loss_gradient`` on each gradient step and ``loss_value`` on each loss
+pass; ``finite_diff_gradient`` calls ``loss_value``.
+
 All metric-sensitive surrogates coincide with 1 - (their discrete
 similarity) on binary predictions, which ``vertex_consistency_check``
 verifies pairwise.
@@ -55,64 +62,73 @@ def gamma_for_prior(fg_prior: float) -> float:
     return w_fg / (w_fg + w_bg)
 
 
-def _wce_arrays(y, p, gamma, eps, scale):
+def _degenerate(p, value, grad):
+    return (0.0 if value else None), (np.zeros_like(p) if grad else None), True
+
+
+def _wce_arrays(y, p, gamma, eps, scale, value=True, grad=True):
     pc = np.clip(p, eps, 1.0 - eps)
     d = y.size
-    value = -scale / d * float(
-        np.sum(gamma * y * np.log(pc) + (1.0 - gamma) * (1.0 - y) * np.log1p(-pc))
-    )
-    inside = (p > eps) & (p < 1.0 - eps)
-    grad = np.where(
-        inside,
-        -scale / d * (gamma * y / pc - (1.0 - gamma) * (1.0 - y) / (1.0 - pc)),
-        0.0,
-    )
-    return value, grad, False
+    v = g = None
+    if value:
+        v = -scale / d * float(
+            np.sum(gamma * y * np.log(pc) + (1.0 - gamma) * (1.0 - y) * np.log1p(-pc))
+        )
+    if grad:
+        inside = (p > eps) & (p < 1.0 - eps)
+        g = np.where(
+            inside,
+            -scale / d * (gamma * y / pc - (1.0 - gamma) * (1.0 - y) / (1.0 - pc)),
+            0.0,
+        )
+    return v, g, False
 
 
-def _soft_dice_arrays(y, p, variant):
+def _soft_dice_arrays(y, p, variant, value=True, grad=True):
     num = 2.0 * float(y @ p)
     if variant == "l1":
         den = float(y.sum() + p.sum())
         if den == 0.0:
-            return 0.0, np.zeros_like(p), True
-        grad = -(2.0 * y * den - num) / (den * den)
+            return _degenerate(p, value, grad)
+        g = -(2.0 * y * den - num) / (den * den) if grad else None
     else:
         den = float(y.sum() + p @ p)
         if den == 0.0:
-            return 0.0, np.zeros_like(p), True
-        grad = -(2.0 * y * den - num * 2.0 * p) / (den * den)
-    return 1.0 - num / den, grad, False
+            return _degenerate(p, value, grad)
+        g = -(2.0 * y * den - num * 2.0 * p) / (den * den) if grad else None
+    return (1.0 - num / den if value else None), g, False
 
 
-def _soft_jaccard_arrays(y, p):
+def _soft_jaccard_arrays(y, p, value=True, grad=True):
     inter = float(y @ p)
     union = float(y.sum() + p.sum()) - inter
     if union == 0.0:
-        return 0.0, np.zeros_like(p), True
-    grad = -(y * union - inter * (1.0 - y)) / (union * union)
-    return 1.0 - inter / union, grad, False
+        return _degenerate(p, value, grad)
+    g = -(y * union - inter * (1.0 - y)) / (union * union) if grad else None
+    return (1.0 - inter / union if value else None), g, False
 
 
-def _soft_tversky_arrays(y, p, alpha, beta):
+def _soft_tversky_arrays(y, p, alpha, beta, value=True, grad=True):
     # exact parameter collapse: 0.5/0.5 is the L1 soft Dice and 1/1 the
     # soft Jaccard, value and gradient alike, so dispatch to those paths
     if alpha == 0.5 and beta == 0.5:
-        return _soft_dice_arrays(y, p, "l1")
+        return _soft_dice_arrays(y, p, "l1", value, grad)
     if alpha == 1.0 and beta == 1.0:
-        return _soft_jaccard_arrays(y, p)
+        return _soft_jaccard_arrays(y, p, value, grad)
     inter = float(y @ p)
     fp_soft = float((1.0 - y) @ p)
     fn_soft = float(y @ (1.0 - p))
     den = inter + alpha * fp_soft + beta * fn_soft
     if den == 0.0:
-        return 0.0, np.zeros_like(p), True
-    dden = y + alpha * (1.0 - y) - beta * y
-    grad = -(y * den - inter * dden) / (den * den)
-    return 1.0 - inter / den, grad, False
+        return _degenerate(p, value, grad)
+    g = None
+    if grad:
+        dden = y + alpha * (1.0 - y) - beta * y
+        g = -(y * den - inter * dden) / (den * den)
+    return (1.0 - inter / den if value else None), g, False
 
 
-def _lovasz_arrays(y, p):
+def _lovasz_arrays(y, p, value=True, grad=True):
     # errors m_i = |y_i - p_i|; sort descending, stable ties by pixel index
     m = np.where(y > 0, 1.0 - p, p)
     order = np.argsort(-m, kind="stable")
@@ -122,18 +138,22 @@ def _lovasz_arrays(y, p):
     union = fg + np.cumsum(1.0 - ys)
     jac = 1.0 - inter / union
     g = np.diff(jac, prepend=0.0)
-    value = float(m[order] @ g)
-    grad = np.empty_like(p)
-    grad[order] = g
-    grad *= np.where(y > 0, -1.0, 1.0)
-    return value, grad, False
+    v = float(m[order] @ g) if value else None
+    out = None
+    if grad:
+        out = np.empty_like(p)
+        out[order] = g
+        out *= np.where(y > 0, -1.0, 1.0)
+    return v, out, False
 
 
 @dataclass(frozen=True)
 class LossKind:
-    """One row of the loss table.  ``kernel(y, p, *params)``, with the
-    spec's clamp_eps appended on a ``clamped`` row, returns (value,
-    gradient, degenerate); ``counterpart(y, yhat, *params)`` is the
+    """One row of the loss table.  ``kernel(y, p, *params, value=True,
+    grad=True)``, with the spec's clamp_eps appended to the params on a
+    ``clamped`` row, returns (value, gradient, degenerate) and skips, as
+    None, whichever of value and gradient it is not asked for;
+    ``counterpart(y, yhat, *params)`` is the
     discrete similarity the loss relaxes; ``valid`` is the range rule.
     ``auto``, if set, maps the dataset foreground prior to the parameters
     of the bare token."""
@@ -148,13 +168,14 @@ class LossKind:
 
 
 LOSSES: dict[str, LossKind] = {
-    "ce": LossKind((), lambda y, p, eps: _wce_arrays(y, p, 0.5, eps, 2.0), metrics.hamming, clamped=True),
-    "wce": LossKind(("gamma",), lambda y, p, gamma, eps: _wce_arrays(y, p, gamma, eps, 1.0),
+    "ce": LossKind((), lambda y, p, eps, **want: _wce_arrays(y, p, 0.5, eps, 2.0, **want),
+                   metrics.hamming, clamped=True),
+    "wce": LossKind(("gamma",), lambda y, p, gamma, eps, **want: _wce_arrays(y, p, gamma, eps, 1.0, **want),
                     metrics.weighted_hamming, valid=lambda gamma: 0.0 <= gamma <= 1.0,
                     rule="gamma must lie in [0, 1]", clamped=True,
                     auto=lambda fg_prior: (gamma_for_prior(fg_prior),)),
-    "soft_dice_l1": LossKind((), lambda y, p: _soft_dice_arrays(y, p, "l1"), metrics.dice),
-    "soft_dice_l2": LossKind((), lambda y, p: _soft_dice_arrays(y, p, "l2"), metrics.dice),
+    "soft_dice_l1": LossKind((), lambda y, p, **want: _soft_dice_arrays(y, p, "l1", **want), metrics.dice),
+    "soft_dice_l2": LossKind((), lambda y, p, **want: _soft_dice_arrays(y, p, "l2", **want), metrics.dice),
     "soft_jaccard": LossKind((), _soft_jaccard_arrays, metrics.jaccard),
     "lovasz": LossKind((), _lovasz_arrays, metrics.jaccard),
     "tversky": LossKind(("alpha", "beta"), _soft_tversky_arrays, metrics.tversky,
@@ -231,14 +252,28 @@ def parse_loss_spec(token: str, fg_prior: float | None = None) -> LossSpec:
     return LossSpec(head, params)
 
 
+def _kernel(spec: LossSpec, y, p, value: bool, grad: bool):
+    eps = () if spec.clamp_eps is None else (spec.clamp_eps,)
+    return LOSSES[spec.kind].kernel(np.asarray(y, dtype=np.float64), np.asarray(p, dtype=np.float64),
+                                    *spec.params, *eps, value=value, grad=grad)
+
+
 def eval_loss_arrays(spec: LossSpec, y: np.ndarray, p: np.ndarray):
     """Array-level evaluation; returns (value, gradient, degenerate).
 
     y is a 0/1 float or int vector, p a float vector in [0, 1].
     """
-    eps = () if spec.clamp_eps is None else (spec.clamp_eps,)
-    return LOSSES[spec.kind].kernel(np.asarray(y, dtype=np.float64), np.asarray(p, dtype=np.float64),
-                                    *spec.params, *eps)
+    return _kernel(spec, y, p, True, True)
+
+
+def loss_value(spec: LossSpec, y: np.ndarray, p: np.ndarray) -> float:
+    """eval_loss_arrays(spec, y, p)[0], without building the gradient."""
+    return _kernel(spec, y, p, True, False)[0]
+
+
+def loss_gradient(spec: LossSpec, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """eval_loss_arrays(spec, y, p)[1], without computing the value."""
+    return _kernel(spec, y, p, False, True)[1]
 
 
 def eval_loss(spec: LossSpec, y: BinaryMask, p: ProbMap) -> LossEval:
@@ -252,7 +287,7 @@ def finite_diff_gradient(spec: LossSpec, y: BinaryMask, p: ProbMap, h: float) ->
     """Central-difference gradient (L(p + h e_i) - L(p - h e_i)) / 2h.
 
     Serves as the independent oracle for the analytic gradients; it only
-    ever calls the loss through its public value path.
+    ever calls the loss through its public value path, loss_value.
     """
     if h <= 0:
         raise OutOfRange(f"step h must be > 0, got {h}")
@@ -266,8 +301,8 @@ def finite_diff_gradient(spec: LossSpec, y: BinaryMask, p: ProbMap, h: float) ->
         plus[i] += h
         minus = base.copy()
         minus[i] -= h
-        f_plus = eval_loss(spec, y, ProbMap(p.dims, plus)).value
-        f_minus = eval_loss(spec, y, ProbMap(p.dims, minus)).value
+        f_plus = loss_value(spec, y.data, plus)
+        f_minus = loss_value(spec, y.data, minus)
         out[i] = (f_plus - f_minus) / (2.0 * h)
     return out
 

@@ -27,7 +27,9 @@ from .errors import (
     OutOfRange,
     TooFewSamples,
 )
-from .losses import LossSpec, eval_loss_arrays
+# eval_loss_arrays stays a module global: perfbench/layers.py counts the
+# calls made through it
+from .losses import LossSpec, eval_loss_arrays, loss_gradient, loss_value  # noqa: F401
 from .masks import BinaryMask, overlap_counts
 from .metrics import dice_from_counts, fbeta_from_counts, jaccard_from_counts
 
@@ -235,20 +237,25 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
+    """lr_cuts holds the main-phase epochs (indices into val_losses) after
+    which the learning rate was cut; stop_reason is "patience" or
+    "max_epochs"."""
+
     weights: np.ndarray
     epochs_run: int
     best_val_loss: float
     train_losses: np.ndarray
     val_losses: np.ndarray
+    lr_cuts: tuple[int, ...]
+    stop_reason: str
 
 
 def _sigmoid(s: np.ndarray) -> np.ndarray:
-    out = np.empty_like(s)
-    pos = s >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
-    es = np.exp(s[~pos])
-    out[~pos] = es / (1.0 + es)
-    return out
+    # the same operations per element as 1/(1+exp(-s)) for s >= 0 and
+    # exp(s)/(1+exp(s)) below, without boolean-mask indexing; minimum(s, -s)
+    # is -|s| but keeps the sign of a NaN logit, as the two branches do
+    e = np.exp(np.minimum(s, -s))
+    return np.where(s >= 0, 1.0, e) / (1.0 + e)
 
 
 def _resolve_masks(data: SampleSet, output_mask) -> list:
@@ -280,14 +287,14 @@ def _prepare(samples, sels) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def _image_grad(spec: LossSpec, X: np.ndarray, yv: np.ndarray, w: np.ndarray) -> np.ndarray:
     p = _sigmoid(X @ w)
-    _, gp, _ = eval_loss_arrays(spec, yv, p)
+    gp = loss_gradient(spec, yv, p)
     return X.T @ (gp * p * (1.0 - p))
 
 
 def _mean_loss(items, w: np.ndarray, spec: LossSpec) -> float:
     total = 0.0
     for X, yv in items:
-        total += eval_loss_arrays(spec, yv, _sigmoid(X @ w))[0]
+        total += loss_value(spec, yv, _sigmoid(X @ w))
     return total / len(items)
 
 
@@ -344,6 +351,8 @@ def _fit(items, cfg: TrainConfig) -> TrainResult:
     plateau_every = max(1, cfg.early_stop_patience // 2)
     train_hist: list[float] = []
     val_hist: list[float] = []
+    lr_cuts: list[int] = []
+    stop_reason = "max_epochs"
     epochs_run = 0
     for epoch in range(cfg.max_epochs):
         w = _run_epoch(train_items, w, cfg.loss, lr, cfg.batch_size, rng)
@@ -363,9 +372,12 @@ def _fit(items, cfg: TrainConfig) -> TrainResult:
             stall += 1
             if stall % plateau_every == 0:
                 lr /= PLATEAU_DIVISOR
+                lr_cuts.append(epoch)
             if stall >= cfg.early_stop_patience:
+                stop_reason = "patience"
                 break
-    return TrainResult(best_w, epochs_run, best_val, np.array(train_hist), np.array(val_hist))
+    return TrainResult(best_w, epochs_run, best_val, np.array(train_hist), np.array(val_hist),
+                       tuple(lr_cuts), stop_reason)
 
 
 def score_images(data: SampleSet, idx, w: np.ndarray, masks=None) -> dict[str, np.ndarray]:

@@ -176,6 +176,20 @@ def test_train_reports_identical_across_threads(tmp_path):
     assert trees[0] == trees[1]
 
 
+def test_fgbg_runs_compare_the_configured_losses(tmp_path):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(TINY_TRAIN.replace("losses = ce, soft_dice", "losses = soft_jaccard, lovasz")
+                   .replace("max_epochs = 6", "max_epochs = 2"))
+    out = tmp_path / "out"
+    assert cli.main(["--out-dir", str(out), "train", str(cfg)]) == 0
+    # the masked run scores the listed arms, and no ce arm
+    assert sorted(n for n in os.listdir(out) if n.startswith("fgbg_0p3_scores_")) == [
+        "fgbg_0p3_scores_lovasz.csv", "fgbg_0p3_scores_lovasz.json",
+        "fgbg_0p3_scores_soft_jaccard.csv", "fgbg_0p3_scores_soft_jaccard.json"]
+    methods = [row[4] for row in fileio.read_report_json(str(out / "fgbg_0p3_summary.json")).rows]
+    assert methods == ["soft_jaccard", "lovasz"]
+
+
 TINY_SWEEP = ("n_images = 10\nnx = 32\nny = 32\nradius_min = 3\nradius_max = 6\nfg_prior = 0.08\n"
               "folds = 2\nmax_epochs = 4\npretrain_epochs_ce = 1\nn_resamples = 1000\n"
               "alphas = 0.3, 0.7\nequal_alphas = 1\n")

@@ -10,6 +10,8 @@ from segloss.losses import (
     eval_loss_arrays,
     finite_diff_gradient,
     gamma_for_prior,
+    loss_gradient,
+    loss_value,
     parse_loss_spec,
     vertex_consistency_check,
 )
@@ -154,6 +156,27 @@ def test_loss_values_in_range():
         for spec in (LossSpec("ce"), LossSpec("wce", (0.8,))):
             v = eval_loss(spec, y, p).value
             assert np.isfinite(v) and v >= 0
+
+
+def _bits(x) -> np.ndarray:
+    return np.atleast_1d(np.asarray(x, dtype=np.float64)).view(np.int64)
+
+
+@pytest.mark.parametrize("spec", ALL_KINDS, ids=lambda s: s.label())
+def test_value_and_gradient_entry_points_match_the_full_evaluation_bit_for_bit(spec):
+    rng = np.random.default_rng(21)
+    d = 64
+    y = rng.integers(0, 2, size=d).astype(np.float64)
+    # p exactly 0 and 1 puts the CE/WCE clamp in play
+    clamped = rng.uniform(0.0, 1.0, size=d)
+    clamped[::5] = 0.0
+    clamped[1::5] = 1.0
+    cases = [(y, rng.uniform(0.0, 1.0, size=d)), (y, clamped),
+             (np.zeros(d), np.zeros(d))]  # degenerate for the soft overlaps
+    for yv, p in cases:
+        value, grad, _ = eval_loss_arrays(spec, yv, p)
+        assert np.array_equal(_bits(loss_value(spec, yv, p)), _bits(value))
+        assert np.array_equal(_bits(loss_gradient(spec, yv, p)), _bits(grad))
 
 
 GRAD_TOL = 1e-5

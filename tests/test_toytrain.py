@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from segloss.toytrain import (
     stratify_by_size,
     train,
 )
-from util import mask_of, prob_of
+from util import mask_of, masked_sigmoid, prob_of
 
 SMALL = SyntheticConfig(n_images=40, dims=(32, 32), object_radius_range=(3.0, 6.0),
                         fg_prior_target=0.08, noise_sigma=0.3, seed=5)
@@ -131,6 +133,24 @@ def test_train_empty_and_nonfinite():
     bad = SampleSet([Sample(feats, BinaryMask((32, 32, 1), np.zeros(d, dtype=np.uint8)))])
     with pytest.raises(NonFiniteLoss):
         train(bad, TrainConfig(loss=LossSpec("ce"), max_epochs=2, pretrain_epochs_ce=0, seed=0))
+
+
+def test_train_reports_stop_reason_and_learning_rate_cuts():
+    data = generate_dataset(SMALL).subset(range(16))
+    # patience 2 cuts the rate after every epoch that fails to improve on
+    # the best validation loss, and stops at the second in a row
+    res = train(data, TrainConfig(loss=LossSpec("soft_dice_l1"), max_epochs=40,
+                                  pretrain_epochs_ce=2, early_stop_patience=2, seed=3))
+    assert res.stop_reason == "patience"
+    assert res.epochs_run == 10 and res.lr_cuts == (3, 8, 9)
+    val = res.val_losses
+    for e in range(1, res.epochs_run):
+        assert (e in res.lr_cuts) == (val[e] >= val[:e].min())
+    full = train(data, TrainConfig(loss=LossSpec("soft_dice_l1"), max_epochs=3,
+                                   pretrain_epochs_ce=2, early_stop_patience=2, seed=3))
+    assert full.stop_reason == "max_epochs" and full.epochs_run == 3 and full.lr_cuts == ()
+    none = train(data, replace(QUICK, max_epochs=0))
+    assert none.stop_reason == "max_epochs" and none.epochs_run == 0 and none.lr_cuts == ()
 
 
 def test_train_loss_mostly_nonincreasing():
@@ -247,6 +267,19 @@ def test_fgbg_infeasible_ratio():
         build_fgbg_masks(data, 0.001)
     with pytest.raises(OutOfRange):
         build_fgbg_masks(data, 0.0)
+
+
+def test_sigmoid_matches_the_two_branch_oracle_bit_for_bit():
+    rng = np.random.default_rng(11)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0,
+                        745.0, -745.0, 709.8, -709.8, 5e-324, -5e-324])
+    logits = [special, rng.choice(special, 37)]
+    for scale in (1e-3, 1.0, 30.0, 800.0):
+        s = rng.uniform(-scale, scale, 4099)
+        s[rng.integers(0, s.size, 40)] = rng.choice(special, 40)
+        logits.append(s)
+    for s in logits:
+        assert np.array_equal(_sigmoid(s).view(np.int64), masked_sigmoid(s).view(np.int64))
 
 
 def test_score_images_equals_metrics_of_thresholded_probabilities():

@@ -1,6 +1,6 @@
 """Shared helpers for the test suite: independent set-based oracles, the
-full 4**d mask-pair enumeration, the pairwise Hausdorff scan and the
-gradient-check harness.  Apart from the 4**d bound scan, which checks the
+full 4**d mask-pair enumeration, the pairwise Hausdorff scan, the
+two-branch sigmoid and the gradient-check harness.  Apart from the 4**d bound scan, which checks the
 count-space reduction and so evaluates the library's own kernels, nothing
 here uses the library's count/metric kernels, so tests check two routes."""
 
@@ -237,3 +237,17 @@ def pairwise_hausdorff(y_bool: np.ndarray, yhat_bool: np.ndarray) -> float:
     if pu.shape[0] == 0 or pv.shape[0] == 0:
         return float("nan")
     return max(_directed_hausdorff(pu, pv), _directed_hausdorff(pv, pu))
+
+
+# --- reference sigmoid, one masked branch per logit sign ---------------------
+
+
+def masked_sigmoid(s: np.ndarray) -> np.ndarray:
+    """The values toytrain._sigmoid must give: 1/(1+exp(-s)) where s >= 0
+    and exp(s)/(1+exp(s)) elsewhere, so neither branch overflows."""
+    out = np.empty_like(s)
+    pos = s >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
+    es = np.exp(s[~pos])
+    out[~pos] = es / (1.0 + es)
+    return out
