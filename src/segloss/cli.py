@@ -12,11 +12,13 @@ per arm (`segloss train --help` lists the forms); arms must have distinct
 labels.  Each entry of `fgbg_ratios` reruns the same arms with the loss
 and the scores restricted to a per-image rectangle around the objects,
 sized so the mean foreground fraction inside it is that ratio; its
-reports carry a prefix such as fgbg_0p3_.  `sweep` is a `train` run with
-generated Tversky arms: one tversky:a:(1-a) per entry of `alphas`, then
-one tversky:v:v per entry of `equal_alphas`, with the summary written as
-sweep_summary.  A weighted-CE gamma sweep needs no command of its own:
-it is a `train` config such as
+reports carry a prefix such as fgbg_0p3_, so a repeated ratio is a usage
+error.  Every config error, including a ratio no rectangle can reach,
+stops the command before the first job trains.  `sweep` is a `train` run
+with generated Tversky arms: one tversky:a:(1-a) per entry of `alphas`,
+then one tversky:v:v per entry of `equal_alphas`, with the summary
+written as sweep_summary.  A weighted-CE gamma sweep needs no command of
+its own: it is a `train` config such as
 `losses = wce:0.1, wce:0.3, wce:0.5, wce:0.7, wce:0.9, ce, soft_dice`,
 which tests whether any wCE weighting matches soft Dice on Dice.
 """
@@ -32,11 +34,10 @@ from . import fileio
 from .errors import DataError, DTooLarge, NumericError, OutOfRange, SeglossError, UsageError
 from .losses import LOSS_GRAMMAR, LossSpec, parse_loss_spec
 from .masks import BinaryMask, ProbMap, threshold
-from .metrics import COUNTS_METRIC_GRAMMAR, METRIC_GRAMMAR, evaluate
-from .stats import DEFAULT_RESAMPLES, ScoreVector, rank_methods
+from .metrics import COUNTS_METRIC_GRAMMAR, METRIC_GRAMMAR, evaluate, token_label
+from .stats import DEFAULT_RESAMPLES, ScoreVector, check_ranking, rank_methods
 from .toytrain import (
-    DEFAULT_GAIN_JITTER,
-    FBETAS,
+    SCORE_COLUMNS,
     SyntheticConfig,
     TrainConfig,
     build_fgbg_masks,
@@ -185,28 +186,26 @@ TRAIN_SCHEMA = dict(_COMMON_SCHEMA, losses=fileio.cfg_str_list, fgbg_ratios=file
 SWEEP_SCHEMA = dict(_COMMON_SCHEMA, alphas=fileio.cfg_float_list, equal_alphas=fileio.cfg_float_list)
 
 
+# config key -> config field; a field whose keys the config leaves out
+# keeps its dataclass default
+_SYNTH_FIELDS = {"n_images": "n_images", "fg_prior": "fg_prior_target",
+                 "noise_sigma": "noise_sigma", "gain_jitter": "gain_jitter", "data_seed": "seed"}
+_SYNTH_PAIRS = {("nx", "ny"): "dims", ("radius_min", "radius_max"): "object_radius_range"}
+_TRAIN_FIELDS = ("learning_rate", "max_epochs", "batch_size", "pretrain_epochs_ce",
+                 "early_stop_patience")
+
+
 def _experiment_setup(cfg: dict, seed_override: int | None):
-    seed = cfg.get("seed", 0)
-    if seed_override is not None:
-        seed = seed_override
-    synth = SyntheticConfig(
-        n_images=cfg.get("n_images", 200),
-        dims=(cfg.get("nx", 64), cfg.get("ny", 64)),
-        object_radius_range=(cfg.get("radius_min", 3.0), cfg.get("radius_max", 9.0)),
-        fg_prior_target=cfg.get("fg_prior", 0.02),
-        noise_sigma=cfg.get("noise_sigma", 0.3),
-        gain_jitter=cfg.get("gain_jitter", DEFAULT_GAIN_JITTER),
-        seed=cfg.get("data_seed", derive_seed(seed, 17)),
-    )
-    base = TrainConfig(
-        loss=LossSpec("ce"),
-        learning_rate=cfg.get("learning_rate", 4.0),
-        max_epochs=cfg.get("max_epochs", 120),
-        batch_size=cfg.get("batch_size", 4),
-        pretrain_epochs_ce=cfg.get("pretrain_epochs_ce", 10),
-        early_stop_patience=cfg.get("early_stop_patience", 12),
-    )
-    return seed, synth, base, cfg.get("folds", 5), cfg.get("n_resamples", DEFAULT_RESAMPLES)
+    seed = cfg.get("seed", 0) if seed_override is None else seed_override
+    synth = {field: cfg[key] for key, field in _SYNTH_FIELDS.items() if key in cfg}
+    synth.setdefault("seed", derive_seed(seed, 17))
+    for keys, field in _SYNTH_PAIRS.items():
+        if any(key in cfg for key in keys):
+            synth[field] = tuple(cfg.get(key, default)
+                                 for key, default in zip(keys, getattr(SyntheticConfig, field)))
+    base = TrainConfig(loss=LossSpec("ce"), **{key: cfg[key] for key in _TRAIN_FIELDS if key in cfg})
+    return (seed, SyntheticConfig(**synth), base, cfg.get("folds", 5),
+            cfg.get("n_resamples", DEFAULT_RESAMPLES))
 
 
 def _arm_filename(name: str) -> str:
@@ -214,22 +213,20 @@ def _arm_filename(name: str) -> str:
 
 
 def _write_scores(result, out_dir: str, prefix: str = "scores") -> None:
+    cols = ["image", "fold", "fg_size", *SCORE_COLUMNS]
     for arm in result.arms:
-        rows = []
-        for i in range(result.folds.size):
-            rows.append([
-                i, int(result.folds[i]), int(result.fg_sizes[i]),
-                float(arm.dice[i]), float(arm.jaccard[i]),
-                *(float(arm.fbeta[b][i]) for b in FBETAS),
-            ])
-        cols = ["image", "fold", "fg_size", "dice", "jaccard"] + [f"f{b:g}" for b in FBETAS]
+        rows = [
+            [i, int(result.folds[i]), int(result.fg_sizes[i]),
+             *(float(arm.scores[c][i]) for c in SCORE_COLUMNS)]
+            for i in range(result.folds.size)
+        ]
         table = fileio.ReportTable(f"{prefix}_{arm.name}", cols, rows)
         fileio.write_report(table, out_dir, f"{prefix}_{_arm_filename(arm.name)}")
 
 
 def _rank_and_write(result, out_dir: str, n_resamples: int, seed: int,
                     basename: str = "significance"):
-    vectors = [ScoreVector(a.name, a.dice) for a in result.arms]
+    vectors = [ScoreVector(a.name, a.scores["dice"]) for a in result.arms]
     matrix = rank_methods(vectors, n_resamples, derive_seed(seed, 1001))
     rows = [
         [a, b, matrix.p_values[(a, b)]]
@@ -243,15 +240,12 @@ def _rank_and_write(result, out_dir: str, n_resamples: int, seed: int,
 
 
 def _write_summary(result, matrix, out_dir: str, basename: str) -> None:
-    rows = []
-    for arm in result.arms:
-        rows.append([
-            arm.name, arm.mean_dice(), arm.mean_jaccard(),
-            *(float(arm.fbeta[b].mean()) for b in FBETAS),
-            arm.name in matrix.top_ranked, arm.name in matrix.inferior_to_all,
-        ])
-    cols = (["method", "mean_dice", "mean_jaccard"]
-            + [f"mean_f{b:g}" for b in FBETAS] + ["top_ranked", "inferior_to_all"])
+    rows = [
+        [arm.name, *(float(arm.scores[c].mean()) for c in SCORE_COLUMNS),
+         arm.name in matrix.top_ranked, arm.name in matrix.inferior_to_all]
+        for arm in result.arms
+    ]
+    cols = ["method", *("mean_" + c for c in SCORE_COLUMNS), "top_ranked", "inferior_to_all"]
     fileio.write_report(fileio.ReportTable(basename, cols, rows), out_dir, basename)
 
 
@@ -285,6 +279,14 @@ def _run_train(args, cfg: dict, summary: str) -> int:
     data = generate_dataset(synth)
     fg_prior = data.mean_fg_prior()
     losses = [parse_loss_spec(tok, fg_prior) for tok in cfg.get("losses", ["ce", "soft_dice"])]
+    # every check that can fail runs before the first job trains
+    check_ranking(len(losses), n_resamples)
+    fgbg = {}
+    for ratio in cfg.get("fgbg_ratios", []):
+        tag = _arm_filename(token_label("fgbg", (ratio,)))
+        if tag in fgbg:
+            raise OutOfRange(f"fgbg_ratios must have distinct report names, got {tag} twice")
+        fgbg[tag] = (ratio, *build_fgbg_masks(data, ratio))
     result = run_loss_comparison(data, losses, folds, seed, base)
     _write_scores(result, args.out_dir)
     matrix = _rank_and_write(result, args.out_dir, n_resamples, seed)
@@ -292,16 +294,15 @@ def _run_train(args, cfg: dict, summary: str) -> int:
     _write_strata(result, args.out_dir)
     # each fg/bg ratio reruns the same loss arms with pixels outside a
     # per-image rectangle left out of both the loss and the scores
-    for ratio in cfg.get("fgbg_ratios", []):
-        masks, rect_w, rect_h, achieved = build_fgbg_masks(data, ratio)
+    for tag, (ratio, masks, rect_w, rect_h, achieved) in fgbg.items():
         ratio_seed = derive_seed(seed, round(ratio * 1000))
         result = run_loss_comparison(data, losses, folds, ratio_seed, base, output_masks=masks)
-        tag = f"fgbg_{ratio:g}".replace(".", "p")
         _write_scores(result, args.out_dir, prefix=f"{tag}_scores")
         m = _rank_and_write(result, args.out_dir, n_resamples, ratio_seed, f"{tag}_significance")
         rows = [
             [ratio, rect_w, rect_h, achieved, a.name,
-             a.mean_dice(), a.mean_jaccard(), a.name in m.top_ranked]
+             float(a.scores["dice"].mean()), float(a.scores["jaccard"].mean()),
+             a.name in m.top_ranked]
             for a in result.arms
         ]
         fileio.write_report(

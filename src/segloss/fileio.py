@@ -167,30 +167,23 @@ def _atomic_write(path: str, blob: bytes) -> None:
         raise
 
 
-def write_mask(payload: BinaryMask | ProbMap, path: str, format: str | None = None) -> None:
-    """Write a mask or probability map; 2D payloads default to PGM, 3D to
-    the MSK1 container.  Probabilities are quantized to 16 bits."""
+def write_mask(payload: BinaryMask | ProbMap, path: str) -> None:
+    """Write a mask or probability map: 2D payloads as PGM, 3D as the MSK1
+    container.  Probabilities are quantized to 16 bits."""
     nx, ny, nz = payload.dims
-    if format is None:
-        format = PGM2D if nz == 1 else MSK3D
-    if format == PGM2D:
-        if nz != 1:
-            raise DataError("PGM can only hold 2D payloads")
+    if nz == 1:
         if isinstance(payload, BinaryMask):
             header = f"P5\n{nx} {ny}\n255\n".encode("ascii")
             body = (payload.data * np.uint8(255)).tobytes()
         else:
             header = f"P5\n{nx} {ny}\n{_U16_MAX}\n".encode("ascii")
             body = np.round(payload.data * _U16_MAX).astype(">u2").tobytes()
-    elif format == MSK3D:
-        if isinstance(payload, BinaryMask):
-            header = f"MSK1 {nx} {ny} {nz} u8\n".encode("ascii")
-            body = (payload.data * np.uint8(255)).tobytes()
-        else:
-            header = f"MSK1 {nx} {ny} {nz} u16\n".encode("ascii")
-            body = np.round(payload.data * _U16_MAX).astype("<u2").tobytes()
+    elif isinstance(payload, BinaryMask):
+        header = f"MSK1 {nx} {ny} {nz} u8\n".encode("ascii")
+        body = (payload.data * np.uint8(255)).tobytes()
     else:
-        raise DataError(f"unknown mask format {format!r}")
+        header = f"MSK1 {nx} {ny} {nz} u16\n".encode("ascii")
+        body = np.round(payload.data * _U16_MAX).astype("<u2").tobytes()
     _atomic_write(path, header + body)
 
 

@@ -21,7 +21,8 @@ from .errors import LengthMismatch, OutOfRange, TooFewSamples
 DEFAULT_RESAMPLES = 10_000
 SIGNIFICANCE_LEVEL = 0.05
 
-# fixed partition count: determinism must not depend on worker count
+# fixed partition count: it fixes the index draws, and with them the
+# p-values the significance goldens pin
 _N_PARTITIONS = 8
 
 
@@ -49,8 +50,7 @@ def bootstrap_pair_test(a: ScoreVector, b: ScoreVector, n_resamples: int = DEFAU
     seed therefore flips the statistic sign exactly, so p(a,b) + p(b,a) =
     1 + (fraction of exactly-zero resamples).
     """
-    if n_resamples < 1000:
-        raise OutOfRange(f"n_resamples must be >= 1000, got {n_resamples}")
+    check_ranking(2, n_resamples)
     va, vb = a.values, b.values
     if va.size != vb.size:
         raise LengthMismatch(f"score vectors differ in length: {va.size} vs {vb.size}")
@@ -79,6 +79,15 @@ class SignificanceMatrix:
     inferior_to_all: frozenset[str]          # significantly inferior to every other method
 
 
+def check_ranking(n_methods: int, n_resamples: int) -> None:
+    """Raise the error rank_methods gives for this many methods and
+    resamples, so a caller can check both before computing any scores."""
+    if n_methods < 2:
+        raise TooFewSamples("rank_methods needs at least two methods")
+    if n_resamples < 1000:
+        raise OutOfRange(f"n_resamples must be >= 1000, got {n_resamples}")
+
+
 def rank_methods(scores, n_resamples: int = DEFAULT_RESAMPLES, seed: int = 0,
                  level: float = SIGNIFICANCE_LEVEL) -> SignificanceMatrix:
     """Pairwise bootstrap comparison of two or more methods.
@@ -89,8 +98,7 @@ def rank_methods(scores, n_resamples: int = DEFAULT_RESAMPLES, seed: int = 0,
     method beats it at the given level.
     """
     scores = list(scores)
-    if len(scores) < 2:
-        raise TooFewSamples("rank_methods needs at least two methods")
+    check_ranking(len(scores), n_resamples)
     names = [s.method for s in scores]
     if len(set(names)) != len(names):
         raise OutOfRange("method names must be unique")

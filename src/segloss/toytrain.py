@@ -41,16 +41,12 @@ N_FEATURES = 5  # raw, 3x3 box mean, x/nx, y/ny, constant 1
 _EDGE_Q_LO = 0.55
 _EDGE_Q_HI = 1.45
 
-# default per-image multiplicative intensity gain jitter: no single global
-# intensity threshold matches every image's label boundary, so pixel-wise
-# calibration alone cannot solve the task; 0 makes noise-free data linearly
-# separable on the raw intensity feature
-DEFAULT_GAIN_JITTER = 0.6
-
 VAL_FRACTION = 0.2       # last 20% of training images by index
 PLATEAU_DIVISOR = 5.0    # learning-rate cut on validation plateau
 
 FBETAS = (0.5, 1.0, 1.5, 2.0)
+# the per-image scores, in report column order
+SCORE_COLUMNS = ("dice", "jaccard", *(f"f{b:g}" for b in FBETAS))
 
 
 def derive_seed(*parts: int) -> int:
@@ -66,7 +62,11 @@ class SyntheticConfig:
     fg_prior_target: float = 0.02
     noise_sigma: float = 0.3
     seed: int = 7
-    gain_jitter: float = DEFAULT_GAIN_JITTER
+    # per-image multiplicative intensity gain jitter: no single global
+    # intensity threshold matches every image's label boundary, so pixel-wise
+    # calibration alone cannot solve the task; 0 makes noise-free data
+    # linearly separable on the raw intensity feature
+    gain_jitter: float = 0.6
 
     def __post_init__(self):
         if self.n_images < 1:
@@ -221,8 +221,6 @@ class TrainConfig:
     pretrain_epochs_ce: int = 10
     early_stop_patience: int = 12
     seed: int = 0
-    # one shared mask, or one mask per image of the data passed to train()
-    output_mask: object = None
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -258,23 +256,18 @@ def _sigmoid(s: np.ndarray) -> np.ndarray:
     return np.where(s >= 0, 1.0, e) / (1.0 + e)
 
 
-def _resolve_masks(data: SampleSet, output_mask) -> list:
-    """One pixel selector per image: a boolean vector, or slice(None) for
-    every pixel when there is no mask."""
-    if output_mask is None:
+def _resolve_masks(data: SampleSet, output_masks) -> list:
+    """One pixel selector per image: its output mask as a boolean vector,
+    or slice(None) for every pixel when there are no masks."""
+    if output_masks is None:
         return [slice(None)] * len(data)
-    if isinstance(output_mask, BinaryMask):
-        if output_mask.dims != data.dims:
-            raise OutOfRange("output_mask dims do not match the data")
-        sel = output_mask.data.astype(bool)
-        return [sel] * len(data)
-    masks = list(output_mask)
+    masks = list(output_masks)
     if len(masks) != len(data):
         raise OutOfRange("need one output mask per image")
     out = []
     for m, s in zip(masks, data):
         if m.dims != s.label.dims:
-            raise OutOfRange("output_mask dims do not match the data")
+            raise OutOfRange("output mask dims do not match the data")
         out.append(m.data.astype(bool))
     return out
 
@@ -310,9 +303,10 @@ def _run_epoch(items, w: np.ndarray, spec: LossSpec, lr: float, batch_size: int,
     return w
 
 
-def train(data: SampleSet, cfg: TrainConfig) -> TrainResult:
+def train(data: SampleSet, cfg: TrainConfig, output_masks=None) -> TrainResult:
     """Gradient descent on the mean per-image loss of a linear per-pixel
-    scorer (5 features -> logit -> sigmoid).
+    scorer (5 features -> logit -> sigmoid), over every pixel or, given
+    output_masks (one BinaryMask per image of data), over in-mask pixels.
 
     Runs a CE warm-up for cfg.pretrain_epochs_ce epochs, then switches to
     cfg.loss with the optimizer state (learning rate, plateau counters)
@@ -322,11 +316,11 @@ def train(data: SampleSet, cfg: TrainConfig) -> TrainResult:
     """
     if len(data) == 0:
         raise EmptySet("train needs at least one image")
-    return _fit(_prepare(data, _resolve_masks(data, cfg.output_mask)), cfg)
+    return _fit(_prepare(data, _resolve_masks(data, output_masks)), cfg)
 
 
 def _fit(items, cfg: TrainConfig) -> TrainResult:
-    """train() on prepared items; cfg.output_mask is not read."""
+    """train() on prepared items."""
     n = len(items)
     n_val = int(round(VAL_FRACTION * n))
     n_val = min(n_val, n - 1)
@@ -380,44 +374,36 @@ def _fit(items, cfg: TrainConfig) -> TrainResult:
                        tuple(lr_cuts), stop_reason)
 
 
-def score_images(data: SampleSet, idx, w: np.ndarray, masks=None) -> dict[str, np.ndarray]:
-    """Discrete per-image scores at threshold 0.5: dice, jaccard and the
-    F-beta family, restricted to in-mask pixels when masks (one boolean
-    vector per image of data) are given."""
+def score_images(data: SampleSet, idx, w: np.ndarray, output_masks=None) -> dict[str, np.ndarray]:
+    """Discrete scores at threshold 0.5 of the images idx of data, one
+    array per SCORE_COLUMNS entry, restricted to in-mask pixels given
+    output_masks (one BinaryMask per image of data)."""
     idx = [int(i) for i in idx]
-    sels = [slice(None) if masks is None else masks[i] for i in idx]
-    return _score(_prepare([data[i] for i in idx], sels), w)
+    sels = _resolve_masks(data, output_masks)
+    return _score(_prepare([data[i] for i in idx], [sels[i] for i in idx]), w)
 
 
 def _score(items, w: np.ndarray) -> dict[str, np.ndarray]:
     """score_images() on prepared items."""
-    out = {"dice": [], "jaccard": []}
-    for b in FBETAS:
-        out[f"f{b:g}"] = []
-    for X, yv in items:
+    out = {c: np.empty(len(items)) for c in SCORE_COLUMNS}
+    for i, (X, yv) in enumerate(items):
         truth = yv.astype(bool)
-        tp, fp, fn = overlap_counts(truth, _sigmoid(X @ w) > 0.5)
-        out["dice"].append(float(dice_from_counts(tp, fp, fn, truth.size)))
-        out["jaccard"].append(float(jaccard_from_counts(tp, fp, fn, truth.size)))
-        for b in FBETAS:
-            out[f"f{b:g}"].append(float(fbeta_from_counts(tp, fp, fn, truth.size, b)))
-    return {k: np.array(v) for k, v in out.items()}
+        counts = (*overlap_counts(truth, _sigmoid(X @ w) > 0.5), truth.size)
+        values = (dice_from_counts(*counts), jaccard_from_counts(*counts),
+                  *(fbeta_from_counts(*counts, b) for b in FBETAS))
+        for c, v in zip(SCORE_COLUMNS, values):
+            out[c][i] = v
+    return out
 
 
 @dataclass
 class ArmScores:
+    """One loss arm's per-image scores, keyed by SCORE_COLUMNS."""
+
     name: str
     spec: LossSpec
-    dice: np.ndarray
-    jaccard: np.ndarray
-    fbeta: dict[float, np.ndarray]
+    scores: dict[str, np.ndarray]
     fold_weights: list[np.ndarray | None] = field(repr=False)
-
-    def mean_dice(self) -> float:
-        return float(self.dice.mean())
-
-    def mean_jaccard(self) -> float:
-        return float(self.jaccard.mean())
 
 
 @dataclass
@@ -447,11 +433,11 @@ def run_loss_comparison(
     Fold of image i is i % folds.  Per fold and arm a model is trained on
     the remaining images (the last 20% of them serving as validation for
     checkpoint selection) and scored on the left-out images, so each image
-    is scored exactly once per arm.  output_masks (one per image) takes
-    precedence over base_cfg.output_mask; either is resolved once for the
-    whole experiment.  Arms must have distinct labels, which name their
-    report files.  The jobs run one after another; threads is accepted
-    for compatibility and ignored.
+    is scored exactly once per arm.  Given output_masks (one BinaryMask
+    per image of data), both training and scoring see only in-mask pixels;
+    the masks are resolved once for the whole experiment.  Arms must have
+    distinct labels, which name their report files.  The jobs run one
+    after another; threads is accepted for compatibility and ignored.
     """
     labels = [spec.label() for spec in losses]
     if len(set(labels)) < len(labels):
@@ -462,18 +448,12 @@ def run_loss_comparison(
     if n < folds:
         raise TooFewSamples(f"need at least {folds} images, got {n}")
     base = base_cfg if base_cfg is not None else TrainConfig(loss=LossSpec("ce"))
-    output_mask = output_masks if output_masks is not None else base.output_mask
-    items = _prepare(data, _resolve_masks(data, output_mask))
+    items = _prepare(data, _resolve_masks(data, output_masks))
 
     fold_of = np.arange(n) % folds
     fg_sizes = data.fg_counts()
     arms = [
-        ArmScores(
-            name, spec,
-            np.full(n, np.nan), np.full(n, np.nan),
-            {b: np.full(n, np.nan) for b in FBETAS},
-            [None] * folds,
-        )
+        ArmScores(name, spec, {c: np.full(n, np.nan) for c in SCORE_COLUMNS}, [None] * folds)
         for name, spec in zip(labels, losses)
     ]
 
@@ -483,12 +463,9 @@ def run_loss_comparison(
         test_items = [items[i] for i in test_idx]
         for ai, arm in enumerate(arms):
             res = _fit(train_items, replace(base, loss=arm.spec, seed=derive_seed(seed, f, ai)))
-            scores = _score(test_items, res.weights)
             arm.fold_weights[f] = res.weights
-            arm.dice[test_idx] = scores["dice"]
-            arm.jaccard[test_idx] = scores["jaccard"]
-            for b in FBETAS:
-                arm.fbeta[b][test_idx] = scores[f"f{b:g}"]
+            for c, values in _score(test_items, res.weights).items():
+                arm.scores[c][test_idx] = values
     return ExperimentResult(arms, fold_of, fg_sizes)
 
 
@@ -527,7 +504,7 @@ def stratify_by_size(result: ExperimentResult, n_bins: int = 10) -> SizeStrata:
     counts = [int(p.size) for p in parts]
     mean_size = [float(sizes[p].mean()) for p in parts]
     mean_dice = {
-        arm.name: [float(arm.dice[p].mean()) for p in parts] for arm in result.arms
+        arm.name: [float(arm.scores["dice"][p].mean()) for p in parts] for arm in result.arms
     }
     return SizeStrata(counts, mean_size, mean_dice)
 

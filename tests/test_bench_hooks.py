@@ -1,0 +1,37 @@
+"""The names the layer probe and tracer in perfbench/layers.py bind.
+
+perfbench/smoke.py exercises them by running the whole benchmark at
+small sizes; these checks fail at once when a refactor renames or drops
+one.
+"""
+
+import inspect
+
+import numpy as np
+
+from segloss import cli, losses, metrics, toytrain
+from segloss.masks import BinaryMask
+
+
+def test_probe_counts_loss_calls_through_toytrain():
+    assert toytrain.eval_loss_arrays is losses.eval_loss_arrays
+
+
+def test_probe_captures_the_runner_arguments_by_name():
+    params = inspect.signature(cli.run_loss_comparison).parameters
+    assert {"data", "losses", "folds", "seed", "base_cfg", "output_masks", "threads"} <= set(params)
+
+
+def test_probe_calls_train_score_images_and_subset_positionally():
+    inspect.signature(toytrain.train).bind("data", "cfg")
+    inspect.signature(toytrain.score_images).bind("data", "idx", "w")
+    inspect.signature(toytrain.SampleSet.subset).bind("self", "idx")
+    assert isinstance(toytrain.derive_seed(0, 0), int)
+
+
+def test_hausdorff_row_resolves_the_module_function_at_call_time(monkeypatch):
+    calls = []
+    monkeypatch.setattr(metrics, "hausdorff_distance", lambda y, yhat: calls.append((y, yhat)) or 0.0)
+    m = BinaryMask((2, 1, 1), np.array([1, 0], dtype=np.uint8))
+    assert metrics.METRICS["hausdorff"].masks(m, m) == 0.0
+    assert calls == [(m, m)]

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from segloss import bounds, cli, fileio, toytrain
+from segloss.losses import LossSpec
 from segloss.masks import BinaryMask, ProbMap
+from segloss.stats import DEFAULT_RESAMPLES
+from segloss.toytrain import SyntheticConfig, TrainConfig, derive_seed
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -298,6 +301,60 @@ def test_train_arms_equal_in_g_format_get_distinct_reports(tmp_path):
                        ("scores_tversky_0p30000001_0p7", "scores_tversky:0.30000001:0.7")]:
         assert fileio.read_report_json(str(out / f"{base}.json")).name == name
 
+
+
+@pytest.mark.parametrize("command, edit, code, message", [
+    ("train", ("n_resamples = 1000", "n_resamples = 500"), 1,
+     "usage error: n_resamples must be >= 1000"),
+    ("train", ("losses = ce, soft_dice", "losses = ce"), 1,
+     "usage error: rank_methods needs at least two methods"),
+    ("train", ("fgbg_ratios = 0.3", "fgbg_ratios = 1.5"), 1,
+     "usage error: ratio must lie in (0, 1]"),
+    ("train", ("fgbg_ratios = 0.3", "fgbg_ratios = 0.3, 0.001"), 3,
+     "numeric failure: best rectangle gives"),
+    ("train", ("fgbg_ratios = 0.3", "fgbg_ratios = 0.3, 0.3"), 1,
+     "usage error: fgbg_ratios must have distinct report names, got fgbg_0p3 twice"),
+    ("sweep", ("n_resamples = 1000", "n_resamples = 500"), 1,
+     "usage error: n_resamples must be >= 1000"),
+])
+def test_experiment_config_errors_stop_before_training(tmp_path, capsys, monkeypatch,
+                                                       command, edit, code, message):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a job was trained")
+
+    monkeypatch.setattr(toytrain, "_fit", no_training)
+    cfg = tmp_path / f"{command}.cfg"
+    cfg.write_text({"train": TINY_TRAIN, "sweep": TINY_SWEEP}[command].replace(*edit))
+    out = tmp_path / "out"
+    assert cli.main(["--out-dir", str(out), command, str(cfg)]) == code
+    assert capsys.readouterr().err.startswith(f"segloss: {message}")
+    assert not out.exists()
+
+
+def test_train_fgbg_ratios_equal_in_g_format_get_distinct_reports(tmp_path):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(TINY_TRAIN.replace("fgbg_ratios = 0.3", "fgbg_ratios = 0.3, 0.30000001")
+                   .replace("max_epochs = 6", "max_epochs = 2"))
+    out = tmp_path / "out"
+    assert cli.main(["--out-dir", str(out), "train", str(cfg)]) == 0
+    for tag, ratio in [("fgbg_0p3", 0.3), ("fgbg_0p30000001", 0.30000001)]:
+        summary = fileio.read_report_json(str(out / f"{tag}_summary.json"))
+        assert summary.name == f"{tag}_summary"
+        assert [row[0] for row in summary.rows] == [ratio, ratio]
+
+
+def test_experiment_setup_defaults_are_the_config_dataclass_defaults():
+    assert cli._experiment_setup({}, None) == (
+        0, SyntheticConfig(seed=derive_seed(0, 17)), TrainConfig(loss=LossSpec("ce")), 5,
+        DEFAULT_RESAMPLES)
+
+
+def test_experiment_setup_fills_an_unset_half_of_a_pair_from_its_default():
+    seed, synth, base, folds, n_resamples = cli._experiment_setup(
+        {"nx": 40, "radius_max": 8.0, "data_seed": 4, "max_epochs": 3, "folds": 3}, 2)
+    assert (seed, folds, n_resamples) == (2, 3, DEFAULT_RESAMPLES)
+    assert synth == SyntheticConfig(dims=(40, 64), object_radius_range=(3.0, 8.0), seed=4)
+    assert base == TrainConfig(loss=LossSpec("ce"), max_epochs=3)
 
 @pytest.mark.parametrize("loss", ["tversky:nan:1", "tversky:inf:1"])
 def test_train_non_finite_loss_weight_is_usage_error(tmp_path, capsys, loss):

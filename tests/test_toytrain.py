@@ -167,7 +167,7 @@ def test_output_mask_all_ones_matches_unmasked():
     r_plain = train(data, QUICK)
     r_masked = train(data, TrainConfig(loss=LossSpec("ce"), learning_rate=4.0, max_epochs=6,
                                        pretrain_epochs_ce=2, early_stop_patience=4,
-                                       batch_size=4, seed=9, output_mask=ones))
+                                       batch_size=4, seed=9), [ones] * len(data))
     assert np.array_equal(r_plain.weights, r_masked.weights)
 
 
@@ -175,10 +175,9 @@ def test_output_mask_validation():
     data = generate_dataset(SMALL)
     wrong = BinaryMask((8, 8, 1), np.zeros(64, dtype=np.uint8))
     with pytest.raises(OutOfRange):
-        train(data, TrainConfig(loss=LossSpec("ce"), max_epochs=1, output_mask=wrong))
+        train(data, TrainConfig(loss=LossSpec("ce"), max_epochs=1), [wrong] * len(data))
     with pytest.raises(OutOfRange):
-        train(data, TrainConfig(loss=LossSpec("ce"), max_epochs=1,
-                                output_mask=(wrong,) * (len(data) - 1)))
+        train(data, TrainConfig(loss=LossSpec("ce"), max_epochs=1), (wrong,) * (len(data) - 1))
 
 
 def test_comparison_shapes_folds_and_determinism():
@@ -189,9 +188,9 @@ def test_comparison_shapes_folds_and_determinism():
     assert [a.name for a in r1.arms] == ["ce", "soft_dice_l1"]
     assert np.array_equal(r1.folds, np.arange(len(data)) % 4)
     for a1, a2 in zip(r1.arms, r2.arms):
-        assert np.array_equal(a1.dice, a2.dice)
-        assert np.array_equal(a1.jaccard, a2.jaccard)
-        assert not np.isnan(a1.dice).any()
+        assert np.array_equal(a1.scores["dice"], a2.scores["dice"])
+        assert np.array_equal(a1.scores["jaccard"], a2.scores["jaccard"])
+        assert not np.isnan(a1.scores["dice"]).any()
     # per-arm per-fold weights recorded
     assert all(w is not None for w in r1.arms[0].fold_weights)
 
@@ -212,7 +211,7 @@ def test_stratify_identical_sizes_collapse_to_global_mean():
         strata = stratify_by_size(res, 10)
     for arm in res.arms:
         for m in strata.mean_dice[arm.name]:
-            assert m == pytest.approx(float(arm.dice.mean()), abs=1e-15)
+            assert m == pytest.approx(float(arm.scores["dice"].mean()), abs=1e-15)
     assert sum(strata.bin_counts) == len(data)
 
 
@@ -285,13 +284,13 @@ def test_sigmoid_matches_the_two_branch_oracle_bit_for_bit():
 def test_score_images_equals_metrics_of_thresholded_probabilities():
     data = generate_dataset(SMALL)
     w = train(data, QUICK).weights
-    rects = [m.data.astype(bool) for m in build_fgbg_masks(data, 0.3)[0]]
+    rects = build_fgbg_masks(data, 0.3)[0]
     idx = range(len(data))
     for sel in (None, rects):
         sc = score_images(data, idx, w, sel)
         for i in idx:
             s = data[i]
-            keep = slice(None) if sel is None else sel[i]
+            keep = slice(None) if sel is None else sel[i].data.astype(bool)
             y = mask_of(s.label.data[keep])
             yhat = threshold(prob_of(_sigmoid(s.features[keep] @ w)), 0.5)
             assert sc["dice"][i] == metrics.dice(y, yhat)
