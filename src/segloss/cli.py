@@ -99,10 +99,12 @@ def build_parser() -> _Parser:
 
 
 def cmd_evaluate(args) -> int:
-    gt = fileio.read_mask(args.gt).payload
+    if not 0.0 <= args.threshold <= 1.0:
+        raise OutOfRange(f"--threshold must lie in [0, 1], got {args.threshold}")
+    gt = fileio.read_mask(args.gt)
     if not isinstance(gt, BinaryMask):
         raise DataError(f"{args.gt}: ground truth must be a binary mask")
-    pred = fileio.read_mask(args.pred).payload
+    pred = fileio.read_mask(args.pred)
     if isinstance(pred, ProbMap):
         pred = threshold(pred, args.threshold)
     rows = [[mv.name, mv.value if mv.defined else None, mv.defined]
@@ -197,6 +199,8 @@ _TRAIN_FIELDS = ("learning_rate", "max_epochs", "batch_size", "pretrain_epochs_c
 
 def _experiment_setup(cfg: dict, seed_override: int | None):
     seed = cfg.get("seed", 0) if seed_override is None else seed_override
+    if seed < 0:
+        raise OutOfRange("seed must be >= 0")
     synth = {field: cfg[key] for key, field in _SYNTH_FIELDS.items() if key in cfg}
     synth.setdefault("seed", derive_seed(seed, 17))
     for keys, field in _SYNTH_PAIRS.items():

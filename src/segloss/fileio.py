@@ -1,14 +1,14 @@
 """Mask file formats, report serialization, and the experiment config
 parser.
 
-Mask formats:
-
-* 2D binary: PGM P5, maxval 255, pixels restricted to {0, 255};
-* 2D probability: PGM P5, maxval 65535, big-endian (per the netpbm
-  convention), value v read as v/65535;
-* 3D: a one-line header ``MSK1 <nx> <ny> <nz> <u8|u16>\\n`` followed by the
-  raw little-endian payload, row-major with x fastest; u8 is binary with
-  pixels in {0, 255}, u16 a probability map scaled as above.
+Mask formats: 2D payloads are PGM P5 files, 3D payloads a one-line header
+``MSK1 <nx> <ny> <nz> <u8|u16>\\n`` followed by the raw payload, row-major
+with x fastest.  Both containers carry the same two sample encodings: one
+byte, a binary mask with pixels in {0, 255} (PGM maxval 255, MSK1 u8), or
+two bytes, a probability map with value v read as v/65535 (PGM maxval
+65535, MSK1 u16).  The tables ``_PGM_DTYPES`` and ``_MSK_DTYPES`` are the
+one place that maps each header to its sample dtype and byte order, and
+``_decode`` the one place that turns samples into a mask.
 
 Reports are written as a CSV and a JSON mirror carrying identical values;
 floats are serialized with 17 significant digits so they parse back
@@ -34,24 +34,16 @@ from .errors import (
 )
 from .masks import BinaryMask, ProbMap
 
-PGM2D = "pgm2d"
-MSK3D = "msk3d"
-
 _U16_MAX = 65535
+# the sample dtype of each PGM maxval and MSK1 sample kind; netpbm samples
+# are big-endian and MSK1 samples little-endian
+_PGM_DTYPES = {255: "u1", _U16_MAX: ">u2"}
+_MSK_DTYPES = {"u8": "u1", "u16": "<u2"}
 
 
-@dataclass(frozen=True)
-class MaskFile:
-    path: str
-    format: str  # PGM2D | MSK3D
-    payload: BinaryMask | ProbMap
-
-
-def _parse_pgm_header(blob: bytes):
-    """Parse the P5 magic plus three header integers, honouring netpbm
-    whitespace and # comments.  Returns (width, height, maxval, offset)."""
-    if not blob.startswith(b"P5"):
-        raise MalformedHeader("not a P5 PGM file")
+def _read_pgm(blob: bytes):
+    """Parse the three header integers after the P5 magic, honouring netpbm
+    whitespace and # comments.  Returns (dims, payload offset, dtype)."""
     pos = 2
     fields = []
     while len(fields) < 3:
@@ -70,42 +62,18 @@ def _parse_pgm_header(blob: bytes):
         fields.append(int(token))
     if pos >= len(blob) or not blob[pos:pos + 1].isspace():
         raise MalformedHeader("missing whitespace after maxval")
-    pos += 1  # exactly one whitespace byte before the raster
     w, h, maxval = fields
     if w < 1 or h < 1:
         raise MalformedHeader(f"bad raster size {w}x{h}")
-    return w, h, maxval, pos
+    if maxval not in _PGM_DTYPES:
+        raise MalformedHeader(f"unsupported maxval {maxval} (255 or 65535)")
+    # exactly one whitespace byte before the raster
+    return (w, h, 1), pos + 1, _PGM_DTYPES[maxval]
 
 
-def _read_pgm(path: str, blob: bytes) -> MaskFile:
-    w, h, maxval, pos = _parse_pgm_header(blob)
-    if maxval == 255:
-        need = w * h
-        raw = blob[pos:]
-        if len(raw) < need:
-            raise TruncatedPayload(f"expected {need} bytes, found {len(raw)}")
-        if len(raw) > need:
-            raise MalformedHeader(f"{len(raw) - need} trailing bytes after raster")
-        data = np.frombuffer(raw, dtype=np.uint8)
-        bad = (data != 0) & (data != 255)
-        if bad.any():
-            raise NonBinaryPixel(
-                f"binary mask contains value {int(data[bad][0])} (only 0/255 allowed)"
-            )
-        return MaskFile(path, PGM2D, BinaryMask((w, h, 1), (data == 255).astype(np.uint8)))
-    if maxval == _U16_MAX:
-        need = w * h * 2
-        raw = blob[pos:]
-        if len(raw) < need:
-            raise TruncatedPayload(f"expected {need} bytes, found {len(raw)}")
-        if len(raw) > need:
-            raise MalformedHeader(f"{len(raw) - need} trailing bytes after raster")
-        vals = np.frombuffer(raw, dtype=">u2").astype(np.float64) / _U16_MAX
-        return MaskFile(path, PGM2D, ProbMap((w, h, 1), vals))
-    raise MalformedHeader(f"unsupported maxval {maxval} (255 or 65535)")
-
-
-def _read_msk(path: str, blob: bytes) -> MaskFile:
+def _read_msk(blob: bytes):
+    """Parse the ``MSK1 <nx> <ny> <nz> <kind>`` line.  Returns (dims,
+    payload offset, dtype)."""
     nl = blob.find(b"\n")
     if nl < 0:
         raise MalformedHeader("missing header line")
@@ -116,42 +84,44 @@ def _read_msk(path: str, blob: bytes) -> MaskFile:
         nx, ny, nz = (int(v) for v in parts[1:4])
     except ValueError as exc:
         raise MalformedHeader(f"bad dims in header {blob[:nl]!r}") from exc
-    kind = parts[4]
     if min(nx, ny, nz) < 1:
         raise MalformedHeader(f"bad dims {nx}x{ny}x{nz}")
-    d = nx * ny * nz
-    raw = blob[nl + 1:]
-    if kind == "u8":
-        need = d
-    elif kind == "u16":
-        need = 2 * d
-    else:
-        raise MalformedHeader(f"unknown sample kind {kind!r}")
+    if parts[4] not in _MSK_DTYPES:
+        raise MalformedHeader(f"unknown sample kind {parts[4]!r}")
+    return (nx, ny, nz), nl + 1, _MSK_DTYPES[parts[4]]
+
+
+def _decode(dims, raw: bytes, dtype: str) -> BinaryMask | ProbMap:
+    """One-byte samples are a binary mask with pixels in {0, 255}; two-byte
+    samples a probability map, value v read as v/65535."""
+    dt = np.dtype(dtype)
+    need = dims[0] * dims[1] * dims[2] * dt.itemsize
     if len(raw) < need:
         raise TruncatedPayload(f"expected {need} bytes, found {len(raw)}")
     if len(raw) > need:
         raise MalformedHeader(f"{len(raw) - need} trailing bytes after payload")
-    if kind == "u8":
-        data = np.frombuffer(raw, dtype=np.uint8)
-        bad = (data != 0) & (data != 255)
-        if bad.any():
-            raise NonBinaryPixel(
-                f"binary mask contains value {int(data[bad][0])} (only 0/255 allowed)"
-            )
-        return MaskFile(path, MSK3D, BinaryMask((nx, ny, nz), (data == 255).astype(np.uint8)))
-    vals = np.frombuffer(raw, dtype="<u2").astype(np.float64) / _U16_MAX
-    return MaskFile(path, MSK3D, ProbMap((nx, ny, nz), vals))
+    data = np.frombuffer(raw, dtype=dt)
+    if dt.itemsize == 2:
+        return ProbMap(dims, data.astype(np.float64) / _U16_MAX)
+    bad = (data != 0) & (data != 255)
+    if bad.any():
+        raise NonBinaryPixel(
+            f"binary mask contains value {int(data[bad][0])} (only 0/255 allowed)"
+        )
+    return BinaryMask(dims, (data == 255).astype(np.uint8))
 
 
-def read_mask(path: str) -> MaskFile:
+def read_mask(path: str) -> BinaryMask | ProbMap:
     """Load a mask/probability file, detecting the format by its magic."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob.startswith(b"P5"):
-        return _read_pgm(path, blob)
-    if blob.startswith(b"MSK1"):
-        return _read_msk(path, blob)
-    raise MalformedHeader("unknown file magic (expected P5 or MSK1)")
+        dims, pos, dtype = _read_pgm(blob)
+    elif blob.startswith(b"MSK1"):
+        dims, pos, dtype = _read_msk(blob)
+    else:
+        raise MalformedHeader("unknown file magic (expected P5 or MSK1)")
+    return _decode(dims, blob[pos:], dtype)
 
 
 def _atomic_write(path: str, blob: bytes) -> None:
@@ -171,20 +141,15 @@ def write_mask(payload: BinaryMask | ProbMap, path: str) -> None:
     """Write a mask or probability map: 2D payloads as PGM, 3D as the MSK1
     container.  Probabilities are quantized to 16 bits."""
     nx, ny, nz = payload.dims
+    binary = isinstance(payload, BinaryMask)
     if nz == 1:
-        if isinstance(payload, BinaryMask):
-            header = f"P5\n{nx} {ny}\n255\n".encode("ascii")
-            body = (payload.data * np.uint8(255)).tobytes()
-        else:
-            header = f"P5\n{nx} {ny}\n{_U16_MAX}\n".encode("ascii")
-            body = np.round(payload.data * _U16_MAX).astype(">u2").tobytes()
-    elif isinstance(payload, BinaryMask):
-        header = f"MSK1 {nx} {ny} {nz} u8\n".encode("ascii")
-        body = (payload.data * np.uint8(255)).tobytes()
+        maxval = 255 if binary else _U16_MAX
+        header, dtype = f"P5\n{nx} {ny}\n{maxval}\n", _PGM_DTYPES[maxval]
     else:
-        header = f"MSK1 {nx} {ny} {nz} u16\n".encode("ascii")
-        body = np.round(payload.data * _U16_MAX).astype("<u2").tobytes()
-    _atomic_write(path, header + body)
+        kind = "u8" if binary else "u16"
+        header, dtype = f"MSK1 {nx} {ny} {nz} {kind}\n", _MSK_DTYPES[kind]
+    body = payload.data * np.uint8(255) if binary else np.round(payload.data * _U16_MAX)
+    _atomic_write(path, header.encode("ascii") + body.astype(dtype).tobytes())
 
 
 @dataclass

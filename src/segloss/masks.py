@@ -17,55 +17,39 @@ from .errors import DimMismatch, OutOfRange
 Dims = tuple[int, int, int]
 
 
-def _normalize_dims(dims) -> Dims:
-    t = tuple(int(v) for v in dims)
-    if len(t) == 2:
-        t = (t[0], t[1], 1)
-    if len(t) != 3 or any(v < 1 for v in t):
-        raise ValueError(f"dims must be 2 or 3 positive pixel counts, got {dims!r}")
-    return t
-
-
 @dataclass(frozen=True, eq=False)
-class BinaryMask:
-    """Flat binary label vector; the sets of foreground pixels."""
+class _FlatMap:
+    """A flat vector with its (nx, ny, nz) dims; each subclass sets the
+    vector's ``_dtype`` and checks its values in ``_check(data)``."""
 
     dims: Dims
-    data: np.ndarray  # uint8 in {0, 1}, length nx*ny*nz
+    data: np.ndarray
 
     def __post_init__(self):
-        dims = _normalize_dims(self.dims)
-        data = np.ascontiguousarray(self.data, dtype=np.uint8).ravel()
-        if data.size != dims[0] * dims[1] * dims[2]:
-            raise ValueError(
-                f"data length {data.size} != product of dims {dims}"
-            )
-        if data.size and data.max() > 1:
-            raise ValueError("binary mask values must be 0 or 1")
-        object.__setattr__(self, "dims", dims)
+        t = tuple(int(v) for v in self.dims)
+        if len(t) == 2:
+            t = (t[0], t[1], 1)
+        if len(t) != 3 or any(v < 1 for v in t):
+            raise ValueError(f"dims must be 2 or 3 positive pixel counts, got {self.dims!r}")
+        data = np.ascontiguousarray(self.data, dtype=self._dtype).ravel()
+        if data.size != t[0] * t[1] * t[2]:
+            raise ValueError(f"data length {data.size} != product of dims {t}")
+        if data.size:
+            self._check(data)
+        object.__setattr__(self, "dims", t)
         object.__setattr__(self, "data", data)
 
     @property
     def d(self) -> int:
         return self.data.size
 
-    def count(self) -> int:
-        """Number of foreground pixels |y|."""
-        return int(self.data.sum())
-
     @classmethod
-    def from_array(cls, arr) -> "BinaryMask":
-        """Build from a (ny, nx) or (nz, ny, nx) array of 0/1 values."""
+    def from_array(cls, arr):
+        """Build from a (ny, nx) or (nz, ny, nx) array."""
         a = np.asarray(arr)
-        if a.ndim == 2:
-            ny, nx = a.shape
-            dims = (nx, ny, 1)
-        elif a.ndim == 3:
-            nz, ny, nx = a.shape
-            dims = (nx, ny, nz)
-        else:
+        if a.ndim not in (2, 3):
             raise ValueError("expected a 2D or 3D array")
-        return cls(dims, a.ravel())
+        return cls(a.shape[::-1], a.ravel())
 
     def to_array(self) -> np.ndarray:
         """Spatial view shaped (nz, ny, nx)."""
@@ -73,45 +57,29 @@ class BinaryMask:
         return self.data.reshape(nz, ny, nx)
 
 
-@dataclass(frozen=True, eq=False)
-class ProbMap:
-    """Relaxed prediction vector in [0, 1]^d with the same dims contract."""
+class BinaryMask(_FlatMap):
+    """Flat binary label vector (uint8 in {0, 1}); the sets of foreground pixels."""
 
-    dims: Dims
-    data: np.ndarray  # float64 in [0, 1]
+    _dtype = np.uint8
 
-    def __post_init__(self):
-        dims = _normalize_dims(self.dims)
-        data = np.ascontiguousarray(self.data, dtype=np.float64).ravel()
-        if data.size != dims[0] * dims[1] * dims[2]:
-            raise ValueError(
-                f"data length {data.size} != product of dims {dims}"
-            )
-        if data.size and (data.min() < 0.0 or data.max() > 1.0):
+    def _check(self, data):
+        if data.max() > 1:
+            raise ValueError("binary mask values must be 0 or 1")
+
+    def count(self) -> int:
+        """Number of foreground pixels |y|."""
+        return int(self.data.sum())
+
+
+class ProbMap(_FlatMap):
+    """Relaxed prediction vector (float64 in [0, 1]) with the same dims contract."""
+
+    _dtype = np.float64
+
+    def _check(self, data):
+        # written so that NaN fails too
+        if not (data.min() >= 0.0 and data.max() <= 1.0):
             raise ValueError("probability values must lie in [0, 1]")
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "data", data)
-
-    @property
-    def d(self) -> int:
-        return self.data.size
-
-    @classmethod
-    def from_array(cls, arr) -> "ProbMap":
-        a = np.asarray(arr, dtype=np.float64)
-        if a.ndim == 2:
-            ny, nx = a.shape
-            dims = (nx, ny, 1)
-        elif a.ndim == 3:
-            nz, ny, nx = a.shape
-            dims = (nx, ny, nz)
-        else:
-            raise ValueError("expected a 2D or 3D array")
-        return cls(dims, a.ravel())
-
-    def to_array(self) -> np.ndarray:
-        nx, ny, nz = self.dims
-        return self.data.reshape(nz, ny, nx)
 
 
 @dataclass(frozen=True)

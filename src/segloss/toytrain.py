@@ -412,12 +412,6 @@ class ExperimentResult:
     folds: np.ndarray     # fold id per image
     fg_sizes: np.ndarray  # ground-truth foreground count per image
 
-    def arm(self, name: str) -> ArmScores:
-        for a in self.arms:
-            if a.name == name:
-                return a
-        raise KeyError(name)
-
 
 def run_loss_comparison(
     data: SampleSet,

@@ -9,7 +9,7 @@ import inspect
 
 import numpy as np
 
-from segloss import cli, losses, metrics, toytrain
+from segloss import cli, fileio, losses, metrics, toytrain
 from segloss.masks import BinaryMask
 
 
@@ -27,6 +27,10 @@ def test_probe_calls_train_score_images_and_subset_positionally():
     inspect.signature(toytrain.score_images).bind("data", "idx", "w")
     inspect.signature(toytrain.SampleSet.subset).bind("self", "idx")
     assert isinstance(toytrain.derive_seed(0, 0), int)
+
+
+def test_span_reads_the_mask_path_argument_by_name():
+    assert "path" in inspect.signature(fileio.read_mask).parameters
 
 
 def test_hausdorff_row_resolves_the_module_function_at_call_time(monkeypatch):

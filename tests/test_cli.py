@@ -149,6 +149,18 @@ def test_evaluate_non_finite_metric_value_is_numeric_failure(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["pair", "empty_pred"])
+@pytest.mark.parametrize("value", ["1.5", "-0.1", "nan"])
+def test_evaluate_threshold_outside_unit_interval_is_usage_error(tmp_path, capsys, case, value):
+    # checked before any file is read, so a binary prediction, which is
+    # never thresholded, fails the same way as a probability map
+    gt, pred = write_eval_inputs(tmp_path, case)
+    out = tmp_path / "out"
+    assert cli.main(["--out-dir", str(out), "evaluate", gt, pred, "--threshold", value]) == 1
+    assert capsys.readouterr().err.startswith("segloss: usage error: --threshold must lie in [0, 1]")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("dmax", ["0", "-3"])
 def test_bounds_dmax_below_one_is_usage_error(tmp_path, capsys, dmax):
     assert cli.main(["--out-dir", str(tmp_path), "bounds", "--pair", "dice-jaccard", "--dmax", dmax]) == 1
@@ -316,6 +328,8 @@ def test_train_arms_equal_in_g_format_get_distinct_reports(tmp_path):
      "usage error: fgbg_ratios must have distinct report names, got fgbg_0p3 twice"),
     ("sweep", ("n_resamples = 1000", "n_resamples = 500"), 1,
      "usage error: n_resamples must be >= 1000"),
+    ("train", ("n_resamples = 1000", "n_resamples = 1000\nseed = -1"), 1,
+     "usage error: seed must be >= 0"),
 ])
 def test_experiment_config_errors_stop_before_training(tmp_path, capsys, monkeypatch,
                                                        command, edit, code, message):
@@ -328,6 +342,20 @@ def test_experiment_config_errors_stop_before_training(tmp_path, capsys, monkeyp
     out = tmp_path / "out"
     assert cli.main(["--out-dir", str(out), command, str(cfg)]) == code
     assert capsys.readouterr().err.startswith(f"segloss: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_negative_seed_flag_is_usage_error(tmp_path, capsys, monkeypatch, command):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data was generated")
+
+    monkeypatch.setattr(cli, "generate_dataset", no_data)
+    cfg = tmp_path / f"{command}.cfg"
+    cfg.write_text({"train": TINY_TRAIN, "sweep": TINY_SWEEP}[command])
+    out = tmp_path / "out"
+    assert cli.main(["--seed", "-1", "--out-dir", str(out), command, str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("segloss: usage error: seed must be >= 0")
     assert not out.exists()
 
 

@@ -46,16 +46,16 @@ def test_pgm_binary_round_trip(tmp_path):
     path = tmp_path / "m.pgm"
     write_mask(m, str(path))
     got = read_mask(str(path))
-    assert got.format == "pgm2d"
-    assert got.payload.dims == m.dims
-    assert np.array_equal(got.payload.data, m.data)
+    assert path.read_bytes().startswith(b"P5\n")
+    assert got.dims == m.dims
+    assert np.array_equal(got.data, m.data)
 
 
 def test_pgm_prob_round_trip_and_endpoints(tmp_path):
     p = ProbMap((3, 1, 1), np.array([0.0, 1.0, 32768 / 65535]))
     path = tmp_path / "p.pgm"
     write_mask(p, str(path))
-    got = read_mask(str(path)).payload
+    got = read_mask(str(path))
     assert isinstance(got, ProbMap)
     assert got.data[0] == 0.0
     assert got.data[1] == 1.0
@@ -70,9 +70,9 @@ def test_msk_round_trips(tmp_path):
         path = tmp_path / name
         write_mask(payload, str(path))
         got = read_mask(str(path))
-        assert got.format == "msk3d"
-        assert got.payload.dims == payload.dims
-        assert np.array_equal(got.payload.data, payload.data)
+        assert path.read_bytes().startswith(b"MSK1 ")
+        assert got.dims == payload.dims
+        assert np.array_equal(got.data, payload.data)
 
 
 def test_file_level_round_trip_is_byte_exact(tmp_path):
@@ -81,7 +81,7 @@ def test_file_level_round_trip_is_byte_exact(tmp_path):
     p1 = tmp_path / "a.pgm"
     p2 = tmp_path / "b.pgm"
     write_mask(m, str(p1))
-    write_mask(read_mask(str(p1)).payload, str(p2))
+    write_mask(read_mask(str(p1)), str(p2))
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -103,6 +103,46 @@ def test_pgm_rejects_truncated_and_trailing(tmp_path):
         read_mask(str(extra))
 
 
+# (header, bytes per sample) for each container and sample kind
+LAYOUTS = [
+    (b"P5\n2 2\n255\n", 1),
+    (b"P5\n2 2\n65535\n", 2),
+    (b"MSK1 2 1 2 u8\n", 1),
+    (b"MSK1 2 1 2 u16\n", 2),
+]
+
+
+@pytest.mark.parametrize("header, width", LAYOUTS)
+def test_every_layout_rejects_truncated_and_trailing(tmp_path, header, width):
+    path = tmp_path / "m"
+    path.write_bytes(header + bytes(4 * width))
+    assert read_mask(str(path)).d == 4
+    path.write_bytes(header + bytes(4 * width - 1))
+    with pytest.raises(TruncatedPayload):
+        read_mask(str(path))
+    path.write_bytes(header + bytes(4 * width + 1))
+    with pytest.raises(MalformedHeader):
+        read_mask(str(path))
+
+
+@pytest.mark.parametrize("header", [h for h, width in LAYOUTS if width == 1])
+def test_every_container_rejects_nonbinary_u8(tmp_path, header):
+    path = tmp_path / "m"
+    path.write_bytes(header + bytes([0, 255, 7, 0]))
+    with pytest.raises(NonBinaryPixel):
+        read_mask(str(path))
+
+
+def test_msk_with_one_slice_reads_as_2d_and_writes_as_pgm(tmp_path):
+    src, dst = tmp_path / "a.msk", tmp_path / "b.pgm"
+    src.write_bytes(b"MSK1 3 2 1 u8\n" + bytes([0, 255, 255, 0, 0, 255]))
+    got = read_mask(str(src))
+    assert got.dims == (3, 2, 1)
+    assert got.data.tolist() == [0, 1, 1, 0, 0, 1]
+    write_mask(got, str(dst))
+    assert dst.read_bytes() == b"P5\n3 2\n255\n" + bytes([0, 255, 255, 0, 0, 255])
+
+
 def test_pgm_rejects_bad_headers(tmp_path):
     for blob in (b"P6\n2 2\n255\n" + bytes(12),
                  b"P5\n2 x\n255\n" + bytes(4),
@@ -116,7 +156,7 @@ def test_pgm_rejects_bad_headers(tmp_path):
 def test_pgm_accepts_comments(tmp_path):
     path = tmp_path / "c.pgm"
     path.write_bytes(b"P5\n# a comment\n2 1\n255\n" + bytes([255, 0]))
-    got = read_mask(str(path)).payload
+    got = read_mask(str(path))
     assert got.data.tolist() == [1, 0]
 
 
@@ -150,7 +190,7 @@ def test_round_trip_property(nx, ny, binary, seed):
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "m.pgm")
         write_mask(payload, path)
-        got = read_mask(path).payload
+        got = read_mask(path)
         assert got.dims == payload.dims
         assert np.array_equal(got.data, payload.data)
 

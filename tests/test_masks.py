@@ -125,6 +125,8 @@ def test_mask_validation():
         BinaryMask((3, 1, 1), np.array([0, 1]))
     with pytest.raises(ValueError):
         ProbMap((2, 1, 1), np.array([0.5, 1.2]))
+    with pytest.raises(ValueError):
+        ProbMap((1, 1, 1), [np.nan])
 
 
 def test_mask_array_round_trip_layout():
@@ -134,6 +136,22 @@ def test_mask_array_round_trip_layout():
     # flat index x + nx*y
     assert m.data.tolist() == [0, 1, 0, 1, 1, 0]
     assert np.array_equal(m.to_array()[0], arr)
+
+
+@pytest.mark.parametrize("cls, values", [(BinaryMask, [0, 1]), (ProbMap, [0.0, 0.25, 1.0])])
+def test_mask_3d_array_round_trip(cls, values):
+    arr = np.array(values)[np.arange(24).reshape(2, 3, 4) % len(values)]  # (nz, ny, nx)
+    m = cls.from_array(arr)
+    assert m.dims == (4, 3, 2)
+    # flat index x + nx*(y + ny*z)
+    assert m.data[1 + 4 * (2 + 3 * 1)] == arr[1, 2, 1]
+    assert np.array_equal(m.to_array(), arr)
+
+
+@pytest.mark.parametrize("cls", [BinaryMask, ProbMap])
+def test_from_array_rejects_1d(cls):
+    with pytest.raises(ValueError):
+        cls.from_array(np.zeros(4))
 
 
 @given(st.integers(min_value=1, max_value=4), st.data())
