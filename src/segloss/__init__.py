@@ -1,18 +1,17 @@
 """Segmentation overlap metrics, their differentiable surrogate losses,
 approximation-bound verification, and a desk-scale training harness."""
 
-from .masks import BinaryMask, ConfusionCounts, ProbMap, confusion_counts, threshold
+from .masks import BinaryMask, ProbMap, confusion_counts, threshold
 from .metrics import (
     MetricValue,
     dice,
-    dice_jaccard_convert,
     evaluate,
     hamming,
     jaccard,
     tversky,
     weighted_hamming,
 )
-from .losses import LossEval, LossSpec, eval_loss, finite_diff_gradient, vertex_consistency_check
+from .losses import LossSpec, finite_diff_gradient, vertex_consistency_check
 from .bounds import (
     BoundReport,
     brute_force_sup,

@@ -12,8 +12,10 @@ one place that maps each header to its sample dtype and byte order, and
 
 Reports are written as a CSV and a JSON mirror carrying identical values;
 floats are serialized with 17 significant digits so they parse back
-bit-exactly.  All files are written to a temp name and atomically renamed,
-so failed commands leave no partial reports behind.
+bit-exactly.  Only the JSON mirror is read back; ``read_report_json``
+rejects rows whose width differs from the columns'.  All files are
+written to a temp name and atomically renamed, so failed commands leave
+no partial reports behind.
 """
 
 from __future__ import annotations
@@ -171,23 +173,6 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def parse_cell(text: str):
-    if text == "":
-        return None
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
 def _csv_bytes(table: ReportTable) -> bytes:
     lines = [",".join(table.columns)]
     for row in table.rows:
@@ -223,17 +208,6 @@ def write_report(table: ReportTable, out_dir: str, basename: str) -> tuple[str, 
     return csv_path, json_path
 
 
-def read_report_csv(path: str) -> ReportTable:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise DataError(f"{path}: empty report")
-    columns = lines[0].split(",")
-    rows = [[parse_cell(c) for c in line.split(",")] for line in lines[1:]]
-    name = os.path.splitext(os.path.basename(path))[0]
-    return ReportTable(name, columns, rows)
-
-
 def read_report_json(path: str) -> ReportTable:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -241,9 +215,14 @@ def read_report_json(path: str) -> ReportTable:
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DataError(f"{path}: not valid JSON ({exc})") from exc
     try:
-        return ReportTable(doc["name"], list(doc["columns"]), [list(r) for r in doc["rows"]])
+        name, columns, rows = doc["name"], doc["columns"], doc["rows"]
     except (KeyError, TypeError) as exc:
         raise DataError(f"{path}: not a report document") from exc
+    if not (isinstance(columns, list) and all(isinstance(c, str) for c in columns)):
+        raise DataError(f"{path}: columns must be a list of names")
+    if not (isinstance(rows, list) and all(isinstance(r, list) and len(r) == len(columns) for r in rows)):
+        raise DataError(f"{path}: every row must be a list of {len(columns)} cells")
+    return ReportTable(name, columns, rows)
 
 
 def parse_config_text(text: str, schema: dict) -> dict:

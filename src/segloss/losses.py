@@ -33,7 +33,7 @@ verifies pairwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -43,13 +43,6 @@ from .errors import OutOfDomain, OutOfRange
 from .masks import BinaryMask, ProbMap, check_dims
 
 DEFAULT_CLAMP_EPS = 1e-7
-
-
-@dataclass(frozen=True)
-class LossEval:
-    value: float
-    gradient: np.ndarray = field(repr=False)
-    degenerate: bool = False
 
 
 def gamma_for_prior(fg_prior: float) -> float:
@@ -276,13 +269,6 @@ def loss_gradient(spec: LossSpec, y: np.ndarray, p: np.ndarray) -> np.ndarray:
     return _kernel(spec, y, p, False, True)[1]
 
 
-def eval_loss(spec: LossSpec, y: BinaryMask, p: ProbMap) -> LossEval:
-    """Loss value and the exact analytic gradient d(loss)/dp."""
-    check_dims(y, p)
-    value, grad, degenerate = eval_loss_arrays(spec, y.data, p.data)
-    return LossEval(value, grad, degenerate)
-
-
 def finite_diff_gradient(spec: LossSpec, y: BinaryMask, p: ProbMap, h: float) -> np.ndarray:
     """Central-difference gradient (L(p + h e_i) - L(p - h e_i)) / 2h.
 
@@ -319,7 +305,6 @@ def vertex_consistency_check(spec: LossSpec, y: BinaryMask, yhat: BinaryMask):
     valued), so equal is generally False for them.
     """
     check_dims(y, yhat)
-    p = ProbMap(yhat.dims, yhat.data.astype(np.float64))
-    surrogate = eval_loss(spec, y, p).value
+    surrogate = loss_value(spec, y.data, yhat.data)
     discrete = 1.0 - LOSSES[spec.kind].counterpart(y, yhat, *spec.params)
     return surrogate, discrete, abs(surrogate - discrete) < VERTEX_TOL

@@ -1,4 +1,5 @@
-"""Mask and probability-map containers plus set-count primitives.
+"""Mask and probability-map containers plus set-count primitives, which
+return the plain ``(tp, fp, fn)`` tuple; tn is ``d - tp - fp - fn``.
 
 Masks are stored as flat vectors with explicit ``(nx, ny, nz)`` dims
 (``nz = 1`` for 2D).  Flat index ``i = x + nx*(y + ny*z)``: x runs fastest.
@@ -82,20 +83,6 @@ class ProbMap(_FlatMap):
             raise ValueError("probability values must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
-    """Pixel counts tp = |y ∩ ŷ|, fp = |ŷ \\ y|, fn = |y \\ ŷ|, tn = rest."""
-
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-
-    @property
-    def d(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
-
 def check_dims(a, b) -> None:
     if a.dims != b.dims:
         raise DimMismatch(f"dims differ: {a.dims} vs {b.dims}")
@@ -109,12 +96,10 @@ def overlap_counts(truth: np.ndarray, pred: np.ndarray) -> tuple[int, int, int]:
     return tp, fp, fn
 
 
-def confusion_counts(y: BinaryMask, yhat: BinaryMask) -> ConfusionCounts:
-    """Exact set cardinalities for a pair of binary masks."""
+def confusion_counts(y: BinaryMask, yhat: BinaryMask) -> tuple[int, int, int]:
+    """(tp, fp, fn) = (|y ∩ ŷ|, |ŷ \\ y|, |y \\ ŷ|) for a pair of binary masks."""
     check_dims(y, yhat)
-    tp, fp, fn = overlap_counts(y.data.astype(bool), yhat.data.astype(bool))
-    tn = y.d - tp - fp - fn
-    return ConfusionCounts(tp, fp, fn, tn)
+    return overlap_counts(y.data.astype(bool), yhat.data.astype(bool))
 
 
 def threshold(p: ProbMap, t: float) -> BinaryMask:

@@ -102,8 +102,7 @@ def fbeta_from_counts(tp, fp, fn, d, b):
 
 def _score(kind: str, y: BinaryMask, yhat: BinaryMask, *params: float) -> float:
     mid = MetricId(kind, params)
-    c = confusion_counts(y, yhat)
-    return float(mid.counts(c.tp, c.fp, c.fn, c.d))
+    return float(mid.counts(*confusion_counts(y, yhat), y.d))
 
 
 def dice(y: BinaryMask, yhat: BinaryMask) -> float:
@@ -133,26 +132,6 @@ def tversky(y: BinaryMask, yhat: BinaryMask, alpha: float, beta: float) -> float
     """Tversky index weighting false positives by alpha, false negatives
     by beta.  Equals Dice at alpha = beta = 0.5 and Jaccard at 1, 1."""
     return _score("tversky", y, yhat, alpha, beta)
-
-
-def dice_to_jaccard(value: float) -> float:
-    return value / (2.0 - value)
-
-
-def jaccard_to_dice(value: float) -> float:
-    return 2.0 * value / (1.0 + value)
-
-
-def dice_jaccard_convert(value: float, direction: str) -> float:
-    """Convert between the two scores: "d2j" gives D/(2-D), "j2d" gives
-    2J/(1+J).  The two directions are mutually inverse."""
-    if not 0.0 <= value <= 1.0:
-        raise OutOfRange(f"similarity value must lie in [0, 1], got {value}")
-    if direction == "d2j":
-        return dice_to_jaccard(value)
-    if direction == "j2d":
-        return jaccard_to_dice(value)
-    raise OutOfRange(f"direction must be 'd2j' or 'j2d', got {direction!r}")
 
 
 def _min_plus(g: np.ndarray, axis: int) -> np.ndarray:
@@ -329,12 +308,12 @@ def evaluate(tokens, y: BinaryMask, yhat: BinaryMask) -> list[MetricValue]:
     mids = [parse_metric_id(t) for t in tokens if t.strip()]
     if not mids:
         raise OutOfRange("no metrics requested")
-    c = confusion_counts(y, yhat)
+    counts = (*confusion_counts(y, yhat), y.d)
     out = []
     for mid in mids:
         masks = METRICS[mid.kind].masks
         if masks is not None:
             out.append(masks(y, yhat))
         else:
-            out.append(MetricValue(mid.label(), float(mid.counts(c.tp, c.fp, c.fn, c.d))))
+            out.append(MetricValue(mid.label(), float(mid.counts(*counts))))
     return out

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,14 +75,15 @@ class SyntheticConfig:
         rmin, rmax = self.object_radius_range
         if nx < 4 or ny < 4:
             raise OutOfRange("image dims too small")
-        if rmin <= 0 or rmax < rmin:
+        # each check is written so that NaN fails it
+        if not 0 < rmin <= rmax:
             raise OutOfRange("invalid radius range")
         if 2 * rmax + 4 > min(nx, ny):
             raise InfeasibleConfig("largest radius does not fit inside dims")
         if not 0.0 < self.fg_prior_target < 1.0:
             raise OutOfRange("fg_prior_target must lie in (0, 1)")
-        if self.noise_sigma < 0:
-            raise OutOfRange("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise OutOfRange("noise_sigma must be finite and >= 0")
         if not 0.0 <= self.gain_jitter < 1.0:
             raise OutOfRange("gain_jitter must lie in [0, 1)")
         if self.seed < 0:
@@ -223,8 +224,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise OutOfRange("learning_rate must be > 0")
+        # written so that NaN fails it
+        if not 0 < self.learning_rate < math.inf:
+            raise OutOfRange("learning_rate must be finite and > 0")
         if self.max_epochs < 0 or self.pretrain_epochs_ce < 0:
             raise OutOfRange("epoch counts must be >= 0")
         if self.batch_size < 1 or self.early_stop_patience < 1:
@@ -403,7 +405,6 @@ class ArmScores:
     name: str
     spec: LossSpec
     scores: dict[str, np.ndarray]
-    fold_weights: list[np.ndarray | None] = field(repr=False)
 
 
 @dataclass
@@ -447,7 +448,7 @@ def run_loss_comparison(
     fold_of = np.arange(n) % folds
     fg_sizes = data.fg_counts()
     arms = [
-        ArmScores(name, spec, {c: np.full(n, np.nan) for c in SCORE_COLUMNS}, [None] * folds)
+        ArmScores(name, spec, {c: np.full(n, np.nan) for c in SCORE_COLUMNS})
         for name, spec in zip(labels, losses)
     ]
 
@@ -457,7 +458,6 @@ def run_loss_comparison(
         test_items = [items[i] for i in test_idx]
         for ai, arm in enumerate(arms):
             res = _fit(train_items, replace(base, loss=arm.spec, seed=derive_seed(seed, f, ai)))
-            arm.fold_weights[f] = res.weights
             for c, values in _score(test_items, res.weights).items():
                 arm.scores[c][test_idx] = values
     return ExperimentResult(arms, fold_of, fg_sizes)

@@ -20,23 +20,11 @@ from util import (
     all_masks,
     frac_dice,
     frac_jaccard,
-    frac_tversky,
     mask_of,
     mask_pair_sup,
     prob_of,
     set_counts,
 )
-
-
-def test_dice_jaccard_closed_form():
-    abs_err, rel_err = dice_jaccard_bounds()
-    assert abs_err == pytest.approx(3 - 2 * math.sqrt(2), abs=1e-15)
-    assert abs_err == pytest.approx(0.171573, abs=5e-7)
-    assert rel_err == 1.0
-    # the maximizing argument satisfies the first-order condition (2-x)^2 = 2
-    x = 2 - math.sqrt(2)
-    assert (2 - x) ** 2 == pytest.approx(2.0, abs=1e-12)
-    assert abs(x - x / (2 - x)) == pytest.approx(abs_err, abs=1e-15)
 
 
 def test_tversky_dice_closed_form_values():
@@ -49,14 +37,9 @@ def test_tversky_dice_closed_form_values():
     assert r2 == pytest.approx(3.0, abs=1e-12)
 
 
-def test_tversky_dice_closed_form_symmetry_and_monotonicity():
+def test_tversky_dice_closed_form_symmetry_and_weight_check():
     for a, b in [(0.1, 0.9), (0.3, 0.4), (1.0, 0.2)]:
         assert tversky_dice_bounds(a, b) == tversky_dice_bounds(b, a)
-    devs = [0.5, 0.6, 0.8, 1.0, 1.5, 3.0]
-    abs_vals = [tversky_dice_bounds(v, v)[0] for v in devs]
-    rel_vals = [tversky_dice_bounds(v, v)[1] for v in devs]
-    assert all(x < y for x, y in zip(abs_vals, abs_vals[1:]))
-    assert all(x < y for x, y in zip(rel_vals, rel_vals[1:]))
     with pytest.raises(NonPositiveWeight):
         tversky_dice_bounds(-1.0, 0.5)
 
@@ -73,10 +56,10 @@ def test_brute_force_d5_value_and_witness():
     w = rep.witness
     assert (w.tp, w.n_true, w.n_pred) == (2, 3, 4)
     # the recorded pair really attains the reported value
-    c = confusion_counts(w.y, w.yhat)
-    assert (c.tp, c.fp, c.fn) == (w.tp, w.fp, w.fn)
-    d_val = float(frac_dice(c.tp, c.fp, c.fn))
-    j_val = float(frac_jaccard(c.tp, c.fp, c.fn))
+    counts = confusion_counts(w.y, w.yhat)
+    assert counts == (w.tp, w.fp, w.fn)
+    d_val = float(frac_dice(*counts))
+    j_val = float(frac_jaccard(*counts))
     assert abs(d_val - j_val) == pytest.approx(rep.empirical_abs, abs=1e-15)
 
 
@@ -154,7 +137,8 @@ def test_brute_force_equals_mask_pair_scan(pair):
         assert _fields(brute_force_sup(*pair, d)) == _fields(mask_pair_sup(*pair, d)), d
 
 
-@pytest.mark.parametrize("b", ["jaccard", "tversky:0.3:0.7", "tversky:2:0.1", "tversky:1:1"])
+# the jaccard case is claim 2 of tests/test_paper_claims.py
+@pytest.mark.parametrize("b", ["tversky:0.3:0.7", "tversky:2:0.1", "tversky:1:1"])
 def test_brute_force_approaches_closed_form(b):
     reps = [brute_force_sup("dice", b, d) for d in (12, 50, 100)]
     assert reps[-1].closed_form_abs - reps[-1].empirical_abs < 1e-6
@@ -162,12 +146,6 @@ def test_brute_force_approaches_closed_form(b):
     assert all(x >= y for x, y in zip(rel_gaps, rel_gaps[1:]))
     if b in ("tversky:0.3:0.7", "tversky:1:1"):
         assert rel_gaps[-1] < 0.05
-
-
-def test_brute_force_whamming_has_no_relative_bound():
-    # weighted Hamming does not relatively approximate Dice: the ratio
-    # keeps growing with d
-    assert brute_force_sup("dice", "whamming:0.5", 100).empirical_rel > 20
 
 
 def test_brute_force_limits():
@@ -202,13 +180,6 @@ def test_blowup_witness_frozen_case():
     assert w.hamming_value == pytest.approx(float(Fraction(89, 99)), abs=1e-15)
     assert w.ratio == pytest.approx(float(Fraction(534, 99)), abs=1e-12)
     assert w.ratio >= 5.39
-
-
-def test_blowup_ratio_grows_without_bound():
-    assert hamming_blowup_witness(0.01).ratio > 49
-    assert hamming_blowup_witness(0.1).ratio < hamming_blowup_witness(0.01).ratio
-    assert hamming_blowup_witness(0.05).ratio > 10
-    assert hamming_blowup_witness(0.005).ratio > 100
 
 
 def test_blowup_range_check():

@@ -1,3 +1,4 @@
+import json
 import os
 import pathlib
 
@@ -253,6 +254,17 @@ def test_report_missing_path_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("columns, rows", [(["a", "b"], [[1, 2, 3], [4]]), ("ab", [[1, 2]])],
+                         ids=["ragged-rows", "string-columns"])
+def test_report_of_a_malformed_table_is_data_error(tmp_path, capsys, columns, rows):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"name": "bad", "columns": columns, "rows": rows}))
+    assert cli.main(["report", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("segloss: data error: ")
+
+
 @pytest.mark.parametrize("argv", [
     ["evaluate", "{gt}", "{dir}"],
     ["evaluate", "{dir}", "{gt}"],
@@ -330,6 +342,16 @@ def test_train_arms_equal_in_g_format_get_distinct_reports(tmp_path):
      "usage error: n_resamples must be >= 1000"),
     ("train", ("n_resamples = 1000", "n_resamples = 1000\nseed = -1"), 1,
      "usage error: seed must be >= 0"),
+    ("train", ("radius_min = 3", "radius_min = nan"), 1, "usage error: invalid radius range"),
+    ("train", ("radius_max = 6", "radius_max = nan"), 1, "usage error: invalid radius range"),
+    ("train", ("n_resamples = 1000", "n_resamples = 1000\nnoise_sigma = nan"), 1,
+     "usage error: noise_sigma must be finite and >= 0"),
+    ("train", ("n_resamples = 1000", "n_resamples = 1000\nnoise_sigma = inf"), 1,
+     "usage error: noise_sigma must be finite and >= 0"),
+    ("train", ("n_resamples = 1000", "n_resamples = 1000\nlearning_rate = nan"), 1,
+     "usage error: learning_rate must be finite and > 0"),
+    ("sweep", ("n_resamples = 1000", "n_resamples = 1000\nlearning_rate = inf"), 1,
+     "usage error: learning_rate must be finite and > 0"),
 ])
 def test_experiment_config_errors_stop_before_training(tmp_path, capsys, monkeypatch,
                                                        command, edit, code, message):

@@ -19,10 +19,8 @@ from segloss.fileio import (
     cfg_int,
     cfg_str_list,
     format_cell,
-    parse_cell,
     parse_config_text,
     read_mask,
-    read_report_csv,
     read_report_json,
     write_mask,
     write_report,
@@ -204,30 +202,36 @@ def test_report_round_trip_17_digits(tmp_path):
     ]
     table = ReportTable("t", ["metric", "value", "defined"], rows)
     csv_path, json_path = write_report(table, str(tmp_path), "t")
-    back = read_report_csv(csv_path)
-    assert back.columns == table.columns
-    assert back.rows == rows
+    with open(csv_path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    assert lines == ["metric,value,defined", "dice,0.33333333333333331,true", "hausdorff,,false",
+                     "rel,inf,true", "count,42,true"]
+    for line, row in zip(lines[1:], rows):
+        if isinstance(row[1], float):
+            assert float(line.split(",")[1]) == row[1]
     jback = read_report_json(json_path)
     assert jback.rows == rows
 
 
 def test_report_cell_formats():
     assert format_cell(1 / 3) == "0.33333333333333331"
-    assert parse_cell("0.33333333333333331") == 1 / 3
+    assert float(format_cell(1 / 3)) == 1 / 3
     assert format_cell(True) == "true"
+    assert format_cell(False) == "false"
     assert format_cell(None) == ""
-    assert parse_cell("") is None
-    assert parse_cell("false") is False
 
 
 def test_report_json_rejects_garbage(tmp_path):
     path = tmp_path / "x.json"
-    path.write_text("{not json")
-    with pytest.raises(DataError):
-        read_report_json(str(path))
-    path.write_text('{"a": 1}')
-    with pytest.raises(DataError):
-        read_report_json(str(path))
+    for text in ["{not json", '{"a": 1}',
+                 '{"name": "t", "columns": ["a", "b"], "rows": [[1, 2, 3], [4]]}',
+                 '{"name": "t", "columns": ["a", "b"], "rows": [[1, 2], [4]]}',
+                 '{"name": "t", "columns": "ab", "rows": [[1, 2]]}',
+                 '{"name": "t", "columns": ["a", 2], "rows": [[1, 2]]}',
+                 '{"name": "t", "columns": ["a", "b"], "rows": ["xy"]}']:
+        path.write_text(text)
+        with pytest.raises(DataError):
+            read_report_json(str(path))
 
 
 def test_config_parser_happy_path():

@@ -6,7 +6,6 @@ from segloss.errors import OutOfDomain, OutOfRange
 from segloss.losses import (
     LOSSES,
     LossSpec,
-    eval_loss,
     eval_loss_arrays,
     finite_diff_gradient,
     gamma_for_prior,
@@ -15,9 +14,7 @@ from segloss.losses import (
     parse_loss_spec,
     vertex_consistency_check,
 )
-from segloss.masks import ProbMap
 from util import (
-    all_masks,
     lovasz_has_near_ties,
     mask_of,
     max_rel_grad_error,
@@ -49,79 +46,78 @@ ALL_KINDS = [
 
 
 def test_soft_dice_l1_frozen_value():
-    ev = eval_loss(LossSpec("soft_dice_l1"), mask_of([1, 0]), prob_of([0.8, 0.2]))
-    assert ev.value == pytest.approx(0.2, abs=1e-15)
+    value, _, _ = eval_loss_arrays(LossSpec("soft_dice_l1"), np.array([1, 0]), np.array([0.8, 0.2]))
+    assert value == pytest.approx(0.2, abs=1e-15)
 
 
 def test_soft_dice_l2_frozen_value():
-    ev = eval_loss(LossSpec("soft_dice_l2"), mask_of([1, 0]), prob_of([0.8, 0.2]))
-    assert ev.value == pytest.approx(1 - 1.6 / 1.68, abs=1e-15)
+    value, _, _ = eval_loss_arrays(LossSpec("soft_dice_l2"), np.array([1, 0]), np.array([0.8, 0.2]))
+    assert value == pytest.approx(1 - 1.6 / 1.68, abs=1e-15)
 
 
 def test_soft_jaccard_frozen_value():
-    ev = eval_loss(LossSpec("soft_jaccard"), mask_of([1, 0]), prob_of([0.8, 0.2]))
-    assert ev.value == pytest.approx(1 / 3, abs=1e-15)
+    value, _, _ = eval_loss_arrays(LossSpec("soft_jaccard"), np.array([1, 0]), np.array([0.8, 0.2]))
+    assert value == pytest.approx(1 / 3, abs=1e-15)
 
 
 def test_lovasz_single_pixel():
-    ev = eval_loss(LossSpec("lovasz"), mask_of([1]), prob_of([0.3]))
-    assert ev.value == pytest.approx(0.7, abs=1e-15)
-    assert ev.gradient.tolist() == [-1.0]
+    value, grad, _ = eval_loss_arrays(LossSpec("lovasz"), np.array([1]), np.array([0.3]))
+    assert value == pytest.approx(0.7, abs=1e-15)
+    assert grad.tolist() == [-1.0]
 
 
 def test_lovasz_worked_pair_hand_trace():
     # errors (0, 1, 1, 0); sorted weights 1/2, 1/6, 1/3, 0 -> loss 2/3
-    ev = eval_loss(LossSpec("lovasz"), mask_of([1, 1, 0, 0]), prob_of([1.0, 0.0, 1.0, 0.0]))
-    assert ev.value == pytest.approx(2 / 3, abs=1e-15)
+    value, _, _ = eval_loss_arrays(LossSpec("lovasz"), np.array([1, 1, 0, 0]), np.array([1.0, 0.0, 1.0, 0.0]))
+    assert value == pytest.approx(2 / 3, abs=1e-15)
 
 
 def test_lovasz_all_background_is_max_like():
-    ev = eval_loss(LossSpec("lovasz"), mask_of([0, 0, 0]), prob_of([0.2, 0.7, 0.4]))
-    assert ev.value == pytest.approx(0.7, abs=1e-15)
+    value, _, _ = eval_loss_arrays(LossSpec("lovasz"), np.array([0, 0, 0]), np.array([0.2, 0.7, 0.4]))
+    assert value == pytest.approx(0.7, abs=1e-15)
 
 
 def test_wce_frozen_gradient():
-    ev = eval_loss(LossSpec("wce", (0.5,)), mask_of([1]), prob_of([0.5]))
-    assert ev.gradient[0] == pytest.approx(-1.0, abs=1e-12)
+    _, grad, _ = eval_loss_arrays(LossSpec("wce", (0.5,)), np.array([1]), np.array([0.5]))
+    assert grad[0] == pytest.approx(-1.0, abs=1e-12)
     fd = finite_diff_gradient(LossSpec("wce", (0.5,)), mask_of([1]), prob_of([0.5]), 1e-6)
     assert fd[0] == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_ce_is_doubled_balanced_wce():
-    y, p = mask_of([1, 0, 1]), prob_of([0.7, 0.4, 0.9])
-    ce = eval_loss(LossSpec("ce"), y, p)
-    wce = eval_loss(LossSpec("wce", (0.5,)), y, p)
-    assert ce.value == pytest.approx(2 * wce.value, abs=1e-15)
-    assert np.allclose(ce.gradient, 2 * wce.gradient, atol=1e-15)
+    y, p = np.array([1, 0, 1]), np.array([0.7, 0.4, 0.9])
+    ce_value, ce_grad, _ = eval_loss_arrays(LossSpec("ce"), y, p)
+    wce_value, wce_grad, _ = eval_loss_arrays(LossSpec("wce", (0.5,)), y, p)
+    assert ce_value == pytest.approx(2 * wce_value, abs=1e-15)
+    assert np.allclose(ce_grad, 2 * wce_grad, atol=1e-15)
 
 
 def test_ce_clamp_keeps_vertex_inputs_finite():
-    y, p = mask_of([1, 0]), prob_of([0.0, 1.0])
-    ev = eval_loss(LossSpec("ce"), y, p)
-    assert np.isfinite(ev.value) and ev.value > 0
-    assert np.all(ev.gradient == 0.0)  # clamp active: flat in p
+    value, grad, _ = eval_loss_arrays(LossSpec("ce"), np.array([1, 0]), np.array([0.0, 1.0]))
+    assert np.isfinite(value) and value > 0
+    assert np.all(grad == 0.0)  # clamp active: flat in p
 
 
 def test_tversky_collapse_exact():
     rng = np.random.default_rng(5)
     for _ in range(50):
         y, p = random_instance(rng, 16)
-        td = eval_loss(LossSpec("tversky", (0.5, 0.5)), y, p)
-        sd = eval_loss(LossSpec("soft_dice_l1"), y, p)
-        assert td.value == sd.value
-        assert np.array_equal(td.gradient, sd.gradient)
-        tj = eval_loss(LossSpec("tversky", (1.0, 1.0)), y, p)
-        sj = eval_loss(LossSpec("soft_jaccard"), y, p)
-        assert tj.value == sj.value
-        assert np.array_equal(tj.gradient, sj.gradient)
+        td = eval_loss_arrays(LossSpec("tversky", (0.5, 0.5)), y.data, p.data)
+        sd = eval_loss_arrays(LossSpec("soft_dice_l1"), y.data, p.data)
+        assert td[0] == sd[0]
+        assert np.array_equal(td[1], sd[1])
+        tj = eval_loss_arrays(LossSpec("tversky", (1.0, 1.0)), y.data, p.data)
+        sj = eval_loss_arrays(LossSpec("soft_jaccard"), y.data, p.data)
+        assert tj[0] == sj[0]
+        assert np.array_equal(tj[1], sj[1])
 
 
 def test_tversky_general_formula_near_collapse_points():
     # the dispatch at exactly 0.5/0.5 must agree with the raw formula nearby
     rng = np.random.default_rng(6)
     y, p = random_instance(rng, 32)
-    at = eval_loss(LossSpec("tversky", (0.5, 0.5)), y, p).value
-    near = eval_loss(LossSpec("tversky", (0.5 + 1e-9, 0.5 - 1e-9)), y, p).value
+    at = eval_loss_arrays(LossSpec("tversky", (0.5, 0.5)), y.data, p.data)[0]
+    near = eval_loss_arrays(LossSpec("tversky", (0.5 + 1e-9, 0.5 - 1e-9)), y.data, p.data)[0]
     assert near == pytest.approx(at, abs=1e-7)
 
 
@@ -129,21 +125,17 @@ def test_perfect_prediction_zero_loss():
     rng = np.random.default_rng(7)
     bits = rng.integers(0, 2, size=12)
     bits[0] = 1  # keep nonempty
-    y = mask_of(bits)
-    p = prob_of(bits.astype(float))
     for spec in METRIC_SENSITIVE:
-        assert eval_loss(spec, y, p).value == pytest.approx(0.0, abs=1e-15)
+        assert eval_loss_arrays(spec, bits, bits.astype(float))[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_degenerate_both_zero():
-    y = mask_of([0, 0, 0])
-    p = prob_of([0.0, 0.0, 0.0])
     for spec in [LossSpec("soft_dice_l1"), LossSpec("soft_dice_l2"),
                  LossSpec("soft_jaccard"), LossSpec("tversky", (0.3, 0.7))]:
-        ev = eval_loss(spec, y, p)
-        assert ev.degenerate
-        assert ev.value == 0.0
-        assert np.all(ev.gradient == 0.0)
+        value, grad, degenerate = eval_loss_arrays(spec, np.zeros(3), np.zeros(3))
+        assert degenerate
+        assert value == 0.0
+        assert np.all(grad == 0.0)
 
 
 def test_loss_values_in_range():
@@ -151,10 +143,10 @@ def test_loss_values_in_range():
     for _ in range(100):
         y, p = random_instance(rng, 24, p_lo=0.0, p_hi=1.0)
         for spec in METRIC_SENSITIVE:
-            v = eval_loss(spec, y, p).value
+            v = eval_loss_arrays(spec, y.data, p.data)[0]
             assert -1e-12 <= v <= 1.0 + 1e-12
         for spec in (LossSpec("ce"), LossSpec("wce", (0.8,))):
-            v = eval_loss(spec, y, p).value
+            v = eval_loss_arrays(spec, y.data, p.data)[0]
             assert np.isfinite(v) and v >= 0
 
 
@@ -209,29 +201,10 @@ def test_gradient_zero_on_flat_region():
     # both probabilities sit inside a wide clamp zone -> value locally constant
     y, p = mask_of([1, 0]), prob_of([0.1, 0.9])
     for spec in (LossSpec("ce", clamp_eps=0.2), LossSpec("wce", (0.7,), clamp_eps=0.2)):
-        ev = eval_loss(spec, y, p)
-        assert np.all(ev.gradient == 0.0)
+        _, grad, _ = eval_loss_arrays(spec, y.data, p.data)
+        assert np.all(grad == 0.0)
         fd = finite_diff_gradient(spec, y, p, 1e-6)
         assert np.allclose(fd, 0.0, atol=1e-8)
-
-
-def test_vertex_consistency_exhaustive_small_d():
-    specs = [
-        (LossSpec("soft_dice_l1"), metrics.dice),
-        (LossSpec("soft_dice_l2"), metrics.dice),
-        (LossSpec("soft_jaccard"), metrics.jaccard),
-        (LossSpec("lovasz"), metrics.jaccard),
-    ]
-    for d in (1, 2, 3, 4):
-        for y in all_masks(d):
-            for yh in all_masks(d):
-                for spec, fn in specs:
-                    s, disc, ok = vertex_consistency_check(spec, y, yh)
-                    assert ok, (spec.label(), y.data, yh.data, s, disc)
-                    assert disc == pytest.approx(1 - fn(y, yh), abs=1e-15)
-                s, disc, ok = vertex_consistency_check(LossSpec("tversky", (0.3, 0.7)), y, yh)
-                assert ok
-                assert disc == pytest.approx(1 - metrics.tversky(y, yh, 0.3, 0.7), abs=1e-15)
 
 
 def test_vertex_consistency_worked_values():

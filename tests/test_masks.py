@@ -9,19 +9,19 @@ from util import all_masks, bit_matrix, enumerate_mask_pairs, mask_of, prob_of, 
 
 
 def test_confusion_counts_worked_pair():
-    c = confusion_counts(mask_of([1, 1, 0, 0]), mask_of([1, 0, 1, 0]))
-    assert (c.tp, c.fp, c.fn, c.tn) == (1, 1, 1, 1)
+    tp, fp, fn = confusion_counts(mask_of([1, 1, 0, 0]), mask_of([1, 0, 1, 0]))
+    assert (tp, fp, fn, 4 - tp - fp - fn) == (1, 1, 1, 1)
 
 
 def test_confusion_counts_identity():
     y = mask_of([1, 0, 1, 1, 0])
-    c = confusion_counts(y, y)
-    assert (c.tp, c.fp, c.fn, c.tn) == (3, 0, 0, 2)
+    tp, fp, fn = confusion_counts(y, y)
+    assert (tp, fp, fn, y.d - tp - fp - fn) == (3, 0, 0, 2)
 
 
 def test_confusion_counts_both_empty():
-    c = confusion_counts(mask_of([0, 0, 0, 0]), mask_of([0, 0, 0, 0]))
-    assert (c.tp, c.fp, c.fn, c.tn) == (0, 0, 0, 4)
+    tp, fp, fn = confusion_counts(mask_of([0, 0, 0, 0]), mask_of([0, 0, 0, 0]))
+    assert (tp, fp, fn, 4 - tp - fp - fn) == (0, 0, 0, 4)
 
 
 def test_confusion_counts_sum_to_d_and_match_set_oracle():
@@ -29,17 +29,16 @@ def test_confusion_counts_sum_to_d_and_match_set_oracle():
     for _ in range(50):
         yb = rng.integers(0, 2, size=17)
         hb = rng.integers(0, 2, size=17)
-        c = confusion_counts(mask_of(yb), mask_of(hb))
-        assert (c.tp, c.fp, c.fn, c.tn) == set_counts(yb, hb)
-        assert c.tp + c.fp + c.fn + c.tn == 17
+        tp, fp, fn = confusion_counts(mask_of(yb), mask_of(hb))
+        assert (tp, fp, fn, 17 - tp - fp - fn) == set_counts(yb, hb)
+        assert 17 - tp - fp - fn >= 0
 
 
 def test_confusion_counts_swap_symmetry():
     for y in all_masks(4):
         for yh in all_masks(4):
-            a = confusion_counts(y, yh)
-            b = confusion_counts(yh, y)
-            assert a.tp == b.tp and a.fp == b.fn and a.fn == b.fp and a.tn == b.tn
+            tp, fp, fn = confusion_counts(y, yh)
+            assert confusion_counts(yh, y) == (tp, fn, fp)
 
 
 def test_confusion_counts_dim_mismatch():
@@ -62,8 +61,8 @@ def test_threshold_idempotent_on_vertices():
 def test_threshold_then_self_confusion_is_clean():
     p = prob_of([0.1, 0.6, 0.5, 0.9])
     m = threshold(p, 0.5)
-    c = confusion_counts(m, m)
-    assert c.fp == 0 and c.fn == 0
+    _, fp, fn = confusion_counts(m, m)
+    assert fp == 0 and fn == 0
 
 
 def test_threshold_range_check():

@@ -44,7 +44,7 @@ def test_jaccard_worked_pair_and_conversion():
     j = metrics.jaccard(Y, YH)
     assert j == pytest.approx(1 / 3, abs=1e-15)
     d = metrics.dice(Y, YH)
-    assert metrics.dice_jaccard_convert(d, "d2j") == pytest.approx(j, abs=1e-15)
+    assert d / (2 - d) == pytest.approx(j, abs=1e-15)
 
 
 def test_jaccard_disjoint():
@@ -86,17 +86,6 @@ def test_tversky_weight_validation():
         metrics.tversky(Y, YH, 0.0, 0.5)
 
 
-def test_dice_jaccard_convert_fixed_points_and_round_trip():
-    assert metrics.dice_jaccard_convert(1.0, "d2j") == 1.0
-    assert metrics.dice_jaccard_convert(0.0, "d2j") == 0.0
-    assert metrics.dice_jaccard_convert(0.5, "d2j") == pytest.approx(1 / 3, abs=1e-16)
-    v = 0.37
-    rt = metrics.dice_jaccard_convert(metrics.dice_jaccard_convert(v, "j2d"), "d2j")
-    assert rt == pytest.approx(v, abs=1e-15)
-    with pytest.raises(OutOfRange):
-        metrics.dice_jaccard_convert(0.5, "sideways")
-
-
 def test_exhaustive_small_d_against_fraction_oracle():
     gammas = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)]
     for d in (1, 2, 3, 4):
@@ -131,7 +120,6 @@ def test_exhaustive_invariants_small_d():
                     assert metrics.weighted_hamming(y, yh, y.count() / d) == pytest.approx(
                         metrics.hamming(y, yh), abs=1e-12
                     )
-                assert jv == pytest.approx(metrics.dice_jaccard_convert(dv, "d2j"), abs=1e-12)
                 # symmetries
                 assert metrics.dice(yh, y) == dv
                 assert metrics.jaccard(yh, y) == jv
@@ -282,7 +270,7 @@ def test_auxiliary_unknown_kind():
 def test_every_table_row_parses_evaluates_and_feeds_the_bound_search():
     rng = np.random.default_rng(11)
     y, yh = mask_of(rng.integers(0, 2, size=12)), mask_of(rng.integers(0, 2, size=12))
-    c = confusion_counts(y, yh)
+    counts = (*confusion_counts(y, yh), y.d)
     for head, kind in metrics.METRICS.items():
         mid = metrics.parse_metric_id(head + ":0.4" * len(kind.params))
         assert metrics.parse_metric_id(mid.label()) == mid
@@ -292,7 +280,7 @@ def test_every_table_row_parses_evaluates_and_feeds_the_bound_search():
             with pytest.raises(OutOfRange):
                 brute_force_sup(mid, metrics.MetricId("dice"), 3)
             continue
-        assert value.value == float(kind.counts(c.tp, c.fp, c.fn, c.d, *mid.params))
+        assert value.value == float(kind.counts(*counts, *mid.params))
         assert brute_force_sup(mid, metrics.MetricId("dice"), 3).d == 3
 
 

@@ -191,8 +191,6 @@ def test_comparison_shapes_folds_and_determinism():
         assert np.array_equal(a1.scores["dice"], a2.scores["dice"])
         assert np.array_equal(a1.scores["jaccard"], a2.scores["jaccard"])
         assert not np.isnan(a1.scores["dice"]).any()
-    # per-arm per-fold weights recorded
-    assert all(w is not None for w in r1.arms[0].fold_weights)
 
 
 def test_comparison_needs_enough_images():
