@@ -27,6 +27,17 @@ from util import (
 )
 
 
+def test_dice_jaccard_closed_form():
+    abs_err, rel_err = dice_jaccard_bounds()
+    assert abs_err == pytest.approx(3 - 2 * math.sqrt(2), abs=1e-15)
+    assert abs_err == pytest.approx(0.171573, abs=5e-7)
+    assert rel_err == 1.0
+    # the maximizing argument satisfies the first-order condition (2-x)^2 = 2
+    x = 2 - math.sqrt(2)
+    assert (2 - x) ** 2 == pytest.approx(2.0, abs=1e-12)
+    assert abs(x - x / (2 - x)) == pytest.approx(abs_err, abs=1e-15)
+
+
 def test_tversky_dice_closed_form_values():
     assert tversky_dice_bounds(0.5, 0.5) == (0.0, 0.0)
     a1, r1 = tversky_dice_bounds(1.0, 1.0)
@@ -137,8 +148,7 @@ def test_brute_force_equals_mask_pair_scan(pair):
         assert _fields(brute_force_sup(*pair, d)) == _fields(mask_pair_sup(*pair, d)), d
 
 
-# the jaccard case is claim 2 of tests/test_paper_claims.py
-@pytest.mark.parametrize("b", ["tversky:0.3:0.7", "tversky:2:0.1", "tversky:1:1"])
+@pytest.mark.parametrize("b", ["jaccard", "tversky:0.3:0.7", "tversky:2:0.1", "tversky:1:1"])
 def test_brute_force_approaches_closed_form(b):
     reps = [brute_force_sup("dice", b, d) for d in (12, 50, 100)]
     assert reps[-1].closed_form_abs - reps[-1].empirical_abs < 1e-6
@@ -146,6 +156,12 @@ def test_brute_force_approaches_closed_form(b):
     assert all(x >= y for x, y in zip(rel_gaps, rel_gaps[1:]))
     if b in ("tversky:0.3:0.7", "tversky:1:1"):
         assert rel_gaps[-1] < 0.05
+
+
+def test_brute_force_whamming_has_no_relative_bound():
+    # weighted Hamming does not relatively approximate Dice: the ratio
+    # keeps growing with d
+    assert brute_force_sup("dice", "whamming:0.5", 100).empirical_rel > 20
 
 
 def test_brute_force_limits():
@@ -180,6 +196,13 @@ def test_blowup_witness_frozen_case():
     assert w.hamming_value == pytest.approx(float(Fraction(89, 99)), abs=1e-15)
     assert w.ratio == pytest.approx(float(Fraction(534, 99)), abs=1e-12)
     assert w.ratio >= 5.39
+
+
+def test_blowup_ratio_grows_without_bound():
+    assert hamming_blowup_witness(0.01).ratio > 49
+    assert hamming_blowup_witness(0.1).ratio < hamming_blowup_witness(0.01).ratio
+    assert hamming_blowup_witness(0.05).ratio > 10
+    assert hamming_blowup_witness(0.005).ratio > 100
 
 
 def test_blowup_range_check():

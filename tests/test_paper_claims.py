@@ -6,19 +6,21 @@ quotes, verbatim up to line wrapping, and
 ``test_every_claim_quotes_the_abstract_verbatim`` holds the quotes to the
 paper.  A claim that does not hold at desk scale is marked ``xfail`` with
 the measured numbers; ``xfail_strict`` then fails the suite as soon as it
-starts to hold, so the marker cannot go stale.
+starts to hold, so the marker cannot go stale.  A claim that a unit test
+elsewhere already checks calls that test rather than copying it.
 """
 
-import math
 import pathlib
 import re
 
 import pytest
 
 from segloss import cli, metrics
-from segloss.bounds import brute_force_sup, dice_jaccard_bounds, hamming_blowup_witness, tversky_dice_bounds
+from segloss.bounds import brute_force_sup, tversky_dice_bounds
 from segloss.fileio import read_report_json
 from segloss.losses import LossSpec, vertex_consistency_check
+
+import test_bounds
 from util import all_masks
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -66,20 +68,9 @@ def test_claim_2_dice_and_jaccard_approximate_each_other():
                 dv = metrics.dice(y, yh)
                 assert metrics.jaccard(y, yh) == pytest.approx(dv / (2 - dv), abs=1e-12)
 
-    abs_err, rel_err = dice_jaccard_bounds()
-    assert abs_err == pytest.approx(3 - 2 * math.sqrt(2), abs=1e-15)
-    assert abs_err == pytest.approx(0.171573, abs=5e-7)
-    assert rel_err == 1.0
-    # the maximizing argument satisfies the first-order condition (2-x)^2 = 2
-    x = 2 - math.sqrt(2)
-    assert (2 - x) ** 2 == pytest.approx(2.0, abs=1e-12)
-    assert abs(x - x / (2 - x)) == pytest.approx(abs_err, abs=1e-15)
-
+    test_bounds.test_dice_jaccard_closed_form()
     # the abs gap at d = 100 is 3.7e-9; the rel gap falls 0.154, 0.039, 0.020
-    reps = [brute_force_sup("dice", "jaccard", d) for d in (12, 50, 100)]
-    assert reps[-1].closed_form_abs - reps[-1].empirical_abs < 1e-6
-    rel_gaps = [r.closed_form_rel - r.empirical_rel for r in reps]
-    assert all(x >= y for x, y in zip(rel_gaps, rel_gaps[1:]))
+    test_bounds.test_brute_force_approaches_closed_form("jaccard")
 
 
 def test_claim_3_weighted_hamming_has_no_relative_approximation():
@@ -87,10 +78,7 @@ def test_claim_3_weighted_hamming_has_no_relative_approximation():
     similarity”: the blow-up witness ratio grows without bound as its
     foreground fraction shrinks, and the dice-whamming:0.5 relative
     supremum keeps growing with d (5.76, 12.0, 24.5 at d = 25, 50, 100)."""
-    assert hamming_blowup_witness(0.01).ratio > 49
-    assert hamming_blowup_witness(0.1).ratio < hamming_blowup_witness(0.01).ratio
-    assert hamming_blowup_witness(0.05).ratio > 10
-    assert hamming_blowup_witness(0.005).ratio > 100
+    test_bounds.test_blowup_ratio_grows_without_bound()
     rels = [brute_force_sup("dice", "whamming:0.5", d).empirical_rel for d in (25, 50, 100)]
     assert rels[0] < rels[1] < rels[2]
     assert rels[-1] > 20
