@@ -46,7 +46,7 @@ class OutOfDomain(NumericError):
 
 
 class NonFiniteLoss(NumericError):
-    """Training produced a NaN/inf loss value."""
+    """Training produced NaN/inf weights or a NaN/inf validation loss."""
 
 
 class EmptySet(DataError):
@@ -54,7 +54,7 @@ class EmptySet(DataError):
 
 
 class InfeasibleConfig(NumericError):
-    """The synthetic-data target cannot be met with the given radius range."""
+    """The synthetic-data target is unreachable with the radius range, or the noise overflows."""
 
 
 class InfeasibleRatio(NumericError):

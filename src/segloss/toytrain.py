@@ -7,8 +7,10 @@ Every operation is a pure function of its inputs and seed; reruns agree
 bit for bit.  Each (fold x arm) run gets a seed derived by hashing
 (global seed, fold, arm), so its result does not depend on the other runs;
 the runner executes them one after another in a single process.
-Evaluation only ever uses the discrete metrics at threshold 0.5; the
-training loss never contaminates it.
+Training computes a loss value only on its validation images, whose curve
+drives early stopping, the learning-rate cuts and the kept weights; no
+train-set loss curve is computed.  Evaluation only ever uses the discrete
+metrics at threshold 0.5; the training loss never contaminates it.
 """
 
 from __future__ import annotations
@@ -204,11 +206,13 @@ def generate_dataset(cfg: SyntheticConfig) -> SampleSet:
         img = intensity
         if cfg.gain_jitter > 0:
             img = img * rng.uniform(1.0 - cfg.gain_jitter, 1.0 + cfg.gain_jitter)
-        if cfg.noise_sigma > 0:
-            img = img + cfg.noise_sigma * rng.standard_normal((ny, nx))
-        feats = np.stack(
-            [img.ravel(), _box3(img).ravel(), xnorm, ynorm, ones], axis=1
-        )
+        # a huge but finite noise_sigma overflows: one error, no numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            if cfg.noise_sigma > 0:
+                img = img + cfg.noise_sigma * rng.standard_normal((ny, nx))
+            feats = np.stack([img.ravel(), _box3(img).ravel(), xnorm, ynorm, ones], axis=1)
+        if not np.all(np.isfinite(feats)):
+            raise InfeasibleConfig(f"noise_sigma = {cfg.noise_sigma:g} overflows the image features")
         samples.append(Sample(feats, BinaryMask.from_array(label.astype(np.uint8))))
     return SampleSet(samples)
 
@@ -237,17 +241,21 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
-    """lr_cuts holds the main-phase epochs (indices into val_losses) after
-    which the learning rate was cut; stop_reason is "patience" or
-    "max_epochs"."""
+    """One train() run: weights and best_val_loss at the best main-phase
+    validation loss, val_losses after each main-phase epoch (epochs_run is
+    its length), lr_cuts (indices into val_losses after which the learning
+    rate was cut) and stop_reason ("patience" or "max_epochs").  No
+    train-set loss curve is kept: no decision reads one."""
 
     weights: np.ndarray
-    epochs_run: int
     best_val_loss: float
-    train_losses: np.ndarray
     val_losses: np.ndarray
     lr_cuts: tuple[int, ...]
     stop_reason: str
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.val_losses)
 
 
 def _sigmoid(s: np.ndarray) -> np.ndarray:
@@ -302,6 +310,8 @@ def _run_epoch(items, w: np.ndarray, spec: LossSpec, lr: float, batch_size: int,
             X, yv = items[idx]
             g += _image_grad(spec, X, yv, w)
         w = w - lr * (g / batch.size)
+    if not np.all(np.isfinite(w)):
+        raise NonFiniteLoss(f"training diverged to non-finite weights (loss={spec.label()}, lr={lr})")
     return w
 
 
@@ -324,8 +334,7 @@ def train(data: SampleSet, cfg: TrainConfig, output_masks=None) -> TrainResult:
 def _fit(items, cfg: TrainConfig) -> TrainResult:
     """train() on prepared items."""
     n = len(items)
-    n_val = int(round(VAL_FRACTION * n))
-    n_val = min(n_val, n - 1)
+    n_val = min(int(round(VAL_FRACTION * n)), n - 1)
     train_items = items[: n - n_val] if n_val > 0 else items
     val_items = items[n - n_val:] if n_val > 0 else items
 
@@ -335,8 +344,6 @@ def _fit(items, cfg: TrainConfig) -> TrainResult:
     ce = LossSpec("ce")
     for _ in range(cfg.pretrain_epochs_ce):
         w = _run_epoch(train_items, w, ce, cfg.learning_rate, cfg.batch_size, rng)
-        if not np.all(np.isfinite(w)):
-            raise NonFiniteLoss("CE pretraining diverged to non-finite weights")
 
     lr = cfg.learning_rate
     best_val = _mean_loss(val_items, w, cfg.loss)
@@ -345,23 +352,16 @@ def _fit(items, cfg: TrainConfig) -> TrainResult:
     best_w = w.copy()
     stall = 0
     plateau_every = max(1, cfg.early_stop_patience // 2)
-    train_hist: list[float] = []
     val_hist: list[float] = []
     lr_cuts: list[int] = []
     stop_reason = "max_epochs"
-    epochs_run = 0
     for epoch in range(cfg.max_epochs):
         w = _run_epoch(train_items, w, cfg.loss, lr, cfg.batch_size, rng)
-        tr = _mean_loss(train_items, w, cfg.loss)
         vl = _mean_loss(val_items, w, cfg.loss)
-        if not (math.isfinite(tr) and math.isfinite(vl)):
-            raise NonFiniteLoss(
-                f"non-finite loss at epoch {epoch}: train={tr} val={vl} "
-                f"(loss={cfg.loss.label()}, lr={lr})"
-            )
-        train_hist.append(tr)
+        if not math.isfinite(vl):
+            raise NonFiniteLoss(f"non-finite validation loss {vl} at epoch {epoch} "
+                                f"(loss={cfg.loss.label()}, lr={lr})")
         val_hist.append(vl)
-        epochs_run = epoch + 1
         if vl < best_val:
             best_val, best_w, stall = vl, w.copy(), 0
         else:
@@ -372,8 +372,7 @@ def _fit(items, cfg: TrainConfig) -> TrainResult:
             if stall >= cfg.early_stop_patience:
                 stop_reason = "patience"
                 break
-    return TrainResult(best_w, epochs_run, best_val, np.array(train_hist), np.array(val_hist),
-                       tuple(lr_cuts), stop_reason)
+    return TrainResult(best_w, best_val, np.array(val_hist), tuple(lr_cuts), stop_reason)
 
 
 def score_images(data: SampleSet, idx, w: np.ndarray, output_masks=None) -> dict[str, np.ndarray]:

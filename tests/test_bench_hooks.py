@@ -29,6 +29,15 @@ def test_probe_calls_train_score_images_and_subset_positionally():
     assert isinstance(toytrain.derive_seed(0, 0), int)
 
 
+def test_probe_reads_weights_and_epochs_run_off_a_train_result():
+    data = toytrain.generate_dataset(toytrain.SyntheticConfig(
+        n_images=5, dims=(16, 16), object_radius_range=(2.0, 4.0), fg_prior_target=0.08))
+    res = toytrain.train(data, toytrain.TrainConfig(loss=losses.LossSpec("ce"), max_epochs=2,
+                                                    pretrain_epochs_ce=1))
+    assert res.weights.shape == (toytrain.N_FEATURES,)
+    assert res.epochs_run == len(res.val_losses) == 2
+
+
 def test_span_reads_the_mask_path_argument_by_name():
     assert "path" in inspect.signature(fileio.read_mask).parameters
 

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -352,6 +353,8 @@ def test_train_arms_equal_in_g_format_get_distinct_reports(tmp_path):
      "usage error: learning_rate must be finite and > 0"),
     ("sweep", ("n_resamples = 1000", "n_resamples = 1000\nlearning_rate = inf"), 1,
      "usage error: learning_rate must be finite and > 0"),
+    ("train", ("n_resamples = 1000", "n_resamples = 1000\nnoise_sigma = 1e308"), 3,
+     "numeric failure: noise_sigma = 1e+308 overflows the image features"),
 ])
 def test_experiment_config_errors_stop_before_training(tmp_path, capsys, monkeypatch,
                                                        command, edit, code, message):
@@ -362,7 +365,10 @@ def test_experiment_config_errors_stop_before_training(tmp_path, capsys, monkeyp
     cfg = tmp_path / f"{command}.cfg"
     cfg.write_text({"train": TINY_TRAIN, "sweep": TINY_SWEEP}[command].replace(*edit))
     out = tmp_path / "out"
-    assert cli.main(["--out-dir", str(out), command, str(cfg)]) == code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["--out-dir", str(out), command, str(cfg)]) == code
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert capsys.readouterr().err.startswith(f"segloss: {message}")
     assert not out.exists()
 

@@ -15,9 +15,15 @@ from segloss.errors import (
 from segloss.losses import LossSpec
 from segloss.masks import BinaryMask, threshold
 from segloss.toytrain import (
+    N_FEATURES,
     EmptyBinWarning,
+    Sample,
+    SampleSet,
     SyntheticConfig,
     TrainConfig,
+    _mean_loss,
+    _prepare,
+    _run_epoch,
     _sigmoid,
     build_fgbg_masks,
     generate_dataset,
@@ -112,7 +118,7 @@ def test_train_without_pretraining_runs():
     res = train(data, TrainConfig(loss=LossSpec("soft_dice_l1"), max_epochs=3,
                                   pretrain_epochs_ce=0, seed=4))
     assert res.epochs_run == 3
-    assert res.train_losses.shape == (3,)
+    assert res.val_losses.shape == (3,)
 
 
 def test_train_single_image_degenerate_split():
@@ -122,8 +128,6 @@ def test_train_single_image_degenerate_split():
 
 
 def test_train_empty_and_nonfinite():
-    from segloss.toytrain import Sample, SampleSet
-
     data = generate_dataset(SMALL)
     with pytest.raises(EmptySet):
         train(data.subset([]), QUICK)
@@ -153,11 +157,35 @@ def test_train_reports_stop_reason_and_learning_rate_cuts():
     assert none.stop_reason == "max_epochs" and none.epochs_run == 0 and none.lr_cuts == ()
 
 
+@pytest.mark.parametrize("pretrain, phase_loss", [(0, "soft_dice_l1"), (2, "ce")])
+def test_train_divergence_is_caught_in_the_phase_it_happens(pretrain, phase_loss):
+    # an inf feature in the first (training) image turns the weights
+    # non-finite on the first gradient step; the last (validation) image
+    # stays finite, so only the finite-weights check can catch it
+    data = generate_dataset(SMALL).subset(range(5))
+    feats = data[0].features.copy()
+    feats[0, 0] = np.inf
+    bad = SampleSet([Sample(feats, data[0].label), *data.samples[1:]])
+    cfg = TrainConfig(loss=LossSpec("soft_dice_l1"), max_epochs=3, pretrain_epochs_ce=pretrain, seed=0)
+    with np.errstate(invalid="ignore"), pytest.raises(
+            NonFiniteLoss, match=rf"non-finite weights \(loss={phase_loss}, lr=4.0\)"):
+        train(bad, cfg)
+
+
 def test_train_loss_mostly_nonincreasing():
+    # descent at the default learning rate and batch size lowers the
+    # training-set loss it descends on in nearly every epoch
     data = generate_dataset(SMALL)
+    items = _prepare(data, [slice(None)] * len(data))
     for loss in (LossSpec("ce"), LossSpec("soft_dice_l1")):
-        res = train(data, TrainConfig(loss=loss, max_epochs=30, pretrain_epochs_ce=5, seed=7))
-        frac = float(np.mean(np.diff(res.train_losses) <= 1e-12))
+        cfg = TrainConfig(loss=loss, seed=7)
+        rng = np.random.default_rng(cfg.seed)
+        w = rng.normal(0.0, 0.5, N_FEATURES)
+        curve = []
+        for _ in range(30):
+            w = _run_epoch(items, w, loss, cfg.learning_rate, cfg.batch_size, rng)
+            curve.append(_mean_loss(items, w, loss))
+        frac = float(np.mean(np.diff(curve) <= 1e-12))
         assert frac >= 0.9
 
 
