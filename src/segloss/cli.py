@@ -356,8 +356,8 @@ def main(argv=None) -> int:
     except (OSError, DataError) as exc:
         print(f"segloss: data error: {exc}", file=sys.stderr)
         return 2
-    except NumericError as exc:
-        print(f"segloss: numeric failure: {exc}", file=sys.stderr)
+    except (NumericError, MemoryError) as exc:
+        print(f"segloss: numeric failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except SeglossError as exc:
         print(f"segloss: error: {exc}", file=sys.stderr)

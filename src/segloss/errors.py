@@ -29,10 +29,6 @@ class DTooLarge(UsageError):
     """Pair-space enumeration requested beyond the supported vector length."""
 
 
-class NonPositiveWeight(UsageError):
-    """Tversky weights must be strictly positive."""
-
-
 class OutOfRange(UsageError):
     """A scalar parameter lies outside its documented interval."""
 

@@ -7,16 +7,16 @@ Conventions:
   per-image sums, cross-entropy variants are per-pixel means;
 * CE is the gamma = 0.5 weighted cross-entropy scaled by 2, i.e. the
   plain unweighted form -sum(y log p + (1-y) log(1-p)) / d;
-* CE/WCE clamp p into [eps, 1-eps] before the logarithm; the gradient is
-  the derivative of the clamped value (zero where the clamp is active);
+* CE/WCE clip p into [CLAMP_EPS, 1-CLAMP_EPS] (no per-spec eps) before the log;
+  the gradient is that of the clipped value, zero where the clip is active;
 * a zero surrogate denominator (possible only when y and p are both
   identically zero) yields value 0, gradient 0 and a ``degenerate`` flag.
 
 ``LOSSES`` is the one table of loss tokens.  Each row, keyed by token
 head, names the parameters with their range rule, and gives the
 ``(y, p, *params)`` kernel and the discrete similarity the loss relaxes.
-``parse_loss_spec`` is the only token parser; ``LOSS_GRAMMAR`` lists the
-forms.
+``parse_loss_spec`` is the only loss token parser, and ``LossSpec`` follows
+the token rule of ``metrics.Token``; ``LOSS_GRAMMAR`` lists the forms.
 
 Three entry points evaluate a kernel on arrays: ``eval_loss_arrays``
 returns (value, gradient, degenerate), ``loss_value`` only the value and
@@ -32,7 +32,6 @@ verifies pairwise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,7 +41,7 @@ from . import metrics
 from .errors import OutOfDomain, OutOfRange
 from .masks import BinaryMask, ProbMap, check_dims
 
-DEFAULT_CLAMP_EPS = 1e-7
+CLAMP_EPS = 1e-7
 
 
 def gamma_for_prior(fg_prior: float) -> float:
@@ -59,8 +58,8 @@ def _degenerate(p, value, grad):
     return (0.0 if value else None), (np.zeros_like(p) if grad else None), True
 
 
-def _wce_arrays(y, p, gamma, eps, scale, value=True, grad=True):
-    pc = np.clip(p, eps, 1.0 - eps)
+def _wce_arrays(y, p, gamma, scale, value=True, grad=True):
+    pc = np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
     d = y.size
     v = g = None
     if value:
@@ -68,7 +67,7 @@ def _wce_arrays(y, p, gamma, eps, scale, value=True, grad=True):
             np.sum(gamma * y * np.log(pc) + (1.0 - gamma) * (1.0 - y) * np.log1p(-pc))
         )
     if grad:
-        inside = (p > eps) & (p < 1.0 - eps)
+        inside = (p > CLAMP_EPS) & (p < 1.0 - CLAMP_EPS)
         g = np.where(
             inside,
             -scale / d * (gamma * y / pc - (1.0 - gamma) * (1.0 - y) / (1.0 - pc)),
@@ -143,11 +142,11 @@ def _lovasz_arrays(y, p, value=True, grad=True):
 @dataclass(frozen=True)
 class LossKind:
     """One row of the loss table.  ``kernel(y, p, *params, value=True,
-    grad=True)``, with the spec's clamp_eps appended to the params on a
-    ``clamped`` row, returns (value, gradient, degenerate) and skips, as
-    None, whichever of value and gradient it is not asked for;
-    ``counterpart(y, yhat, *params)`` is the
-    discrete similarity the loss relaxes; ``valid`` is the range rule.
+    grad=True)`` returns (value, gradient, degenerate) and skips, as None,
+    whichever of value and gradient it is not asked for; the CE rows clamp
+    at the module constant CLAMP_EPS, with no per-spec eps.
+    ``counterpart(y, yhat, *params)`` is the discrete similarity the loss
+    relaxes; ``valid`` is the range rule.
     ``auto``, if set, maps the dataset foreground prior to the parameters
     of the bare token."""
 
@@ -156,16 +155,14 @@ class LossKind:
     counterpart: Callable
     valid: Callable = lambda *params: True
     rule: str = ""
-    clamped: bool = False
     auto: Callable | None = None
 
 
 LOSSES: dict[str, LossKind] = {
-    "ce": LossKind((), lambda y, p, eps, **want: _wce_arrays(y, p, 0.5, eps, 2.0, **want),
-                   metrics.hamming, clamped=True),
-    "wce": LossKind(("gamma",), lambda y, p, gamma, eps, **want: _wce_arrays(y, p, gamma, eps, 1.0, **want),
+    "ce": LossKind((), lambda y, p, **want: _wce_arrays(y, p, 0.5, 2.0, **want), metrics.hamming),
+    "wce": LossKind(("gamma",), lambda y, p, gamma, **want: _wce_arrays(y, p, gamma, 1.0, **want),
                     metrics.weighted_hamming, valid=lambda gamma: 0.0 <= gamma <= 1.0,
-                    rule="gamma must lie in [0, 1]", clamped=True,
+                    rule="gamma must lie in [0, 1]",
                     auto=lambda fg_prior: (gamma_for_prior(fg_prior),)),
     "soft_dice_l1": LossKind((), lambda y, p, **want: _soft_dice_arrays(y, p, "l1", **want), metrics.dice),
     "soft_dice_l2": LossKind((), lambda y, p, **want: _soft_dice_arrays(y, p, "l2", **want), metrics.dice),
@@ -176,39 +173,6 @@ LOSSES: dict[str, LossKind] = {
                         rule="tversky weights must be > 0"),
 }
 LOSS_ALIASES = {"soft_dice": "soft_dice_l1"}
-
-
-@dataclass(frozen=True)
-class LossSpec:
-    """A loss token head with its parameters, e.g. tversky:0.3:0.7;
-    construction checks both against the table.  ``clamp_eps`` is the
-    log clamp of a clamped row, DEFAULT_CLAMP_EPS when not given, and
-    must stay None on every other row."""
-
-    kind: str
-    params: tuple[float, ...] = ()
-    clamp_eps: float | None = None
-
-    def __post_init__(self):
-        row = LOSSES.get(self.kind)
-        if row is None or len(self.params) != len(row.params):
-            raise OutOfRange(f"{self.label()} is not one of {LOSS_GRAMMAR}")
-        if not all(math.isfinite(p) for p in self.params):
-            raise OutOfRange(f"{self.kind} parameters must be finite, got {self.params}")
-        if not row.valid(*self.params):
-            raise OutOfRange(f"{row.rule}, got {self.label()}")
-        if not row.clamped:
-            if self.clamp_eps is not None:
-                raise OutOfRange(f"clamp_eps does not apply to {self.kind}")
-            return
-        if self.clamp_eps is None:
-            object.__setattr__(self, "clamp_eps", DEFAULT_CLAMP_EPS)
-        if not 0.0 < self.clamp_eps < 0.5:
-            raise OutOfRange(f"clamp_eps must lie in (0, 0.5), got {self.clamp_eps}")
-
-    def label(self) -> str:
-        """Canonical short name used in reports and file names."""
-        return metrics.token_label(self.kind, self.params)
 
 
 def _grammar() -> str:
@@ -225,30 +189,29 @@ def _grammar() -> str:
 LOSS_GRAMMAR = _grammar()
 
 
+class LossSpec(metrics.Token):
+    """A loss token, checked against ``LOSSES``."""
+
+    table = LOSSES
+    grammar = LOSS_GRAMMAR
+
+
 def parse_loss_spec(token: str, fg_prior: float | None = None) -> LossSpec:
     """Parse one loss token: ``LOSS_GRAMMAR`` lists the forms.  A bare
     token of a row with ``auto`` parameters takes them from ``fg_prior``,
     the foreground prior of the data."""
-    head, *parts = token.strip().split(":")
-    head = LOSS_ALIASES.get(head, head)
-    row = LOSSES.get(head)
-    if row is None:
-        raise OutOfRange(f"unknown loss token {token!r}")
+    head, parts = metrics.split_token(token, "loss", LOSSES, LOSS_ALIASES)
+    row = LOSSES[head]
     if row.auto is not None and parts in ([], ["auto"]):
         if fg_prior is None:
             raise OutOfRange(f"loss token {token!r} needs the data's foreground prior")
         return LossSpec(head, row.auto(fg_prior))
-    try:
-        params = tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise OutOfRange(f"bad numeric parameter in loss token {token!r}") from exc
-    return LossSpec(head, params)
+    return LossSpec(head, metrics.read_params(parts, "loss", token))
 
 
 def _kernel(spec: LossSpec, y, p, value: bool, grad: bool):
-    eps = () if spec.clamp_eps is None else (spec.clamp_eps,)
     return LOSSES[spec.kind].kernel(np.asarray(y, dtype=np.float64), np.asarray(p, dtype=np.float64),
-                                    *spec.params, *eps, value=value, grad=grad)
+                                    *spec.params, value=value, grad=grad)
 
 
 def eval_loss_arrays(spec: LossSpec, y: np.ndarray, p: np.ndarray):
@@ -301,7 +264,7 @@ def vertex_consistency_check(spec: LossSpec, y: BinaryMask, yhat: BinaryMask):
     matching discrete similarity.  Returns (surrogate, discrete, equal).
 
     Coincidence holds for every metric-sensitive kind; CE/WCE do not
-    coincide with their Hamming counterparts (the clamped log is not 0/1
+    coincide with their Hamming counterparts (the clipped log is not 0/1
     valued), so equal is generally False for them.
     """
     check_dims(y, yhat)

@@ -3,8 +3,10 @@
 ``METRICS`` is the one table of metric tokens.  Each row, keyed by token
 head, names the parameters with their defaults and range rule, and gives a
 vectorized ``(tp, fp, fn, d, *params)`` counts kernel or, for Hausdorff and
-absolute volume difference, a mask-pair function.  ``parse_metric_id`` is
-the only token parser; ``evaluate`` scores a token list on a mask pair.
+absolute volume difference, a mask-pair function.  ``Token`` is the one
+token rule, which ``MetricId`` and ``losses.LossSpec`` share; the metric
+and loss parsers share ``split_token`` and ``read_params``.  ``evaluate``
+scores a token list on a mask pair.
 
 Degenerate-case conventions (the formulas themselves are silent):
 
@@ -36,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonPositiveWeight, NumericError, OutOfRange
+from .errors import NumericError, OutOfRange
 from .masks import BinaryMask, check_dims, confusion_counts
 
 
@@ -215,7 +217,6 @@ class MetricKind:
     masks: Callable | None = None    # (y, yhat) -> MetricValue, if no counts
     valid: Callable = lambda *params: True
     rule: str = ""
-    error: type = OutOfRange
 
 
 METRICS: dict[str, MetricKind] = {
@@ -227,7 +228,7 @@ METRICS: dict[str, MetricKind] = {
     "whamming": MetricKind(("g",), (0.5,), weighted_hamming_from_counts,
                            valid=lambda g: 0.0 <= g <= 1.0, rule="gamma must lie in [0, 1]"),
     "tversky": MetricKind(("a", "b"), (), tversky_from_counts, valid=lambda a, b: a > 0 and b > 0,
-                          rule="alpha and beta must be > 0", error=NonPositiveWeight),
+                          rule="tversky weights must be > 0"),
     "fbeta": MetricKind(("b",), (), fbeta_from_counts, valid=lambda b: b > 0, rule="fbeta requires b > 0"),
     # looked up at call time, so a replaced module attribute takes effect
     "hausdorff": MetricKind(masks=lambda y, yhat: hausdorff_distance(y, yhat)),
@@ -242,25 +243,49 @@ def token_label(head: str, params) -> str:
 
 
 @dataclass(frozen=True)
-class MetricId:
-    """A metric token head with its parameters, e.g. tversky:0.3:0.7;
-    construction checks both against the table."""
+class Token:
+    """A token head with its parameters, e.g. tversky:0.3:0.7, checked on
+    construction against the subclass's ``table`` (rows with ``params``,
+    ``valid`` and ``rule``) and ``grammar``."""
 
     kind: str
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
-        kind = METRICS.get(self.kind)
-        if kind is None or len(self.params) != len(kind.params):
-            raise OutOfRange(f"{self.label()} is not one of {METRIC_GRAMMAR}")
+        row = self.table.get(self.kind)
+        if row is None or len(self.params) != len(row.params):
+            raise OutOfRange(f"{self.label()} is not one of {self.grammar}")
         if not all(math.isfinite(p) for p in self.params):
             raise OutOfRange(f"{self.kind} parameters must be finite, got {self.params}")
-        if not kind.valid(*self.params):
-            raise kind.error(f"{kind.rule}, got {self.label()}")
+        if not row.valid(*self.params):
+            raise OutOfRange(f"{row.rule}, got {self.label()}")
 
     def label(self) -> str:
         """The token, as ``token_label`` writes it."""
         return token_label(self.kind, self.params)
+
+
+def _grammar(heads) -> str:
+    """The token forms of the given table rows, for help texts."""
+    forms, notes = [], ""
+    for h in heads:
+        spec = "".join(f":<{p}>" for p in METRICS[h].params)
+        if METRICS[h].defaults:
+            spec = f"[{spec}]"
+            notes += f"; bare {h} means {token_label(h, METRICS[h].defaults)}"
+        forms.append(h + spec)
+    return " | ".join(forms) + notes
+
+
+METRIC_GRAMMAR = _grammar(METRICS)
+COUNTS_METRIC_GRAMMAR = _grammar(h for h, k in METRICS.items() if k.counts is not None)
+
+
+class MetricId(Token):
+    """A metric token, checked against ``METRICS``."""
+
+    table = METRICS
+    grammar = METRIC_GRAMMAR
 
     def counts(self, tp, fp, fn, d):
         """The metric as a function of the confusion counts and d,
@@ -274,32 +299,27 @@ class MetricId:
         return values
 
 
-def _grammar(heads) -> str:
-    """The token forms of the given table rows, for help texts."""
-    forms, notes = [], ""
-    for h in heads:
-        spec = "".join(f":<{p}>" for p in METRICS[h].params)
-        if METRICS[h].defaults:
-            spec = f"[{spec}]"
-            notes += f"; bare {h} means {MetricId(h, METRICS[h].defaults).label()}"
-        forms.append(h + spec)
-    return " | ".join(forms) + notes
+def split_token(token: str, what: str, table, aliases) -> tuple[str, list[str]]:
+    """Split ``head:p1:...`` into a ``table`` head, after ``aliases``, and its parameter strings."""
+    head, *parts = token.strip().split(":")
+    head = aliases.get(head, head)
+    if head not in table:
+        raise OutOfRange(f"unknown {what} token {token!r}")
+    return head, parts
 
 
-METRIC_GRAMMAR = _grammar(METRICS)
-COUNTS_METRIC_GRAMMAR = _grammar(h for h, k in METRICS.items() if k.counts is not None)
+def read_params(parts, what: str, token: str) -> tuple[float, ...]:
+    """The parameter strings of a token as floats."""
+    try:
+        return tuple(float(p) for p in parts)
+    except ValueError as exc:
+        raise OutOfRange(f"bad numeric parameter in {what} token {token!r}") from exc
 
 
 def parse_metric_id(token: str) -> MetricId:
-    """Parse one metric token: ``METRIC_GRAMMAR`` lists the forms."""
-    head, *parts = token.strip().split(":")
-    if head not in METRICS:
-        raise OutOfRange(f"unknown metric token {token!r}")
-    try:
-        params = tuple(float(p) for p in parts) if parts else METRICS[head].defaults
-    except ValueError as exc:
-        raise OutOfRange(f"bad numeric parameter in metric token {token!r}") from exc
-    return MetricId(head, params)
+    """Parse one metric token (see ``METRIC_GRAMMAR``); a bare head takes its ``defaults``."""
+    head, parts = split_token(token, "metric", METRICS, {})
+    return MetricId(head, read_params(parts, "metric", token) if parts else METRICS[head].defaults)
 
 
 def evaluate(tokens, y: BinaryMask, yhat: BinaryMask) -> list[MetricValue]:

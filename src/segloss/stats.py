@@ -24,6 +24,9 @@ SIGNIFICANCE_LEVEL = 0.05
 # fixed partition count: it fixes the index draws, and with them the
 # p-values the significance goldens pin
 _N_PARTITIONS = 8
+# index draws per block, about 8 MB of int64; numpy's integer stream does
+# not depend on how the draws are split into blocks, so neither does p
+_BLOCK_ELEMENTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -59,13 +62,13 @@ def bootstrap_pair_test(a: ScoreVector, b: ScoreVector, n_resamples: int = DEFAU
     diff = va - vb
     n = diff.size
     hits = 0
+    step = max(1, _BLOCK_ELEMENTS // n)
     for part, size in enumerate(_partition_sizes(n_resamples)):
-        if size == 0:
-            continue
         rng = np.random.default_rng(np.random.SeedSequence([seed, part]))
-        idx = rng.integers(0, n, size=(size, n))
-        stats = diff[idx].mean(axis=1)
-        hits += int(np.count_nonzero(stats <= 0.0))
+        for lo in range(0, size, step):
+            idx = rng.integers(0, n, size=(min(step, size - lo), n))
+            stats = diff[idx].mean(axis=1)
+            hits += int(np.count_nonzero(stats <= 0.0))
     return hits / n_resamples
 
 

@@ -315,10 +315,9 @@ def _run_epoch(items, w: np.ndarray, spec: LossSpec, lr: float, batch_size: int,
     return w
 
 
-def train(data: SampleSet, cfg: TrainConfig, output_masks=None) -> TrainResult:
+def train(data: SampleSet, cfg: TrainConfig) -> TrainResult:
     """Gradient descent on the mean per-image loss of a linear per-pixel
-    scorer (5 features -> logit -> sigmoid), over every pixel or, given
-    output_masks (one BinaryMask per image of data), over in-mask pixels.
+    scorer (5 features -> logit -> sigmoid), over every pixel.
 
     Runs a CE warm-up for cfg.pretrain_epochs_ce epochs, then switches to
     cfg.loss with the optimizer state (learning rate, plateau counters)
@@ -328,7 +327,7 @@ def train(data: SampleSet, cfg: TrainConfig, output_masks=None) -> TrainResult:
     """
     if len(data) == 0:
         raise EmptySet("train needs at least one image")
-    return _fit(_prepare(data, _resolve_masks(data, output_masks)), cfg)
+    return _fit(_prepare(data, _resolve_masks(data, None)), cfg)
 
 
 def _fit(items, cfg: TrainConfig) -> TrainResult:
@@ -375,13 +374,11 @@ def _fit(items, cfg: TrainConfig) -> TrainResult:
     return TrainResult(best_w, best_val, np.array(val_hist), tuple(lr_cuts), stop_reason)
 
 
-def score_images(data: SampleSet, idx, w: np.ndarray, output_masks=None) -> dict[str, np.ndarray]:
+def score_images(data: SampleSet, idx, w: np.ndarray) -> dict[str, np.ndarray]:
     """Discrete scores at threshold 0.5 of the images idx of data, one
-    array per SCORE_COLUMNS entry, restricted to in-mask pixels given
-    output_masks (one BinaryMask per image of data)."""
-    idx = [int(i) for i in idx]
-    sels = _resolve_masks(data, output_masks)
-    return _score(_prepare([data[i] for i in idx], [sels[i] for i in idx]), w)
+    array per SCORE_COLUMNS entry."""
+    subset = data.subset(idx)
+    return _score(_prepare(subset, _resolve_masks(subset, None)), w)
 
 
 def _score(items, w: np.ndarray) -> dict[str, np.ndarray]:

@@ -5,12 +5,34 @@ small sizes; these checks fail at once when a refactor renames or drops
 one.
 """
 
+import importlib.util
 import inspect
+import os
 
 import numpy as np
+import pytest
 
 from segloss import cli, fileio, losses, metrics, toytrain
 from segloss.masks import BinaryMask
+
+
+def _load_layers():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "layers.py")
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+LAYERS = _load_layers()
+
+
+@pytest.mark.parametrize("name", list(LAYERS.KERNELS))
+def test_probe_kernel_tokens_parse_and_evaluate(name):
+    spec = LAYERS.parse_loss_spec(LAYERS.KERNELS[name])
+    y = np.array([1.0, 0.0, 1.0, 0.0])
+    out = LAYERS.eval_loss_arrays(spec, y, np.array([0.8, 0.3, 0.6, 0.1]))
+    assert isinstance(out, tuple) and len(out) == 3
 
 
 def test_probe_counts_loss_calls_through_toytrain():

@@ -14,7 +14,7 @@ from segloss.bounds import (
     risk_inequality_check,
     tversky_dice_bounds,
 )
-from segloss.errors import DTooLarge, EmptySet, NonPositiveWeight, OutOfRange
+from segloss.errors import DTooLarge, EmptySet, OutOfRange
 from segloss.masks import confusion_counts
 from util import (
     all_masks,
@@ -51,7 +51,7 @@ def test_tversky_dice_closed_form_values():
 def test_tversky_dice_closed_form_symmetry_and_weight_check():
     for a, b in [(0.1, 0.9), (0.3, 0.4), (1.0, 0.2)]:
         assert tversky_dice_bounds(a, b) == tversky_dice_bounds(b, a)
-    with pytest.raises(NonPositiveWeight):
+    with pytest.raises(OutOfRange, match="tversky weights must be > 0"):
         tversky_dice_bounds(-1.0, 0.5)
 
 
@@ -176,7 +176,7 @@ def test_parse_metric_id():
     assert parse_metric_id("whamming").params == (0.5,)
     with pytest.raises(OutOfRange):
         parse_metric_id("euclid")
-    with pytest.raises(NonPositiveWeight):
+    with pytest.raises(OutOfRange, match="tversky weights must be > 0"):
         parse_metric_id("tversky:0:1")
 
 

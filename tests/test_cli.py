@@ -373,6 +373,20 @@ def test_experiment_config_errors_stop_before_training(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("raised, shown", [("Unable to allocate 7.28 TiB for an array",) * 2,
+                                            ("", "out of memory")])
+def test_out_of_memory_is_numeric_failure(tmp_path, capsys, monkeypatch, raised, shown):
+    def no_memory(*args, **kwargs):
+        raise MemoryError(raised)
+
+    monkeypatch.setattr(cli, "generate_dataset", no_memory)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(TINY_TRAIN)
+    assert cli.main(["--out-dir", str(tmp_path / "out"), "train", str(cfg)]) == 3
+    assert capsys.readouterr().err == f"segloss: numeric failure: {shown}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "sweep"])
 def test_negative_seed_flag_is_usage_error(tmp_path, capsys, monkeypatch, command):
     def no_data(*args, **kwargs):

@@ -4,6 +4,7 @@ import pytest
 from segloss import metrics
 from segloss.errors import OutOfDomain, OutOfRange
 from segloss.losses import (
+    LOSS_GRAMMAR,
     LOSSES,
     LossSpec,
     eval_loss_arrays,
@@ -197,10 +198,11 @@ def test_finite_diff_domain_check():
         finite_diff_gradient(LossSpec("soft_dice_l1"), mask_of([1]), prob_of([0.5]), 0.0)
 
 
-def test_gradient_zero_on_flat_region():
+def test_gradient_zero_on_flat_region(monkeypatch):
     # both probabilities sit inside a wide clamp zone -> value locally constant
+    monkeypatch.setattr("segloss.losses.CLAMP_EPS", 0.2)
     y, p = mask_of([1, 0]), prob_of([0.1, 0.9])
-    for spec in (LossSpec("ce", clamp_eps=0.2), LossSpec("wce", (0.7,), clamp_eps=0.2)):
+    for spec in (LossSpec("ce"), LossSpec("wce", (0.7,))):
         _, grad, _ = eval_loss_arrays(spec, y.data, p.data)
         assert np.all(grad == 0.0)
         fd = finite_diff_gradient(spec, y, p, 1e-6)
@@ -238,11 +240,9 @@ def test_spec_validation():
     with pytest.raises(OutOfRange):
         LossSpec("soft_dice")  # missing norm_variant
     with pytest.raises(OutOfRange):
-        LossSpec("wce", (1.5,), clamp_eps=1e-7)
+        LossSpec("wce", (1.5,))
     with pytest.raises(OutOfRange):
         LossSpec("tversky", (0.0, 1.0))
-    with pytest.raises(OutOfRange):
-        LossSpec("ce", clamp_eps=0.7)
     with pytest.raises(OutOfRange):
         LossSpec("soft_jaccard", (0.5,))
 
@@ -265,7 +265,7 @@ def test_parse_loss_spec_round_trip():
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_spec_rejects_non_finite_parameters(bad):
     for make in (lambda: LossSpec("tversky", (bad, 0.5)), lambda: LossSpec("tversky", (0.5, bad)),
-                 lambda: LossSpec("ce", clamp_eps=bad), lambda: LossSpec("wce", (bad,))):
+                 lambda: LossSpec("wce", (bad,))):
         with pytest.raises(OutOfRange):
             make()
     with pytest.raises(OutOfRange):
@@ -294,9 +294,8 @@ def test_table_row_parses_evaluates_and_checks_vertices_through_its_entry(spec, 
     assert parse_loss_spec(spec.label()) == spec
     rng = np.random.default_rng(12)
     y, p = random_instance(rng, 40)
-    eps = (spec.clamp_eps,) if row.clamped else ()
     value, grad, degenerate = eval_loss_arrays(spec, y.data, p.data)
-    want = row.kernel(y.data.astype(np.float64), p.data, *spec.params, *eps)
+    want = row.kernel(y.data.astype(np.float64), p.data, *spec.params)
     assert value == want[0] and np.array_equal(grad, want[1]) and degenerate == want[2]
     for _ in range(20):
         yh = mask_of(rng.integers(0, 2, size=40))
@@ -327,6 +326,23 @@ def test_bare_wce_takes_the_balancing_gamma_with_a_round_trip_label():
         assert parse_loss_spec(spec.label()) == spec
         with pytest.raises(OutOfRange):
             parse_loss_spec(token)
+
+
+@pytest.mark.parametrize("token, message", [
+    ("focal", "unknown {what} token 'focal'"),
+    ("tversky:abc:1", "bad numeric parameter in {what} token 'tversky:abc:1'"),
+    ("tversky:0.3", "tversky:0.3 is not one of {grammar}"),
+    ("tversky:0.3:0.7:1", "tversky:0.3:0.7:1 is not one of {grammar}"),
+    ("tversky:nan:1", "tversky parameters must be finite, got (nan, 1.0)"),
+    ("tversky:1:inf", "tversky parameters must be finite, got (1.0, inf)"),
+    ("tversky:0:1", "tversky weights must be > 0, got tversky:0:1"),
+])
+def test_loss_and_metric_tokens_follow_one_rule(token, message):
+    for what, parse, grammar in [("metric", metrics.parse_metric_id, metrics.METRIC_GRAMMAR),
+                                 ("loss", parse_loss_spec, LOSS_GRAMMAR)]:
+        with pytest.raises(OutOfRange) as caught:
+            parse(token)
+        assert str(caught.value) == message.format(what=what, grammar=grammar)
 
 
 @pytest.mark.parametrize("token", ["focal", "ce:1", "wce:1.5", "wce:abc", "tversky:0:1", "tversky:1",

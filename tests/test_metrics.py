@@ -9,7 +9,7 @@ import pytest
 
 from segloss import metrics
 from segloss.bounds import brute_force_sup
-from segloss.errors import NonPositiveWeight, OutOfRange
+from segloss.errors import OutOfRange
 from segloss.masks import BinaryMask, confusion_counts
 from util import (
     all_masks,
@@ -82,7 +82,7 @@ def test_tversky_interpolates_dice_and_jaccard():
 
 
 def test_tversky_weight_validation():
-    with pytest.raises(NonPositiveWeight):
+    with pytest.raises(OutOfRange, match="tversky weights must be > 0"):
         metrics.tversky(Y, YH, 0.0, 0.5)
 
 

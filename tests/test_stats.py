@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from segloss import stats
 from segloss.errors import LengthMismatch, OutOfRange, TooFewSamples
 from segloss.stats import ScoreVector, bootstrap_pair_test, rank_methods
 
@@ -60,6 +61,18 @@ def test_reversal_complement_up_to_zero_ties():
     p_ab = bootstrap_pair_test(sv("a", av), sv("b", bv), n, seed=9)
     p_ba = bootstrap_pair_test(sv("b", bv), sv("a", av), n, seed=9)
     assert abs(p_ab + p_ba - 1.0) <= 2 / n
+
+
+@pytest.mark.parametrize("n", [3, 40])
+def test_block_size_does_not_change_p(monkeypatch, n):
+    rng = np.random.default_rng(19)
+    a = sv("a", rng.uniform(0, 1, n))
+    b = sv("b", rng.uniform(0, 1, n))
+    # 1251 resamples split into partitions of 157 and 156 rows
+    want = [bootstrap_pair_test(a, b, r, seed=4) for r in (1000, 1251)]
+    for elements in (1, 2 * n + 1, 7 * n, 160 * n):
+        monkeypatch.setattr(stats, "_BLOCK_ELEMENTS", elements)
+        assert [bootstrap_pair_test(a, b, r, seed=4) for r in (1000, 1251)] == want
 
 
 def test_validation_errors():

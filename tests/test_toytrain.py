@@ -16,14 +16,18 @@ from segloss.losses import LossSpec
 from segloss.masks import BinaryMask, threshold
 from segloss.toytrain import (
     N_FEATURES,
+    SCORE_COLUMNS,
     EmptyBinWarning,
     Sample,
     SampleSet,
     SyntheticConfig,
     TrainConfig,
+    _fit,
     _mean_loss,
     _prepare,
+    _resolve_masks,
     _run_epoch,
+    _score,
     _sigmoid,
     build_fgbg_masks,
     generate_dataset,
@@ -191,21 +195,27 @@ def test_train_loss_mostly_nonincreasing():
 
 def test_output_mask_all_ones_matches_unmasked():
     data = generate_dataset(SMALL)
-    ones = BinaryMask(data.dims, np.ones(32 * 32, dtype=np.uint8))
+    ones = [BinaryMask(data.dims, np.ones(32 * 32, dtype=np.uint8))] * len(data)
     r_plain = train(data, QUICK)
-    r_masked = train(data, TrainConfig(loss=LossSpec("ce"), learning_rate=4.0, max_epochs=6,
-                                       pretrain_epochs_ce=2, early_stop_patience=4,
-                                       batch_size=4, seed=9), [ones] * len(data))
+    r_masked = _fit(_prepare(data, _resolve_masks(data, ones)), QUICK)
     assert np.array_equal(r_plain.weights, r_masked.weights)
+    plain = run_loss_comparison(data, [LossSpec("ce")], folds=4, seed=3, base_cfg=QUICK)
+    masked = run_loss_comparison(data, [LossSpec("ce")], folds=4, seed=3, base_cfg=QUICK,
+                                 output_masks=ones)
+    for c in SCORE_COLUMNS:
+        assert np.array_equal(plain.arms[0].scores[c], masked.arms[0].scores[c])
 
 
 def test_output_mask_validation():
     data = generate_dataset(SMALL)
     wrong = BinaryMask((8, 8, 1), np.zeros(64, dtype=np.uint8))
-    with pytest.raises(OutOfRange):
-        train(data, TrainConfig(loss=LossSpec("ce"), max_epochs=1), [wrong] * len(data))
-    with pytest.raises(OutOfRange):
-        train(data, TrainConfig(loss=LossSpec("ce"), max_epochs=1), (wrong,) * (len(data) - 1))
+    ones = BinaryMask(data.dims, np.ones(32 * 32, dtype=np.uint8))
+    tiny = TrainConfig(loss=LossSpec("ce"), max_epochs=1)
+    with pytest.raises(OutOfRange, match="output mask dims"):
+        run_loss_comparison(data, [LossSpec("ce")], folds=2, base_cfg=tiny, output_masks=[wrong] * len(data))
+    with pytest.raises(OutOfRange, match="one output mask per image"):
+        run_loss_comparison(data, [LossSpec("ce")], folds=2, base_cfg=tiny,
+                            output_masks=(ones,) * (len(data) - 1))
 
 
 def test_comparison_shapes_folds_and_determinism():
@@ -313,7 +323,10 @@ def test_score_images_equals_metrics_of_thresholded_probabilities():
     rects = build_fgbg_masks(data, 0.3)[0]
     idx = range(len(data))
     for sel in (None, rects):
-        sc = score_images(data, idx, w, sel)
+        if sel is None:
+            sc = score_images(data, idx, w)
+        else:  # the runner scores in-mask pixels this way
+            sc = _score(_prepare(data, _resolve_masks(data, sel)), w)
         for i in idx:
             s = data[i]
             keep = slice(None) if sel is None else sel[i].data.astype(bool)
