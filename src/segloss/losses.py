@@ -18,12 +18,12 @@ head, names the parameters with their range rule, and gives the
 ``parse_loss_spec`` is the only loss token parser, and ``LossSpec`` follows
 the token rule of ``metrics.Token``; ``LOSS_GRAMMAR`` lists the forms.
 
-Three entry points evaluate a kernel on arrays: ``eval_loss_arrays``
+Four entry points evaluate a kernel on arrays: ``eval_loss_arrays``
 returns (value, gradient, degenerate), ``loss_value`` only the value and
-``loss_gradient`` only the gradient.  The last two skip the other half's
-work and agree bit for bit with the first.  Training calls
-``loss_gradient`` on each gradient step and ``loss_value`` on each loss
-pass; ``finite_diff_gradient`` calls ``loss_value``.
+``loss_gradient`` only the gradient (both bit for bit as the first), and
+``loss_logit_gradient`` the gradient with respect to the logits s of
+p = sigmoid(s).  Training calls the last on each gradient step and
+``loss_value`` on each loss pass; ``finite_diff_gradient`` calls ``loss_value``.
 
 All metric-sensitive surrogates coincide with 1 - (their discrete
 similarity) on binary predictions, which ``vertex_consistency_check``
@@ -58,9 +58,18 @@ def _degenerate(p, value, grad):
     return (0.0 if value else None), (np.zeros_like(p) if grad else None), True
 
 
-def _wce_arrays(y, p, gamma, scale, value=True, grad=True):
-    pc = np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
+def _clamp(p):
+    """np.clip(p, CLAMP_EPS, 1 - CLAMP_EPS) bit for bit, without its Python wrapper."""
+    return np.minimum(np.maximum(p, CLAMP_EPS), 1.0 - CLAMP_EPS)
+
+
+def _wce_arrays(y, p, gamma, scale, value=True, grad=True, logit=False):
     d = y.size
+    if logit:  # only d/ds at p = sigmoid(s); a NaN p counts as inside the clip
+        g = -scale / d * (gamma * y - p * (gamma * y + (1.0 - gamma) * (1.0 - y)))
+        g[(p <= CLAMP_EPS) | (p >= 1.0 - CLAMP_EPS)] = 0.0
+        return None, g, False
+    pc = _clamp(p)
     v = g = None
     if value:
         v = -scale / d * float(
@@ -68,11 +77,7 @@ def _wce_arrays(y, p, gamma, scale, value=True, grad=True):
         )
     if grad:
         inside = (p > CLAMP_EPS) & (p < 1.0 - CLAMP_EPS)
-        g = np.where(
-            inside,
-            -scale / d * (gamma * y / pc - (1.0 - gamma) * (1.0 - y) / (1.0 - pc)),
-            0.0,
-        )
+        g = np.where(inside, -scale / d * (gamma * y / pc - (1.0 - gamma) * (1.0 - y) / (1.0 - pc)), 0.0)
     return v, g, False
 
 
@@ -148,7 +153,7 @@ class LossKind:
     ``counterpart(y, yhat, *params)`` is the discrete similarity the loss
     relaxes; ``valid`` is the range rule.
     ``auto``, if set, maps the dataset foreground prior to the parameters
-    of the bare token."""
+    of the bare token.  ``logit`` marks a kernel that takes ``logit=True``."""
 
     params: tuple[str, ...]
     kernel: Callable
@@ -156,14 +161,15 @@ class LossKind:
     valid: Callable = lambda *params: True
     rule: str = ""
     auto: Callable | None = None
+    logit: bool = False
 
 
 LOSSES: dict[str, LossKind] = {
-    "ce": LossKind((), lambda y, p, **want: _wce_arrays(y, p, 0.5, 2.0, **want), metrics.hamming),
+    "ce": LossKind((), lambda y, p, **want: _wce_arrays(y, p, 0.5, 2.0, **want), metrics.hamming, logit=True),
     "wce": LossKind(("gamma",), lambda y, p, gamma, **want: _wce_arrays(y, p, gamma, 1.0, **want),
                     metrics.weighted_hamming, valid=lambda gamma: 0.0 <= gamma <= 1.0,
                     rule="gamma must lie in [0, 1]",
-                    auto=lambda fg_prior: (gamma_for_prior(fg_prior),)),
+                    auto=lambda fg_prior: (gamma_for_prior(fg_prior),), logit=True),
     "soft_dice_l1": LossKind((), lambda y, p, **want: _soft_dice_arrays(y, p, "l1", **want), metrics.dice),
     "soft_dice_l2": LossKind((), lambda y, p, **want: _soft_dice_arrays(y, p, "l2", **want), metrics.dice),
     "soft_jaccard": LossKind((), _soft_jaccard_arrays, metrics.jaccard),
@@ -209,9 +215,9 @@ def parse_loss_spec(token: str, fg_prior: float | None = None) -> LossSpec:
     return LossSpec(head, metrics.read_params(parts, "loss", token))
 
 
-def _kernel(spec: LossSpec, y, p, value: bool, grad: bool):
+def _kernel(spec: LossSpec, y, p, value: bool, grad: bool, **logit):
     return LOSSES[spec.kind].kernel(np.asarray(y, dtype=np.float64), np.asarray(p, dtype=np.float64),
-                                    *spec.params, value=value, grad=grad)
+                                    *spec.params, value=value, grad=grad, **logit)
 
 
 def eval_loss_arrays(spec: LossSpec, y: np.ndarray, p: np.ndarray):
@@ -230,6 +236,14 @@ def loss_value(spec: LossSpec, y: np.ndarray, p: np.ndarray) -> float:
 def loss_gradient(spec: LossSpec, y: np.ndarray, p: np.ndarray) -> np.ndarray:
     """eval_loss_arrays(spec, y, p)[1], without computing the value."""
     return _kernel(spec, y, p, False, True)[1]
+
+
+def loss_logit_gradient(spec: LossSpec, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """loss_gradient(spec, y, p) * p * (1 - p), the gradient with respect to the
+    logits of p = sigmoid(s); the CE rows give it in closed form."""
+    if LOSSES[spec.kind].logit:
+        return _kernel(spec, y, p, False, True, logit=True)[1]
+    return loss_gradient(spec, y, p) * p * (1.0 - p)
 
 
 def finite_diff_gradient(spec: LossSpec, y: BinaryMask, p: ProbMap, h: float) -> np.ndarray:

@@ -11,6 +11,10 @@ Training computes a loss value only on its validation images, whose curve
 drives early stopping, the learning-rate cuts and the kept weights; no
 train-set loss curve is computed.  Evaluation only ever uses the discrete
 metrics at threshold 0.5; the training loss never contaminates it.
+
+Each image's features are one C-contiguous (N_FEATURES, d) array, and
+``Sample.features`` is its (d, N_FEATURES) view; training and scoring take
+the logits as ``w @ X`` and gradients as ``X @ v`` over contiguous rows.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .errors import (
 )
 # eval_loss_arrays stays a module global: perfbench/layers.py counts the
 # calls made through it
-from .losses import LossSpec, eval_loss_arrays, loss_gradient, loss_value  # noqa: F401
+from .losses import LossSpec, eval_loss_arrays, loss_logit_gradient, loss_value  # noqa: F401
 from .masks import BinaryMask, overlap_counts
 from .metrics import dice_from_counts, fbeta_from_counts, jaccard_from_counts
 
@@ -94,7 +98,7 @@ class SyntheticConfig:
 
 @dataclass(frozen=True, eq=False)
 class Sample:
-    features: np.ndarray  # (d, N_FEATURES) float64
+    features: np.ndarray  # (d, N_FEATURES) float64, a view of a (N_FEATURES, d) array
     label: BinaryMask
 
 
@@ -210,10 +214,10 @@ def generate_dataset(cfg: SyntheticConfig) -> SampleSet:
         with np.errstate(over="ignore", invalid="ignore"):
             if cfg.noise_sigma > 0:
                 img = img + cfg.noise_sigma * rng.standard_normal((ny, nx))
-            feats = np.stack([img.ravel(), _box3(img).ravel(), xnorm, ynorm, ones], axis=1)
+            feats = np.stack([img.ravel(), _box3(img).ravel(), xnorm, ynorm, ones])
         if not np.all(np.isfinite(feats)):
             raise InfeasibleConfig(f"noise_sigma = {cfg.noise_sigma:g} overflows the image features")
-        samples.append(Sample(feats, BinaryMask.from_array(label.astype(np.uint8))))
+        samples.append(Sample(feats.T, BinaryMask.from_array(label.astype(np.uint8))))
     return SampleSet(samples)
 
 
@@ -283,21 +287,20 @@ def _resolve_masks(data: SampleSet, output_masks) -> list:
 
 
 def _prepare(samples, sels) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(features, float labels) of each sample's selected pixels."""
-    return [(s.features[sel], s.label.data[sel].astype(np.float64))
+    """(C-contiguous (N_FEATURES, d') features, float labels) of each
+    sample's selected pixels; all pixels of a generated sample are a view."""
+    return [(np.ascontiguousarray(s.features.T[:, sel]), s.label.data[sel].astype(np.float64))
             for s, sel in zip(samples, sels)]
 
 
 def _image_grad(spec: LossSpec, X: np.ndarray, yv: np.ndarray, w: np.ndarray) -> np.ndarray:
-    p = _sigmoid(X @ w)
-    gp = loss_gradient(spec, yv, p)
-    return X.T @ (gp * p * (1.0 - p))
+    return X @ loss_logit_gradient(spec, yv, _sigmoid(w @ X))
 
 
 def _mean_loss(items, w: np.ndarray, spec: LossSpec) -> float:
     total = 0.0
     for X, yv in items:
-        total += loss_value(spec, yv, _sigmoid(X @ w))
+        total += loss_value(spec, yv, _sigmoid(w @ X))
     return total / len(items)
 
 
@@ -386,7 +389,7 @@ def _score(items, w: np.ndarray) -> dict[str, np.ndarray]:
     out = {c: np.empty(len(items)) for c in SCORE_COLUMNS}
     for i, (X, yv) in enumerate(items):
         truth = yv.astype(bool)
-        counts = (*overlap_counts(truth, _sigmoid(X @ w) > 0.5), truth.size)
+        counts = (*overlap_counts(truth, _sigmoid(w @ X) > 0.5), truth.size)
         values = (dice_from_counts(*counts), jaccard_from_counts(*counts),
                   *(fbeta_from_counts(*counts, b) for b in FBETAS))
         for c, v in zip(SCORE_COLUMNS, values):

@@ -60,6 +60,24 @@ def test_probe_reads_weights_and_epochs_run_off_a_train_result():
     assert res.epochs_run == len(res.val_losses) == 2
 
 
+def test_probe_multiplies_sample_features_by_weights_and_training_gets_feature_major_rows():
+    data = toytrain.generate_dataset(toytrain.SyntheticConfig(
+        n_images=2, dims=(16, 16), object_radius_range=(2.0, 4.0), fg_prior_target=0.08))
+    d = 16 * 16
+    w = np.arange(1.0, toytrain.N_FEATURES + 1.0)
+    for s in data:
+        assert s.features.shape == (d, toytrain.N_FEATURES)
+        assert (s.features @ w).shape == (d,)
+    keep = np.zeros(d, dtype=bool)
+    keep[::3] = True
+    for sels in ([slice(None)] * 2, [keep] * 2):
+        for (X, yv), s, sel in zip(toytrain._prepare(data, sels), data, sels):
+            assert X.flags.c_contiguous and X.shape == (toytrain.N_FEATURES, yv.size)
+            assert np.array_equal(X.T, s.features[sel])
+            # every pixel selected: a view of the sample, no copy
+            assert np.shares_memory(X, s.features) == isinstance(sel, slice)
+
+
 def test_span_reads_the_mask_path_argument_by_name():
     assert "path" in inspect.signature(fileio.read_mask).parameters
 

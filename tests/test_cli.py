@@ -212,15 +212,21 @@ TINY_SWEEP = ("n_images = 10\nnx = 32\nny = 32\nradius_min = 3\nradius_max = 6\n
               "alphas = 0.3, 0.7\nequal_alphas = 1\n")
 
 
-@pytest.mark.parametrize("command, config", [("train", TINY_TRAIN), ("sweep", TINY_SWEEP)])
+# the wce (auto and fixed gamma), soft Jaccard and Lovasz arms
+TINY_TRAIN_ARMS = TINY_TRAIN.replace("losses = ce, soft_dice", "losses = wce, wce:0.9, soft_jaccard, lovasz")
+GOLDEN_TREE = {TINY_TRAIN: "train", TINY_SWEEP: "sweep", TINY_TRAIN_ARMS: "train_arms"}
+
+
+@pytest.mark.parametrize("command, config", [("train", TINY_TRAIN), ("sweep", TINY_SWEEP),
+                                             ("train", TINY_TRAIN_ARMS)])
 def test_experiment_reports_match_golden(tmp_path, command, config):
-    # the train config has an fg/bg ratio, so the golden tree covers the
+    # the train configs have an fg/bg ratio, so the golden trees cover the
     # masked path as well as the plain comparison
     cfg = tmp_path / f"{command}.cfg"
     cfg.write_text(config)
     out = tmp_path / "out"
     assert cli.main(["--out-dir", str(out), command, str(cfg)]) == 0
-    assert _tree(out) == _tree(pathlib.Path(GOLDEN) / command)
+    assert _tree(out) == _tree(pathlib.Path(GOLDEN) / GOLDEN_TREE[config])
 
 
 def test_sweep_builds_eleven_arms(tmp_path):
@@ -355,6 +361,10 @@ def test_train_arms_equal_in_g_format_get_distinct_reports(tmp_path):
      "usage error: learning_rate must be finite and > 0"),
     ("train", ("n_resamples = 1000", "n_resamples = 1000\nnoise_sigma = 1e308"), 3,
      "numeric failure: noise_sigma = 1e+308 overflows the image features"),
+    ("train", ("n_resamples = 1000", "n_resamples = 1000000000000"), 1,
+     "usage error: n_resamples must be <= 10000000, got 1000000000000"),
+    ("sweep", ("n_resamples = 1000", "n_resamples = 10000001"), 1,
+     "usage error: n_resamples must be <= 10000000, got 10000001"),
 ])
 def test_experiment_config_errors_stop_before_training(tmp_path, capsys, monkeypatch,
                                                        command, edit, code, message):

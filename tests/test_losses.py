@@ -4,18 +4,22 @@ import pytest
 from segloss import metrics
 from segloss.errors import OutOfDomain, OutOfRange
 from segloss.losses import (
+    CLAMP_EPS,
     LOSS_GRAMMAR,
     LOSSES,
     LossSpec,
+    _clamp,
     eval_loss_arrays,
     finite_diff_gradient,
     gamma_for_prior,
     loss_gradient,
+    loss_logit_gradient,
     loss_value,
     parse_loss_spec,
     vertex_consistency_check,
 )
 from util import (
+    clip_clamp,
     lovasz_has_near_ties,
     mask_of,
     max_rel_grad_error,
@@ -170,9 +174,57 @@ def test_value_and_gradient_entry_points_match_the_full_evaluation_bit_for_bit(s
         value, grad, _ = eval_loss_arrays(spec, yv, p)
         assert np.array_equal(_bits(loss_value(spec, yv, p)), _bits(value))
         assert np.array_equal(_bits(loss_gradient(spec, yv, p)), _bits(grad))
+        # the logit-space gradient is the gradient chained through the
+        # sigmoid; the CE rows' closed form rounds differently
+        chained, logit = grad * p * (1.0 - p), loss_logit_gradient(spec, yv, p)
+        if LOSSES[spec.kind].logit:
+            np.testing.assert_allclose(logit, chained, rtol=1e-12, atol=0.0)
+        else:
+            assert np.array_equal(_bits(logit), _bits(chained))
 
 
 GRAD_TOL = 1e-5
+
+
+def test_clamp_equals_np_clip_bit_for_bit():
+    rng = np.random.default_rng(3)
+    p = np.concatenate([rng.uniform(0.0, 1.0, 256), rng.uniform(0.0, 1e-6, 16), 1.0 - rng.uniform(0.0, 1e-6, 16),
+                        [0.0, 1.0, CLAMP_EPS, 1.0 - CLAMP_EPS, np.nan]])
+    assert np.array_equal(_clamp(p).view(np.int64), clip_clamp(p).view(np.int64))
+
+
+@pytest.mark.parametrize("spec", ALL_KINDS, ids=lambda s: s.label())
+def test_logit_gradient_against_finite_differences_in_logit_space(spec):
+    rng = np.random.default_rng(8)
+    h = 1e-6
+    checked = 0
+    while checked < 30:
+        y, p = random_instance(rng, 16)
+        if spec.kind == "lovasz" and lovasz_has_near_ties(y, p):
+            continue
+        s = np.log(p.data) - np.log1p(-p.data)
+        fd = np.empty_like(s)
+        for i in range(s.size):
+            step = np.zeros_like(s)
+            step[i] = h
+            fd[i] = (loss_value(spec, y.data, 1.0 / (1.0 + np.exp(-(s + step))))
+                     - loss_value(spec, y.data, 1.0 / (1.0 + np.exp(-(s - step))))) / (2.0 * h)
+        analytic = loss_logit_gradient(spec, y.data, p.data)
+        denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(fd)))
+        assert np.max(np.abs(analytic - fd) / denom) < GRAD_TOL
+        checked += 1
+
+
+@pytest.mark.parametrize("spec", [LossSpec("ce"), LossSpec("wce", (0.3,))], ids=LossSpec.label)
+def test_ce_logit_gradient_is_zero_under_the_clip_and_nan_at_nan(spec):
+    p = np.array([0.0, 1e-9, CLAMP_EPS, 1.0 - CLAMP_EPS, 1.0 - 1e-9, 1.0, np.nan, 0.5, 0.25])
+    y = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
+    g = loss_logit_gradient(spec, y, p)
+    assert np.all(g[:6] == 0.0)
+    assert np.isnan(g[6])
+    assert np.all(np.isfinite(g[7:])) and np.all(g[7:] != 0.0)
+    # NaN where the chained form gives NaN, too
+    assert np.array_equal(np.isnan(g), np.isnan(loss_gradient(spec, y, p) * p * (1.0 - p)))
 
 
 @pytest.mark.parametrize("spec", ALL_KINDS, ids=lambda s: s.label())

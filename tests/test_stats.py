@@ -79,6 +79,9 @@ def test_validation_errors():
     a = sv("a", [0.1, 0.2])
     with pytest.raises(OutOfRange):
         bootstrap_pair_test(a, a, 999, seed=0)
+    stats.check_ranking(2, stats.MAX_RESAMPLES)
+    with pytest.raises(OutOfRange, match="n_resamples must be <= 10000000"):
+        bootstrap_pair_test(a, a, stats.MAX_RESAMPLES + 1, seed=0)
     with pytest.raises(LengthMismatch):
         bootstrap_pair_test(a, sv("b", [0.1, 0.2, 0.3]), 1000, seed=0)
     with pytest.raises(TooFewSamples):

@@ -1,6 +1,6 @@
 """Shared helpers for the test suite: independent set-based oracles, the
 full 4**d mask-pair enumeration, the pairwise Hausdorff scan, the
-two-branch sigmoid and the gradient-check harness.  Apart from the 4**d bound scan, which checks the
+two-branch sigmoid, the np.clip clamp and the gradient-check harness.  Apart from the 4**d bound scan, which checks the
 count-space reduction and so evaluates the library's own kernels, nothing
 here uses the library's count/metric kernels, so tests check two routes."""
 
@@ -13,7 +13,7 @@ import numpy as np
 
 from segloss.bounds import BoundReport, Witness, closed_form_bounds, parse_metric_id
 from segloss.errors import DTooLarge, OutOfRange
-from segloss.losses import eval_loss_arrays, finite_diff_gradient
+from segloss.losses import CLAMP_EPS, eval_loss_arrays, finite_diff_gradient
 from segloss.masks import BinaryMask, ProbMap
 
 # 4**d ordered pairs must stay enumerable
@@ -251,3 +251,12 @@ def masked_sigmoid(s: np.ndarray) -> np.ndarray:
     es = np.exp(s[~pos])
     out[~pos] = es / (1.0 + es)
     return out
+
+
+# --- reference CE clamp, through np.clip ---------------------------------------
+
+
+def clip_clamp(p: np.ndarray) -> np.ndarray:
+    """The values the CE/WCE clamp must give: p clipped into
+    [CLAMP_EPS, 1 - CLAMP_EPS] by np.clip."""
+    return np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
