@@ -21,14 +21,26 @@ written as sweep_summary.  A weighted-CE gamma sweep needs no command of
 its own: it is a `train` config such as
 `losses = wce:0.1, wce:0.3, wce:0.5, wce:0.7, wce:0.9, ce, soft_dice`,
 which tests whether any wCE weighting matches soft Dice on Dice.
+
+The command line runs BLAS on one thread: importing this module sets
+OMP_NUM_THREADS=1 before numpy loads, unless OMP_NUM_THREADS,
+OPENBLAS_NUM_THREADS or MKL_NUM_THREADS is already set.  The largest BLAS
+call in segloss is a 5 x d matrix-vector product, so a second BLAS thread
+only spins.  Code that imports the other modules directly keeps numpy's
+default threading.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
+if not any(v in os.environ for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")):
+    os.environ["OMP_NUM_THREADS"] = "1"
+
+# the first import that loads numpy, so it must follow the pin
 from . import bounds as bounds_mod
 from . import fileio
 from .errors import DataError, DTooLarge, NumericError, OutOfRange, SeglossError, UsageError

@@ -218,10 +218,14 @@ def read_report_json(path: str) -> ReportTable:
         name, columns, rows = doc["name"], doc["columns"], doc["rows"]
     except (KeyError, TypeError) as exc:
         raise DataError(f"{path}: not a report document") from exc
+    if not isinstance(name, str):
+        raise DataError(f"{path}: name must be a string")
     if not (isinstance(columns, list) and all(isinstance(c, str) for c in columns)):
         raise DataError(f"{path}: columns must be a list of names")
     if not (isinstance(rows, list) and all(isinstance(r, list) and len(r) == len(columns) for r in rows)):
         raise DataError(f"{path}: every row must be a list of {len(columns)} cells")
+    if not all(isinstance(v, (type(None), bool, int, float, str)) for r in rows for v in r):
+        raise DataError(f"{path}: every cell must be null, a bool, a number or a string")
     return ReportTable(name, columns, rows)
 
 

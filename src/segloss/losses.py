@@ -65,19 +65,19 @@ def _clamp(p):
 
 def _wce_arrays(y, p, gamma, scale, value=True, grad=True, logit=False):
     d = y.size
-    if logit:  # only d/ds at p = sigmoid(s); a NaN p counts as inside the clip
-        g = -scale / d * (gamma * y - p * (gamma * y + (1.0 - gamma) * (1.0 - y)))
-        g[(p <= CLAMP_EPS) | (p >= 1.0 - CLAMP_EPS)] = 0.0
-        return None, g, False
-    pc = _clamp(p)
     v = g = None
-    if value:
-        v = -scale / d * float(
-            np.sum(gamma * y * np.log(pc) + (1.0 - gamma) * (1.0 - y) * np.log1p(-pc))
-        )
-    if grad:
-        inside = (p > CLAMP_EPS) & (p < 1.0 - CLAMP_EPS)
-        g = np.where(inside, -scale / d * (gamma * y / pc - (1.0 - gamma) * (1.0 - y) / (1.0 - pc)), 0.0)
+    if logit:  # only d/ds at p = sigmoid(s)
+        g = -scale / d * (gamma * y - p * (gamma * y + (1.0 - gamma) * (1.0 - y)))
+    else:
+        pc = _clamp(p)
+        if value:
+            v = -scale / d * float(
+                np.sum(gamma * y * np.log(pc) + (1.0 - gamma) * (1.0 - y) * np.log1p(-pc))
+            )
+        if grad:
+            g = -scale / d * (gamma * y / pc - (1.0 - gamma) * (1.0 - y) / (1.0 - pc))
+    if g is not None:  # zero under the clip; a NaN p counts as inside it
+        g[(p <= CLAMP_EPS) | (p >= 1.0 - CLAMP_EPS)] = 0.0
     return v, g, False
 
 

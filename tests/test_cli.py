@@ -1,6 +1,8 @@
 import json
 import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -229,6 +231,44 @@ def test_experiment_reports_match_golden(tmp_path, command, config):
     assert _tree(out) == _tree(pathlib.Path(GOLDEN) / GOLDEN_TREE[config])
 
 
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+SHOW_THREADS = ("import os, segloss.cli\n"
+                "task = '/proc/self/task'\n"
+                "print(len(os.listdir(task)) if os.path.isdir(task) else 1, os.environ.get('OMP_NUM_THREADS'))\n")
+
+
+def _fresh_python(args, cwd=None, **env):
+    """Run a new interpreter with src on PYTHONPATH and no BLAS thread variable set."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env={**base, **env}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_package_import_loads_no_numpy():
+    # so that the cli module's pin runs before numpy loads
+    _fresh_python(["-c", "import sys, segloss; assert 'numpy' not in sys.modules"])
+
+
+def test_cli_runs_one_blas_thread():
+    assert _fresh_python(["-c", SHOW_THREADS]).split() == ["1", "1"]
+
+
+def test_cli_leaves_a_set_blas_thread_variable_alone():
+    assert _fresh_python(["-c", SHOW_THREADS], OPENBLAS_NUM_THREADS="2").split()[1] == "None"
+
+
+def test_train_cli_process_matches_golden(tmp_path):
+    # pytest has loaded numpy with its default threads, so cli.main in this
+    # process never takes the pinned path; a child process does
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(TINY_TRAIN)
+    _fresh_python(["-m", "segloss.cli", "--out-dir", "out", "train", str(cfg)], cwd=tmp_path)
+    assert _tree(tmp_path / "out") == _tree(pathlib.Path(GOLDEN) / "train")
+
+
 def test_sweep_builds_eleven_arms(tmp_path):
     # no alphas or equal_alphas in the config: the default arms
     cfg = tmp_path / "sweep.cfg"
@@ -261,11 +301,12 @@ def test_report_missing_path_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("columns, rows", [(["a", "b"], [[1, 2, 3], [4]]), ("ab", [[1, 2]])],
-                         ids=["ragged-rows", "string-columns"])
-def test_report_of_a_malformed_table_is_data_error(tmp_path, capsys, columns, rows):
+@pytest.mark.parametrize("name, columns, rows", [("bad", ["a", "b"], [[1, 2, 3], [4]]), ("bad", "ab", [[1, 2]]),
+                                                 (5, ["a"], [[1]]), ("bad", ["a", "b"], [[{"k": 1}, 2]])],
+                         ids=["ragged-rows", "string-columns", "number-name", "object-cell"])
+def test_report_of_a_malformed_table_is_data_error(tmp_path, capsys, name, columns, rows):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"name": "bad", "columns": columns, "rows": rows}))
+    path.write_text(json.dumps({"name": name, "columns": columns, "rows": rows}))
     assert cli.main(["report", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""

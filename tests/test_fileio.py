@@ -228,7 +228,11 @@ def test_report_json_rejects_garbage(tmp_path):
                  '{"name": "t", "columns": ["a", "b"], "rows": [[1, 2], [4]]}',
                  '{"name": "t", "columns": "ab", "rows": [[1, 2]]}',
                  '{"name": "t", "columns": ["a", 2], "rows": [[1, 2]]}',
-                 '{"name": "t", "columns": ["a", "b"], "rows": ["xy"]}']:
+                 '{"name": "t", "columns": ["a", "b"], "rows": ["xy"]}',
+                 '{"name": 5, "columns": ["a", "b"], "rows": [[1, 2]]}',
+                 '{"name": null, "columns": ["a"], "rows": []}',
+                 '{"name": "t", "columns": ["a", "b"], "rows": [[{"k": 1}, 2]]}',
+                 '{"name": "t", "columns": ["a", "b"], "rows": [[1, 2], [null, [3]]]}']:
         path.write_text(text)
         with pytest.raises(DataError):
             read_report_json(str(path))

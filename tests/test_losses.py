@@ -223,8 +223,11 @@ def test_ce_logit_gradient_is_zero_under_the_clip_and_nan_at_nan(spec):
     assert np.all(g[:6] == 0.0)
     assert np.isnan(g[6])
     assert np.all(np.isfinite(g[7:])) and np.all(g[7:] != 0.0)
+    # the p-space gradient is NaN at the NaN p as well, and zero under the clip
+    gp = loss_gradient(spec, y, p)
+    assert np.isnan(gp[6]) and np.all(gp[:6] == 0.0)
     # NaN where the chained form gives NaN, too
-    assert np.array_equal(np.isnan(g), np.isnan(loss_gradient(spec, y, p) * p * (1.0 - p)))
+    assert np.array_equal(np.isnan(g), np.isnan(gp * p * (1.0 - p)))
 
 
 @pytest.mark.parametrize("spec", ALL_KINDS, ids=lambda s: s.label())
