@@ -2,7 +2,8 @@
 and run the synthetic training experiments from a config file.
 
 Exit codes: 0 ok, 1 usage/config error, 2 data error (an OS error on a
-path included), 3 numeric failure.
+path included), 3 numeric failure.  A warning prints as one
+`segloss: warning: <message>` line on stderr.
 Every run with identical arguments, config and seed produces byte-identical
 report files.  Experiments run their (fold, arm) jobs one after another in
 one process; --threads is still accepted and checked, but changes nothing.
@@ -36,6 +37,7 @@ import argparse
 import os
 import re
 import sys
+import warnings
 
 if not any(v in os.environ for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")):
     os.environ["OMP_NUM_THREADS"] = "1"
@@ -89,14 +91,15 @@ def build_parser() -> _Parser:
                     help=f"comma list of: {METRIC_GRAMMAR}")
 
     bo = sub.add_parser("bounds", help="closed-form and brute-force bounds")
-    bo.add_argument("--pair", default=None,
-                    help=f"two metrics joined by '-', e.g. dice-tversky:0.3:0.7; each "
-                         f"one of: {COUNTS_METRIC_GRAMMAR}")
+    what = bo.add_mutually_exclusive_group(required=True)
+    what.add_argument("--pair", default=None,
+                      help=f"two metrics joined by '-', e.g. dice-tversky:0.3:0.7; each "
+                           f"one of: {COUNTS_METRIC_GRAMMAR}")
     bo.add_argument("--dmax", type=int, default=5,
                     help="verify empirical suprema for d = 1..dmax (<= 200)")
-    bo.add_argument("--fig1-grid", action="store_true",
-                    help="emit closed-form error curves for equal Tversky "
-                         "weights over [0.1, 3.0] step 0.05")
+    what.add_argument("--fig1-grid", action="store_true",
+                      help="emit closed-form error curves for equal Tversky "
+                           "weights over [0.1, 3.0] step 0.05 (instead of --pair)")
 
     tr = sub.add_parser("train", help="loss-comparison experiment from a config")
     tr.add_argument("config", help=f"flat key = value config file; its losses key is a "
@@ -139,8 +142,6 @@ def cmd_bounds(args) -> int:
         table = fileio.ReportTable("fig1_grid", ["alpha", "abs_error", "rel_error"], rows)
         fileio.write_report(table, args.out_dir, "fig1_grid")
         return 0
-    if args.pair is None:
-        raise UsageError("either --pair or --fig1-grid is required")
     # every metric head starts with a letter, so a '-' before a digit
     # belongs to a number such as 1e-3
     names = re.split(r"-(?=[A-Za-z])", args.pair, maxsplit=1)
@@ -361,7 +362,9 @@ def main(argv=None) -> int:
             "sweep": cmd_sweep,
             "report": cmd_report,
         }[args.command]
-        return handler(args)
+        with warnings.catch_warnings():  # a shown warning is one line, as the errors are
+            warnings.showwarning = lambda message, *_: print(f"segloss: warning: {message}", file=sys.stderr)
+            return handler(args)
     except UsageError as exc:
         print(f"segloss: usage error: {exc}", file=sys.stderr)
         return 1

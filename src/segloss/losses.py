@@ -8,7 +8,9 @@ Conventions:
 * CE is the gamma = 0.5 weighted cross-entropy scaled by 2, i.e. the
   plain unweighted form -sum(y log p + (1-y) log(1-p)) / d;
 * CE/WCE clip p into [CLAMP_EPS, 1-CLAMP_EPS] (no per-spec eps) before the log;
-  the gradient is that of the clipped value, zero where the clip is active;
+  the gradient is that of the clipped value, zero where the clip is active
+  (masked only when some p reaches the clip or is NaN); the CE logit
+  gradient is (p - y)/d, the wCE form at gamma 0.5 and scale 2 for 0/1 y;
 * a zero surrogate denominator (possible only when y and p are both
   identically zero) yields value 0, gradient 0 and a ``degenerate`` flag.
 
@@ -66,8 +68,11 @@ def _clamp(p):
 def _wce_arrays(y, p, gamma, scale, value=True, grad=True, logit=False):
     d = y.size
     v = g = None
-    if logit:  # only d/ds at p = sigmoid(s)
-        g = -scale / d * (gamma * y - p * (gamma * y + (1.0 - gamma) * (1.0 - y)))
+    if logit and scale == 2.0:  # CE: with 0/1 y the wCE form below is (p - y)/d bit for bit
+        g = (p - y) * (1.0 / d)
+    elif logit:  # only d/ds at p = sigmoid(s)
+        gy = gamma * y
+        g = -scale / d * (gy - p * (gy + (1.0 - gamma) * (1.0 - y)))
     else:
         pc = _clamp(p)
         if value:
@@ -76,23 +81,23 @@ def _wce_arrays(y, p, gamma, scale, value=True, grad=True, logit=False):
             )
         if grad:
             g = -scale / d * (gamma * y / pc - (1.0 - gamma) * (1.0 - y) / (1.0 - pc))
-    if g is not None:  # zero under the clip; a NaN p counts as inside it
+    # zero under the clip, masking only when some p reaches it; a NaN p
+    # fails the range test, takes the mask and stays NaN
+    if g is not None and not (p.min() > CLAMP_EPS and p.max() < 1.0 - CLAMP_EPS):
         g[(p <= CLAMP_EPS) | (p >= 1.0 - CLAMP_EPS)] = 0.0
     return v, g, False
 
 
 def _soft_dice_arrays(y, p, variant, value=True, grad=True):
     num = 2.0 * float(y @ p)
-    if variant == "l1":
-        den = float(y.sum() + p.sum())
-        if den == 0.0:
-            return _degenerate(p, value, grad)
-        g = -(2.0 * y * den - num) / (den * den) if grad else None
-    else:
-        den = float(y.sum() + p @ p)
-        if den == 0.0:
-            return _degenerate(p, value, grad)
-        g = -(2.0 * y * den - num * 2.0 * p) / (den * den) if grad else None
+    den = float(y.sum() + (p.sum() if variant == "l1" else p @ p))
+    if den == 0.0:
+        return _degenerate(p, value, grad)
+    g = None
+    if grad:  # -(2 y den - num) / den^2, num times 2p for L2, bit for bit in place
+        g = y * (2.0 * den)
+        g -= num if variant == "l1" else num * 2.0 * p
+        g /= -(den * den)
     return (1.0 - num / den if value else None), g, False
 
 
@@ -243,7 +248,10 @@ def loss_logit_gradient(spec: LossSpec, y: np.ndarray, p: np.ndarray) -> np.ndar
     logits of p = sigmoid(s); the CE rows give it in closed form."""
     if LOSSES[spec.kind].logit:
         return _kernel(spec, y, p, False, True, logit=True)[1]
-    return loss_gradient(spec, y, p) * p * (1.0 - p)
+    g = loss_gradient(spec, y, p)
+    g *= p
+    g *= 1.0 - p
+    return g
 
 
 def finite_diff_gradient(spec: LossSpec, y: BinaryMask, p: ProbMap, h: float) -> np.ndarray:

@@ -263,11 +263,14 @@ class TrainResult:
 
 
 def _sigmoid(s: np.ndarray) -> np.ndarray:
-    # the same operations per element as 1/(1+exp(-s)) for s >= 0 and
-    # exp(s)/(1+exp(s)) below, without boolean-mask indexing; minimum(s, -s)
-    # is -|s| but keeps the sign of a NaN logit, as the two branches do
-    e = np.exp(np.minimum(s, -s))
-    return np.where(s >= 0, 1.0, e) / (1.0 + e)
+    # one branch, 1/(1+exp(-s)): the bits of the two-branch form (exp(s)/(1+exp(s))
+    # below 0) for s >= 0, a few ulp off it below, where both give p <= 0.5, so
+    # the scores' p > 0.5 is unchanged.  exp(-s) overflows to inf below
+    # s = -709.78, giving the right p = 0; that warning is silenced
+    with np.errstate(over="ignore"):
+        e = np.exp(-s)
+    e += 1.0
+    return np.reciprocal(e, out=e)
 
 
 def _resolve_masks(data: SampleSet, output_masks) -> list:

@@ -56,6 +56,14 @@ def test_bounds_pair_without_partner_is_usage_error(tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--fig1-grid", "--pair", "dice-jaccard", "--dmax", "3"], []],
+                         ids=["fig1-grid-with-pair", "neither"])
+def test_bounds_needs_exactly_one_of_pair_and_fig1_grid(tmp_path, capsys, argv):
+    assert cli.main(["--out-dir", str(tmp_path), "bounds", *argv]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
 @pytest.mark.parametrize("too_tight", [(0.0, None), (1.0, 0.0)])
 def test_bounds_closed_form_violation_is_numeric_failure(tmp_path, capsys, monkeypatch, too_tight):
     monkeypatch.setattr(bounds, "closed_form_bounds", lambda a, b: too_tight)
@@ -193,6 +201,20 @@ def test_train_reports_identical_across_threads(tmp_path):
     # scores per arm, significance and summary; each as csv and json
     assert len(trees[0]) == 18
     assert trees[0] == trees[1]
+
+
+@pytest.mark.filterwarnings("always::segloss.toytrain.EmptyBinWarning")
+def test_train_warning_is_one_segloss_line(tmp_path, capsys):
+    cfg = tmp_path / "six.cfg"
+    cfg.write_text("n_images = 6\nfolds = 2\nmax_epochs = 2\npretrain_epochs_ce = 1\n")
+    assert cli.main(["--out-dir", str(tmp_path / "shown"), "train", str(cfg)]) == 0
+    assert capsys.readouterr().err == "segloss: warning: 4 empty size bins collapsed (6 images over 10 bins)\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", toytrain.EmptyBinWarning)
+        assert cli.main(["--out-dir", str(tmp_path / "quiet"), "train", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
+    assert _tree(tmp_path / "shown") == _tree(tmp_path / "quiet")
+    assert len(_tree(tmp_path / "shown")) == 10
 
 
 def test_fgbg_runs_compare_the_configured_losses(tmp_path):

@@ -25,6 +25,8 @@ from util import (
     max_rel_grad_error,
     prob_of,
     random_instance,
+    reference_soft_dice,
+    reference_wce,
 )
 
 METRIC_SENSITIVE = [
@@ -181,6 +183,45 @@ def test_value_and_gradient_entry_points_match_the_full_evaluation_bit_for_bit(s
             np.testing.assert_allclose(logit, chained, rtol=1e-12, atol=0.0)
         else:
             assert np.array_equal(_bits(logit), _bits(chained))
+
+
+def _same_bits(a, b) -> bool:
+    """The same float64 bits, except that any NaN matches any NaN: IEEE 754
+    leaves the sign bit of a NaN result unspecified."""
+    a, b = np.atleast_1d(np.asarray(a, dtype=np.float64)), np.atleast_1d(np.asarray(b, dtype=np.float64))
+    nan = np.isnan(a)
+    return bool(np.array_equal(nan, np.isnan(b)) and np.array_equal(_bits(a[~nan]), _bits(b[~nan])))
+
+
+_REFERENCE = {"ce": lambda y, p: reference_wce(y, p, 0.5, 2.0),
+              "wce": lambda y, p, gamma: reference_wce(y, p, gamma, 1.0),
+              "soft_dice_l1": lambda y, p: reference_soft_dice(y, p, "l1"),
+              "soft_dice_l2": lambda y, p: reference_soft_dice(y, p, "l2")}
+
+
+@pytest.mark.parametrize("spec", [LossSpec("ce"), LossSpec("wce", (0.3,)), LossSpec("wce", (0.9,)),
+                                  LossSpec("soft_dice_l1"), LossSpec("soft_dice_l2")], ids=LossSpec.label)
+def test_training_kernels_match_the_written_out_formulas_bit_for_bit(spec):
+    rng = np.random.default_rng(29)
+    cases = []
+    for d in (4096, 3277):  # a whole 64 x 64 image and a masked one
+        y = (rng.uniform(size=d) < 0.1).astype(np.float64)
+        inside = rng.uniform(0.01, 0.99, d)  # no p under the clip
+        edges = inside.copy()
+        edges[:8] = [0.0, 1.0, 5e-8, 1.0 - 5e-8, 0.0, 1.0, 5e-8, 1.0 - 5e-8]
+        y[:8] = [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0]
+        nan = inside.copy()
+        nan[d // 2] = np.nan
+        cases += [(y, inside), (y, edges), (y, nan)]
+    cases.append((np.zeros(4096), np.zeros(4096)))
+    for y, p in cases:
+        value, grad, logit = _REFERENCE[spec.kind](y, p, *spec.params)
+        assert _same_bits(loss_value(spec, y, p), value)
+        assert _same_bits(loss_gradient(spec, y, p), grad)
+        assert _same_bits(loss_logit_gradient(spec, y, p), logit)
+        # value and gradient from one kernel call, as from two
+        both = eval_loss_arrays(spec, y, p)
+        assert _same_bits(both[0], value) and _same_bits(both[1], grad)
 
 
 GRAD_TOL = 1e-5

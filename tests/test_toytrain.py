@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -36,7 +37,7 @@ from segloss.toytrain import (
     stratify_by_size,
     train,
 )
-from util import mask_of, masked_sigmoid, prob_of
+from util import mask_of, masked_sigmoid, one_branch_sigmoid, prob_of
 
 SMALL = SyntheticConfig(n_images=40, dims=(32, 32), object_radius_range=(3.0, 6.0),
                         fg_prior_target=0.08, noise_sigma=0.3, seed=5)
@@ -304,7 +305,7 @@ def test_fgbg_infeasible_ratio():
         build_fgbg_masks(data, 0.0)
 
 
-def test_sigmoid_matches_the_two_branch_oracle_bit_for_bit():
+def test_sigmoid_is_one_branch_and_keeps_the_two_branch_threshold():
     rng = np.random.default_rng(11)
     special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0,
                         745.0, -745.0, 709.8, -709.8, 5e-324, -5e-324])
@@ -314,7 +315,18 @@ def test_sigmoid_matches_the_two_branch_oracle_bit_for_bit():
         s[rng.integers(0, s.size, 40)] = rng.choice(special, 40)
         logits.append(s)
     for s in logits:
-        assert np.array_equal(_sigmoid(s).view(np.int64), masked_sigmoid(s).view(np.int64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow below s = -709.78 stays silent
+            p = _sigmoid(s)
+        assert np.array_equal(p.view(np.int64), one_branch_sigmoid(s).view(np.int64))
+        two = masked_sigmoid(s)
+        pos = s >= 0  # +-0, +inf and 800 included
+        assert np.array_equal(p[pos].view(np.int64), two[pos].view(np.int64))
+        neg = (s < 0) & (np.abs(two) >= np.finfo(np.float64).tiny)
+        np.testing.assert_allclose(p[neg], two[neg], rtol=2e-15, atol=0.0)
+        # the scores threshold at 0.5, so they depend on the weights alone
+        assert np.array_equal(p > 0.5, two > 0.5)
+        assert np.array_equal(np.isnan(p), np.isnan(s))
 
 
 def test_score_images_equals_metrics_of_thresholded_probabilities():

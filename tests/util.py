@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: independent set-based oracles, the
-full 4**d mask-pair enumeration, the pairwise Hausdorff scan, the
-two-branch sigmoid, the np.clip clamp and the gradient-check harness.  Apart from the 4**d bound scan, which checks the
+full 4**d mask-pair enumeration, the pairwise Hausdorff scan, the one- and
+two-branch sigmoids, the np.clip clamp, the written-out wCE and soft-Dice
+kernels and the gradient-check harness.  Apart from the 4**d bound scan, which checks the
 count-space reduction and so evaluates the library's own kernels, nothing
 here uses the library's count/metric kernels, so tests check two routes."""
 
@@ -253,6 +254,12 @@ def masked_sigmoid(s: np.ndarray) -> np.ndarray:
     return out
 
 
+def one_branch_sigmoid(s: np.ndarray) -> np.ndarray:
+    """1/(1+exp(-s)) as written, exp(-s) overflowing to inf below s = -709.78."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-s))
+
+
 # --- reference CE clamp, through np.clip ---------------------------------------
 
 
@@ -260,3 +267,34 @@ def clip_clamp(p: np.ndarray) -> np.ndarray:
     """The values the CE/WCE clamp must give: p clipped into
     [CLAMP_EPS, 1 - CLAMP_EPS] by np.clip."""
     return np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
+
+
+# --- reference training kernels, the formulas as written --------------------
+
+
+def reference_wce(y: np.ndarray, p: np.ndarray, gamma: float, scale: float):
+    """(value, gradient, logit gradient) the wCE kernel must give; CE is
+    gamma 0.5 at scale 2.  The value and gradient are those of the clipped
+    loss, and both gradients are zeroed wherever the clip is active."""
+    d = y.size
+    pc = clip_clamp(p)
+    value = -scale / d * float(np.sum(gamma * y * np.log(pc) + (1.0 - gamma) * (1.0 - y) * np.log1p(-pc)))
+    grad = -scale / d * (gamma * y / pc - (1.0 - gamma) * (1.0 - y) / (1.0 - pc))
+    logit = -scale / d * (gamma * y - p * (gamma * y + (1.0 - gamma) * (1.0 - y)))
+    under = (p <= CLAMP_EPS) | (p >= 1.0 - CLAMP_EPS)
+    grad[under] = 0.0
+    logit[under] = 0.0
+    return value, grad, logit
+
+
+def reference_soft_dice(y: np.ndarray, p: np.ndarray, variant: str):
+    """(value, gradient, logit gradient) the soft-Dice kernel must give:
+    1 - 2 y.p / (sum y + sum p) for "l1" and 1 - 2 y.p / (sum y + p.p) for
+    "l2", and 0 with a zero gradient when that denominator is 0."""
+    num = 2.0 * float(y @ p)
+    den = float(y.sum() + (p.sum() if variant == "l1" else p @ p))
+    if den == 0.0:
+        return 0.0, np.zeros_like(p), np.zeros_like(p)
+    dnum = num if variant == "l1" else num * 2.0 * p  # the numerator's share of the quotient rule
+    grad = -(2.0 * y * den - dnum) / (den * den)
+    return 1.0 - num / den, grad, grad * p * (1.0 - p)
