@@ -95,8 +95,8 @@ def build_parser() -> _Parser:
     what.add_argument("--pair", default=None,
                       help=f"two metrics joined by '-', e.g. dice-tversky:0.3:0.7; each "
                            f"one of: {COUNTS_METRIC_GRAMMAR}")
-    bo.add_argument("--dmax", type=int, default=5,
-                    help="verify empirical suprema for d = 1..dmax (<= 200)")
+    bo.add_argument("--dmax", type=int, default=None,
+                    help="with --pair: verify empirical suprema for d = 1..dmax (<= 200, default 5)")
     what.add_argument("--fig1-grid", action="store_true",
                       help="emit closed-form error curves for equal Tversky "
                            "weights over [0.1, 3.0] step 0.05 (instead of --pair)")
@@ -135,6 +135,8 @@ def _bits_string(mask: BinaryMask) -> str:
 
 def cmd_bounds(args) -> int:
     if args.fig1_grid:
+        if args.dmax is not None:
+            raise UsageError("--dmax applies to --pair only")
         rows = []
         for alpha in FIG1_GRID:
             a_err, r_err = bounds_mod.tversky_dice_bounds(alpha, alpha)
@@ -148,12 +150,13 @@ def cmd_bounds(args) -> int:
     if len(names) != 2 or not all(names):
         raise UsageError(f"--pair must look like dice-jaccard, got {args.pair!r}")
     name_a, name_b = names
-    if args.dmax < 1:
-        raise OutOfRange(f"--dmax {args.dmax} is below 1")
-    if args.dmax > bounds_mod.MAX_BRUTE_FORCE_D:
-        raise DTooLarge(f"--dmax {args.dmax} exceeds the limit {bounds_mod.MAX_BRUTE_FORCE_D}")
+    dmax = 5 if args.dmax is None else args.dmax
+    if dmax < 1:
+        raise OutOfRange(f"--dmax {dmax} is below 1")
+    if dmax > bounds_mod.MAX_BRUTE_FORCE_D:
+        raise DTooLarge(f"--dmax {dmax} exceeds the limit {bounds_mod.MAX_BRUTE_FORCE_D}")
     rows = []
-    for d in range(1, args.dmax + 1):
+    for d in range(1, dmax + 1):
         rep = bounds_mod.brute_force_sup(name_a, name_b, d)
         w = rep.witness
         rows.append([
@@ -266,15 +269,15 @@ def _write_summary(result, matrix, out_dir: str, basename: str) -> None:
     fileio.write_report(fileio.ReportTable(basename, cols, rows), out_dir, basename)
 
 
-def _write_strata(result, out_dir: str, basename: str = "strata") -> None:
+def _write_strata(result, out_dir: str) -> None:
     strata = stratify_by_size(result, 10)
     rows = []
     for b, (count, msize) in enumerate(zip(strata.bin_counts, strata.mean_size)):
         for name, means in strata.mean_dice.items():
             rows.append([b, count, msize, name, means[b]])
     fileio.write_report(
-        fileio.ReportTable(basename, ["bin", "n_images", "mean_fg_size", "method", "mean_dice"], rows),
-        out_dir, basename,
+        fileio.ReportTable("strata", ["bin", "n_images", "mean_fg_size", "method", "mean_dice"], rows),
+        out_dir, "strata",
     )
 
 

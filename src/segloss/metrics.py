@@ -88,12 +88,11 @@ def weighted_hamming_from_counts(tp, fp, fn, d, gamma):
 def tversky_from_counts(tp, fp, fn, d, alpha, beta):
     """tp / (tp + alpha*fp + beta*fn); 1.0 when all three counts are zero.
 
-    With alpha, beta > 0 the denominator vanishes only in the both-empty
-    case, which the convention already covers.
+    With alpha, beta > 0 and integer counts the denominator vanishes only
+    when all three counts are zero, so its 1.0 fallback is the convention.
     """
     tp = np.asarray(tp, dtype=np.float64)
-    den = tp + alpha * np.asarray(fp) + beta * np.asarray(fn)
-    return np.where((tp + np.asarray(fp) + np.asarray(fn)) == 0, 1.0, _safe_div(tp, den, 0.0))
+    return _safe_div(tp, tp + alpha * np.asarray(fp) + beta * np.asarray(fn), 1.0)
 
 
 def fbeta_from_counts(tp, fp, fn, d, b):

@@ -4,10 +4,11 @@ top-ranked / inferior-to-all labeling used in the experiment reports.
 The test statistic is the paired mean difference on resampled image
 indices; the one-sided p-value is the fraction of resamples whose
 statistic is <= 0 (testing "a superior to b").  Resamples hitting exactly
-zero count toward p, which is the conservative direction.
-
+zero count toward p, which is the conservative direction.  Each pair is
+drawn once for both directions: "b superior to a" counts the same
+statistics >= 0, which IEEE negation makes exactly the reversed test.
 Resampling is split into a fixed number of partitions with derived seeds,
-so the p-value is bit-identical however the partitions are executed.
+which fix the index draws and with them the p-values the goldens pin.
 """
 
 from __future__ import annotations
@@ -16,14 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, OutOfRange, TooFewSamples
+from .errors import DataError, LengthMismatch, OutOfRange, TooFewSamples
 
 DEFAULT_RESAMPLES = 10_000
 MAX_RESAMPLES = 10_000_000  # 10**6 resamples take about 0.6 s at n = 60 on a 2-core host
 SIGNIFICANCE_LEVEL = 0.05
 
-# fixed partition count: it fixes the index draws, and with them the
-# p-values the significance goldens pin
 _N_PARTITIONS = 8
 # index draws per block, about 8 MB of int64; numpy's integer stream does
 # not depend on how the draws are split into blocks, so neither does p
@@ -38,21 +37,19 @@ class ScoreVector:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64).ravel())
-
-
-def _partition_sizes(n_resamples: int) -> list[int]:
-    base, extra = divmod(n_resamples, _N_PARTITIONS)
-    return [base + (1 if i < extra else 0) for i in range(_N_PARTITIONS)]
+        values = np.asarray(self.values, dtype=np.float64).ravel()
+        if not np.isfinite(values).all():
+            raise DataError(f"{self.method}: scores must be finite")
+        object.__setattr__(self, "values", values)
 
 
 def bootstrap_pair_test(a: ScoreVector, b: ScoreVector, n_resamples: int = DEFAULT_RESAMPLES,
-                        seed: int = 0) -> float:
-    """One-sided paired bootstrap p-value for "a superior to b".
+                        seed: int = 0) -> tuple[float, float]:
+    """One-sided paired bootstrap p-values for "a superior to b" and for
+    "b superior to a", both from one set of index draws.
 
-    Index draws depend only on (seed, n); swapping a and b with the same
-    seed therefore flips the statistic sign exactly, so p(a,b) + p(b,a) =
-    1 + (fraction of exactly-zero resamples).
+    The draws depend only on (seed, n), so swapping a and b swaps the
+    pair; p(a,b) + p(b,a) = 1 + (fraction of exactly-zero resamples).
     """
     check_ranking(2, n_resamples)
     va, vb = a.values, b.values
@@ -62,15 +59,18 @@ def bootstrap_pair_test(a: ScoreVector, b: ScoreVector, n_resamples: int = DEFAU
         raise TooFewSamples("need at least two paired scores")
     diff = va - vb
     n = diff.size
-    hits = 0
+    hits_ab = hits_ba = 0
     step = max(1, _BLOCK_ELEMENTS // n)
-    for part, size in enumerate(_partition_sizes(n_resamples)):
+    base, extra = divmod(n_resamples, _N_PARTITIONS)
+    for part in range(_N_PARTITIONS):
+        size = base + (1 if part < extra else 0)
         rng = np.random.default_rng(np.random.SeedSequence([seed, part]))
         for lo in range(0, size, step):
             idx = rng.integers(0, n, size=(min(step, size - lo), n))
             stats = diff[idx].mean(axis=1)
-            hits += int(np.count_nonzero(stats <= 0.0))
-    return hits / n_resamples
+            hits_ab += int(np.count_nonzero(stats <= 0.0))
+            hits_ba += int(np.count_nonzero(stats >= 0.0))
+    return hits_ab / n_resamples, hits_ba / n_resamples
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,8 @@ def rank_methods(scores, n_resamples: int = DEFAULT_RESAMPLES, seed: int = 0,
                  level: float = SIGNIFICANCE_LEVEL) -> SignificanceMatrix:
     """Pairwise bootstrap comparison of two or more methods.
 
-    Per-pair seeds derive from the unordered pair so both directions share
-    the same index draws.  The best-mean method is in top_ranked by
+    Each unordered pair is drawn once, with a seed derived from the pair,
+    for both directions.  The best-mean method is in top_ranked by
     construction; a method lands in inferior_to_all only if every other
     method beats it at the given level.
     """
@@ -118,10 +118,8 @@ def rank_methods(scores, n_resamples: int = DEFAULT_RESAMPLES, seed: int = 0,
     for i in range(len(scores)):
         for j in range(i + 1, len(scores)):
             pair_seed = int(np.random.SeedSequence([seed, i, j]).generate_state(1)[0])
-            p_ij = bootstrap_pair_test(scores[i], scores[j], n_resamples, pair_seed)
-            p_ji = bootstrap_pair_test(scores[j], scores[i], n_resamples, pair_seed)
-            p[(names[i], names[j])] = p_ij
-            p[(names[j], names[i])] = p_ji
+            p[(names[i], names[j])], p[(names[j], names[i])] = bootstrap_pair_test(
+                scores[i], scores[j], n_resamples, pair_seed)
 
     means = {s.method: float(s.values.mean()) for s in scores}
     best = max(names, key=lambda m: means[m])

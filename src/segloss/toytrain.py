@@ -340,7 +340,7 @@ def _fit(items, cfg: TrainConfig) -> TrainResult:
     """train() on prepared items."""
     n = len(items)
     n_val = min(int(round(VAL_FRACTION * n)), n - 1)
-    train_items = items[: n - n_val] if n_val > 0 else items
+    train_items = items[: n - n_val]
     val_items = items[n - n_val:] if n_val > 0 else items
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))

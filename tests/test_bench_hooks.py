@@ -12,7 +12,7 @@ import os
 import numpy as np
 import pytest
 
-from segloss import cli, fileio, losses, metrics, toytrain
+from segloss import bounds, cli, fileio, losses, metrics, stats, toytrain
 from segloss.masks import BinaryMask
 
 
@@ -80,6 +80,25 @@ def test_probe_multiplies_sample_features_by_weights_and_training_gets_feature_m
 
 def test_span_reads_the_mask_path_argument_by_name():
     assert "path" in inspect.signature(fileio.read_mask).parameters
+
+
+def test_spans_read_rank_and_bound_arguments_by_name_as_the_cli_passes_them():
+    vectors = [stats.ScoreVector(m, [0.1, 0.2]) for m in "abc"]
+    attrs = LAYERS._span_attrs("stats.rank_methods", inspect.signature(stats.rank_methods),
+                               (vectors, 1000, 7), {}, None)
+    assert attrs == {"bootstrap_tests": 6, "n_resamples": 1000}
+    attrs = LAYERS._span_attrs("bounds.brute_force_sup", inspect.signature(bounds.brute_force_sup),
+                               ("dice", "jaccard", 3), {}, None)
+    assert attrs == {"d": 3}
+
+
+def test_span_sums_the_bytes_of_the_paths_write_report_returns(tmp_path):
+    table = fileio.ReportTable("t", ["x"], [[1]])
+    paths = fileio.write_report(table, str(tmp_path), "t")
+    assert sorted(paths) == sorted(str(p) for p in tmp_path.iterdir())
+    attrs = LAYERS._span_attrs("fileio.write_report", inspect.signature(fileio.write_report),
+                               (table, str(tmp_path), "t"), {}, paths)
+    assert attrs == {"bytes": sum(p.stat().st_size for p in tmp_path.iterdir())}
 
 
 def test_hausdorff_row_resolves_the_module_function_at_call_time(monkeypatch):

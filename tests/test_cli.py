@@ -56,8 +56,10 @@ def test_bounds_pair_without_partner_is_usage_error(tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["--fig1-grid", "--pair", "dice-jaccard", "--dmax", "3"], []],
-                         ids=["fig1-grid-with-pair", "neither"])
+@pytest.mark.parametrize("argv", [["--fig1-grid", "--pair", "dice-jaccard", "--dmax", "3"], [],
+                                  *(["--fig1-grid", "--dmax", v] for v in ("0", "999", "5"))],
+                         ids=["fig1-grid-with-pair", "neither", "fig1-grid-dmax-0", "fig1-grid-dmax-999",
+                              "fig1-grid-dmax-5"])
 def test_bounds_needs_exactly_one_of_pair_and_fig1_grid(tmp_path, capsys, argv):
     assert cli.main(["--out-dir", str(tmp_path), "bounds", *argv]) == 1
     assert "usage error" in capsys.readouterr().err

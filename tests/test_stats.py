@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from segloss import stats
-from segloss.errors import LengthMismatch, OutOfRange, TooFewSamples
+from segloss.errors import DataError, LengthMismatch, OutOfRange, TooFewSamples
 from segloss.stats import ScoreVector, bootstrap_pair_test, rank_methods
+
+from util import bootstrap_statistics, one_direction_p
 
 
 def sv(name, values):
@@ -13,15 +15,14 @@ def sv(name, values):
 def test_clear_gap_gives_zero_p():
     a = sv("a", [0.9] * 100)
     b = sv("b", [0.1] * 100)
-    assert bootstrap_pair_test(a, b, 1000, seed=1) == 0.0
+    assert bootstrap_pair_test(a, b, 1000, seed=1) == (0.0, 1.0)
 
 
 def test_identical_vectors_never_significant():
     # every resampled paired difference is exactly zero; zero counts toward
     # p (conservative), so p = 1 and the pair can never come out significant
     vals = np.linspace(0.2, 0.9, 50)
-    p = bootstrap_pair_test(sv("a", vals), sv("b", vals), 1000, seed=2)
-    assert p == 1.0
+    assert bootstrap_pair_test(sv("a", vals), sv("b", vals), 1000, seed=2) == (1.0, 1.0)
 
 
 def test_equal_distribution_is_inconclusive():
@@ -29,7 +30,7 @@ def test_equal_distribution_is_inconclusive():
     base = rng.uniform(0.3, 0.9, size=200)
     noise_a = rng.normal(0, 0.05, size=200)
     noise_b = rng.normal(0, 0.05, size=200)
-    p = bootstrap_pair_test(sv("a", base + noise_a), sv("b", base + noise_b), 2000, seed=3)
+    p, _ = bootstrap_pair_test(sv("a", base + noise_a), sv("b", base + noise_b), 2000, seed=3)
     assert 0.1 < p < 0.9
 
 
@@ -41,7 +42,7 @@ def test_determinism_and_seed_sensitivity():
     p2 = bootstrap_pair_test(a, b, 2000, seed=5)
     assert p1 == p2
     p3 = bootstrap_pair_test(a, b, 2000, seed=6)
-    assert p1 != p3  # almost surely
+    assert p1[0] != p3[0]  # almost surely
 
 
 def test_shift_invariance():
@@ -58,9 +59,10 @@ def test_reversal_complement_up_to_zero_ties():
     av = rng.uniform(0, 1, 80)
     bv = av + rng.normal(0.01, 0.05, 80)
     n = 4000
-    p_ab = bootstrap_pair_test(sv("a", av), sv("b", bv), n, seed=9)
-    p_ba = bootstrap_pair_test(sv("b", bv), sv("a", av), n, seed=9)
-    assert abs(p_ab + p_ba - 1.0) <= 2 / n
+    p_ab, p_ba = bootstrap_pair_test(sv("a", av), sv("b", bv), n, seed=9)
+    # each resample counts once per direction, and a zero statistic in both
+    zeros = int(np.count_nonzero(bootstrap_statistics(av, bv, n, seed=9) == 0.0))
+    assert p_ab * n + p_ba * n == n + zeros
 
 
 @pytest.mark.parametrize("n", [3, 40])
@@ -73,6 +75,31 @@ def test_block_size_does_not_change_p(monkeypatch, n):
     for elements in (1, 2 * n + 1, 7 * n, 160 * n):
         monkeypatch.setattr(stats, "_BLOCK_ELEMENTS", elements)
         assert [bootstrap_pair_test(a, b, r, seed=4) for r in (1000, 1251)] == want
+
+
+@pytest.mark.parametrize("n", [3, 40])
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tied"])
+def test_one_pass_matches_two_one_direction_passes_bit_for_bit(n, ties):
+    rng = np.random.default_rng(31)
+    if ties:
+        # scores on a 0.25 grid, 60% of pairs equal: many resampled means are exactly 0
+        av = rng.integers(0, 3, n) * 0.25
+        bv = np.where(rng.uniform(size=n) < 0.6, av, rng.integers(0, 3, n) * 0.25)
+    else:
+        av, bv = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
+    a, b = sv("a", av), sv("b", bv)
+    for r in (1000, 1251):
+        got = bootstrap_pair_test(a, b, r, seed=4)
+        assert got == (one_direction_p(av, bv, r, 4), one_direction_p(bv, av, r, 4))
+        assert bootstrap_pair_test(b, a, r, seed=4) == got[::-1]
+        if ties:
+            assert sum(got) > 1.0  # the tied pair has exactly-zero resamples
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_score_vector_rejects_non_finite_scores(bad):
+    with pytest.raises(DataError, match="finite"):
+        sv("a", [0.5, bad, 0.25, 0.75])
 
 
 def test_validation_errors():

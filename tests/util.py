@@ -1,7 +1,7 @@
 """Shared helpers for the test suite: independent set-based oracles, the
 full 4**d mask-pair enumeration, the pairwise Hausdorff scan, the one- and
 two-branch sigmoids, the np.clip clamp, the written-out wCE and soft-Dice
-kernels and the gradient-check harness.  Apart from the 4**d bound scan, which checks the
+kernels, the one-direction paired bootstrap and the gradient-check harness.  Apart from the 4**d bound scan, which checks the
 count-space reduction and so evaluates the library's own kernels, nothing
 here uses the library's count/metric kernels, so tests check two routes."""
 
@@ -298,3 +298,27 @@ def reference_soft_dice(y: np.ndarray, p: np.ndarray, variant: str):
     dnum = num if variant == "l1" else num * 2.0 * p  # the numerator's share of the quotient rule
     grad = -(2.0 * y * den - dnum) / (den * den)
     return 1.0 - num / den, grad, grad * p * (1.0 - p)
+
+
+# --- reference paired bootstrap, one direction per pass ------------------------
+
+
+def bootstrap_statistics(va: np.ndarray, vb: np.ndarray, n_resamples: int, seed: int) -> np.ndarray:
+    """Resampled paired mean differences of va - vb, drawn as
+    stats.bootstrap_pair_test draws them: 8 partitions of n_resamples // 8
+    rows (one more for the first n_resamples % 8), partition k seeded by
+    SeedSequence([seed, k]), each partition's indices in one draw."""
+    diff = va - vb
+    n = diff.size
+    out = []
+    for part in range(8):
+        size = n_resamples // 8 + (1 if part < n_resamples % 8 else 0)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, part]))
+        out.append(diff[rng.integers(0, n, size=(size, n))].mean(axis=1))
+    return np.concatenate(out)
+
+
+def one_direction_p(va: np.ndarray, vb: np.ndarray, n_resamples: int, seed: int) -> float:
+    """The p-value for "a superior to b" from its own pass over the draws:
+    the fraction of resampled statistics <= 0."""
+    return int(np.count_nonzero(bootstrap_statistics(va, vb, n_resamples, seed) <= 0.0)) / n_resamples
