@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BoundViolation, DTooLarge, EmptySet, OutOfRange
+from .errors import BoundViolation, DTooLarge, EmptySet, NumericError, OutOfRange
 from .masks import BinaryMask, ProbMap, threshold
 from .metrics import MetricId, dice, dice_from_counts, jaccard, parse_metric_id, weighted_hamming_from_counts
 
@@ -46,7 +46,10 @@ def tversky_dice_bounds(alpha: float, beta: float) -> tuple[float, float]:
     """Tight absolute and relative error between the Tversky index and
     Dice: abs = max over the two weights w of |(sqrt(2w)-1)/(sqrt(2w)+1)|,
     rel = max(2a, 2b, 0.5/a, 0.5/b) - 1.  Both vanish iff a = b = 0.5 and
-    grow as the weights deviate from it.
+    grow as the weights deviate from it.  Both are finite for finite
+    weights; a weight so extreme that either overflows (2w or 0.5/w past
+    the float range) raises NumericError rather than return a NaN or an
+    inf that reads as "no finite bound".
     """
     MetricId("tversky", (alpha, beta))  # the same range check as the token
 
@@ -56,6 +59,9 @@ def tversky_dice_bounds(alpha: float, beta: float) -> tuple[float, float]:
 
     abs_err = max(one_sided(alpha), one_sided(beta))
     rel_err = max(2.0 * alpha, 2.0 * beta, 0.5 / alpha, 0.5 / beta) - 1.0
+    if not (math.isfinite(abs_err) and math.isfinite(rel_err)):
+        raise NumericError(f"the Tversky-Dice closed form of tversky:{alpha!r}:{beta!r} "
+                           f"overflows the float range")
     return abs_err, rel_err
 
 

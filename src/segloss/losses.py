@@ -3,14 +3,20 @@ with respect to the relaxed prediction, and a finite-difference oracle.
 
 Conventions:
 
+* labels y are 0/1 vectors, as ``eval_loss_arrays`` states; two gradient
+  forms rely on it and give other values for fractional labels:
+  - the L1 soft-Dice, soft-Jaccard and Tversky p-space gradients take
+    only two values, so each is evaluated once at y = 1 and once at y = 0
+    (bit for bit the elementwise expression there) and picked per pixel;
+  - the CE logit gradient is (p - y)/d, the wCE form at gamma 0.5 and
+    scale 2 only for 0/1 y;
 * metric-sensitive losses (soft Dice/Jaccard/Tversky, Lovász) are plain
   per-image sums, cross-entropy variants are per-pixel means;
 * CE is the gamma = 0.5 weighted cross-entropy scaled by 2, i.e. the
   plain unweighted form -sum(y log p + (1-y) log(1-p)) / d;
 * CE/WCE clip p into [CLAMP_EPS, 1-CLAMP_EPS] (no per-spec eps) before the log;
   the gradient is that of the clipped value, zero where the clip is active
-  (masked only when some p reaches the clip or is NaN); the CE logit
-  gradient is (p - y)/d, the wCE form at gamma 0.5 and scale 2 for 0/1 y;
+  (masked only when some p reaches the clip or is NaN);
 * a zero surrogate denominator (possible only when y and p are both
   identically zero) yields value 0, gradient 0 and a ``degenerate`` flag.
 
@@ -60,6 +66,16 @@ def _degenerate(p, value, grad):
     return (0.0 if value else None), (np.zeros_like(p) if grad else None), True
 
 
+_LABELS = np.float64(1.0), np.float64(0.0)
+
+
+def _by_label(y, grad_at):
+    """The elementwise gradient grad_at(y) of 0/1 labels y, as its two
+    values grad_at(1.0) and grad_at(0.0): numpy scalars, so each rounds,
+    overflows and divides by zero as the array expression would."""
+    return np.where(y, *(grad_at(t) for t in _LABELS))
+
+
 def _clamp(p):
     """np.clip(p, CLAMP_EPS, 1 - CLAMP_EPS) bit for bit, without its Python wrapper."""
     return np.minimum(np.maximum(p, CLAMP_EPS), 1.0 - CLAMP_EPS)
@@ -69,7 +85,8 @@ def _wce_arrays(y, p, gamma, scale, value=True, grad=True, logit=False):
     d = y.size
     v = g = None
     if logit and scale == 2.0:  # CE: with 0/1 y the wCE form below is (p - y)/d bit for bit
-        g = (p - y) * (1.0 / d)
+        g = p - y
+        g *= 1.0 / d
     elif logit:  # only d/ds at p = sigmoid(s)
         gy = gamma * y
         g = -scale / d * (gy - p * (gy + (1.0 - gamma) * (1.0 - y)))
@@ -94,9 +111,11 @@ def _soft_dice_arrays(y, p, variant, value=True, grad=True):
     if den == 0.0:
         return _degenerate(p, value, grad)
     g = None
-    if grad:  # -(2 y den - num) / den^2, num times 2p for L2, bit for bit in place
+    if grad and variant == "l1":
+        g = _by_label(y, lambda t: (t * (2.0 * den) - num) / -(den * den))
+    elif grad:  # -(2 y den - 2 num p) / den^2, bit for bit in place
         g = y * (2.0 * den)
-        g -= num if variant == "l1" else num * 2.0 * p
+        g -= num * 2.0 * p
         g /= -(den * den)
     return (1.0 - num / den if value else None), g, False
 
@@ -106,7 +125,7 @@ def _soft_jaccard_arrays(y, p, value=True, grad=True):
     union = float(y.sum() + p.sum()) - inter
     if union == 0.0:
         return _degenerate(p, value, grad)
-    g = -(y * union - inter * (1.0 - y)) / (union * union) if grad else None
+    g = _by_label(y, lambda t: -(t * union - inter * (1.0 - t)) / (union * union)) if grad else None
     return (1.0 - inter / union if value else None), g, False
 
 
@@ -125,8 +144,7 @@ def _soft_tversky_arrays(y, p, alpha, beta, value=True, grad=True):
         return _degenerate(p, value, grad)
     g = None
     if grad:
-        dden = y + alpha * (1.0 - y) - beta * y
-        g = -(y * den - inter * dden) / (den * den)
+        g = _by_label(y, lambda t: -(t * den - inter * (t + alpha * (1.0 - t) - beta * t)) / (den * den))
     return (1.0 - inter / den if value else None), g, False
 
 

@@ -90,9 +90,13 @@ def tversky_from_counts(tp, fp, fn, d, alpha, beta):
 
     With alpha, beta > 0 and integer counts the denominator vanishes only
     when all three counts are zero, so its 1.0 fallback is the convention.
+    A weight so large that the denominator overflows to inf gives the
+    limit 0, without a warning.
     """
     tp = np.asarray(tp, dtype=np.float64)
-    return _safe_div(tp, tp + alpha * np.asarray(fp) + beta * np.asarray(fn), 1.0)
+    with np.errstate(over="ignore"):
+        den = tp + alpha * np.asarray(fp) + beta * np.asarray(fn)
+    return _safe_div(tp, den, 1.0)
 
 
 def fbeta_from_counts(tp, fp, fn, d, b):

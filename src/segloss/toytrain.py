@@ -12,9 +12,19 @@ drives early stopping, the learning-rate cuts and the kept weights; no
 train-set loss curve is computed.  Evaluation only ever uses the discrete
 metrics at threshold 0.5; the training loss never contaminates it.
 
-Each image's features are one C-contiguous (N_FEATURES, d) array, and
-``Sample.features`` is its (d, N_FEATURES) view; training and scoring take
-the logits as ``w @ X`` and gradients as ``X @ v`` over contiguous rows.
+Features are stored without copies of what every image shares.  Each
+image keeps its two pixel rows (raw intensity, 3x3 box mean) as one
+C-contiguous (2, d) array; the three coordinate rows (x/nx, y/ny, 1) are
+the same for every image of a dataset, so ``generate_dataset`` builds one
+(3, d) array that all its samples reference.  ``Sample.features`` puts the
+two together as the (d, N_FEATURES) values.  Each fit and each scoring pass
+runs its images through one C-contiguous (N_FEATURES, d') step matrix: a
+step copies in the image's pixel rows, and its coordinate rows only when
+they are not the ones already loaded, so every ``w @ X`` and ``X @ v`` sees
+the same contiguous (N_FEATURES, d') layout and gives the same bits as a
+product over one stacked array.  The sigmoid's exp(-s) overflows to inf,
+the right p = 0, below s = -709.78; one ``np.errstate(over="ignore")``
+around each fit and each scoring pass silences that.
 """
 
 from __future__ import annotations
@@ -40,6 +50,7 @@ from .masks import BinaryMask, overlap_counts
 from .metrics import dice_from_counts, fbeta_from_counts, jaccard_from_counts
 
 N_FEATURES = 5  # raw, 3x3 box mean, x/nx, y/ny, constant 1
+N_PIXEL_ROWS = 2  # the rows that differ between images: raw and 3x3 box mean
 
 # intensity ramp of the blob edge, linear in the squared elliptical radial
 # coordinate: intensity 0.5 falls exactly on the label boundary (rho^2 = 1)
@@ -98,8 +109,14 @@ class SyntheticConfig:
 
 @dataclass(frozen=True, eq=False)
 class Sample:
-    features: np.ndarray  # (d, N_FEATURES) float64, a view of a (N_FEATURES, d) array
+    pixels: np.ndarray  # (N_PIXEL_ROWS, d) float64, C-contiguous
+    coords: np.ndarray  # (N_FEATURES - N_PIXEL_ROWS, d) float64, shared by a dataset's samples
     label: BinaryMask
+
+    @property
+    def features(self) -> np.ndarray:
+        """The (d, N_FEATURES) feature values, built on each access."""
+        return np.concatenate([self.pixels, self.coords]).T
 
 
 @dataclass(eq=False)
@@ -162,9 +179,8 @@ def generate_dataset(cfg: SyntheticConfig) -> SampleSet:
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     ys = np.arange(ny, dtype=np.float64)[:, None]
     xs = np.arange(nx, dtype=np.float64)[None, :]
-    xnorm = np.broadcast_to(xs / (nx - 1), (ny, nx)).ravel()
-    ynorm = np.broadcast_to(ys / (ny - 1), (ny, nx)).ravel()
-    ones = np.ones(d_img)
+    coords = np.stack([np.broadcast_to(xs / (nx - 1), (ny, nx)).ravel(),
+                       np.broadcast_to(ys / (ny - 1), (ny, nx)).ravel(), np.ones(d_img)])
 
     samples = []
     for _ in range(cfg.n_images):
@@ -214,10 +230,10 @@ def generate_dataset(cfg: SyntheticConfig) -> SampleSet:
         with np.errstate(over="ignore", invalid="ignore"):
             if cfg.noise_sigma > 0:
                 img = img + cfg.noise_sigma * rng.standard_normal((ny, nx))
-            feats = np.stack([img.ravel(), _box3(img).ravel(), xnorm, ynorm, ones])
-        if not np.all(np.isfinite(feats)):
+            pixels = np.stack([img.ravel(), _box3(img).ravel()])
+        if not np.all(np.isfinite(pixels)):
             raise InfeasibleConfig(f"noise_sigma = {cfg.noise_sigma:g} overflows the image features")
-        samples.append(Sample(feats.T, BinaryMask.from_array(label.astype(np.uint8))))
+        samples.append(Sample(pixels, coords, BinaryMask.from_array(label.astype(np.uint8))))
     return SampleSet(samples)
 
 
@@ -262,15 +278,36 @@ class TrainResult:
         return len(self.val_losses)
 
 
-def _sigmoid(s: np.ndarray) -> np.ndarray:
-    # one branch, 1/(1+exp(-s)): the bits of the two-branch form (exp(s)/(1+exp(s))
-    # below 0) for s >= 0, a few ulp off it below, where both give p <= 0.5, so
-    # the scores' p > 0.5 is unchanged.  exp(-s) overflows to inf below
-    # s = -709.78, giving the right p = 0; that warning is silenced
-    with np.errstate(over="ignore"):
-        e = np.exp(-s)
+def _probabilities(w_neg: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """sigmoid(w @ X) from w_neg = -w, as 1/(1+exp(w_neg @ X)) in place;
+    negation is exact, so exp sees -(w @ X).  This one-branch form gives the
+    bits of the two-branch exp(s)/(1+exp(s)) for s >= 0 and is a few ulp off
+    it below, where both give p <= 0.5, so the scores' p > 0.5 is unchanged.
+    Callers silence exp's overflow (module docstring)."""
+    e = w_neg @ X
+    np.exp(e, out=e)
     e += 1.0
     return np.reciprocal(e, out=e)
+
+
+class _StepMatrix:
+    """One C-contiguous (N_FEATURES, d') matrix each prepared image is
+    copied into before its products: the pixel rows on every load, the
+    coordinate rows only when they are not the ones loaded last."""
+
+    def __init__(self, items):
+        self._buf = np.empty(N_FEATURES * max((px.shape[1] for px, _, _ in items), default=0))
+        self._coords = None
+        self._X = None
+
+    def load(self, pixels: np.ndarray, coords: np.ndarray) -> np.ndarray:
+        if coords is not self._coords:
+            d = coords.shape[1]
+            self._X = self._buf[:N_FEATURES * d].reshape(N_FEATURES, d)
+            self._X[N_PIXEL_ROWS:] = coords
+            self._coords = coords
+        self._X[:N_PIXEL_ROWS] = pixels
+        return self._X
 
 
 def _resolve_masks(data: SampleSet, output_masks) -> list:
@@ -289,32 +326,35 @@ def _resolve_masks(data: SampleSet, output_masks) -> list:
     return out
 
 
-def _prepare(samples, sels) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(C-contiguous (N_FEATURES, d') features, float labels) of each
-    sample's selected pixels; all pixels of a generated sample are a view."""
-    return [(np.ascontiguousarray(s.features.T[:, sel]), s.label.data[sel].astype(np.float64))
+def _prepare(samples, sels) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(pixel rows, coordinate rows, float labels) of each sample's
+    selected pixels: the sample's own arrays when every pixel is selected,
+    C-contiguous per-image copies under an output mask."""
+    return [(s.pixels, s.coords, s.label.data.astype(np.float64)) if isinstance(sel, slice)
+            else (np.ascontiguousarray(s.pixels[:, sel]), np.ascontiguousarray(s.coords[:, sel]),
+                  s.label.data[sel].astype(np.float64))
             for s, sel in zip(samples, sels)]
 
 
-def _image_grad(spec: LossSpec, X: np.ndarray, yv: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return X @ loss_logit_gradient(spec, yv, _sigmoid(w @ X))
-
-
-def _mean_loss(items, w: np.ndarray, spec: LossSpec) -> float:
+def _mean_loss(items, steps: _StepMatrix, w: np.ndarray, spec: LossSpec) -> float:
+    w_neg = -w
     total = 0.0
-    for X, yv in items:
-        total += loss_value(spec, yv, _sigmoid(w @ X))
+    for pixels, coords, yv in items:
+        total += loss_value(spec, yv, _probabilities(w_neg, steps.load(pixels, coords)))
     return total / len(items)
 
 
-def _run_epoch(items, w: np.ndarray, spec: LossSpec, lr: float, batch_size: int, rng) -> np.ndarray:
+def _run_epoch(items, steps: _StepMatrix, w: np.ndarray, spec: LossSpec, lr: float, batch_size: int,
+               rng) -> np.ndarray:
     order = rng.permutation(len(items))
     for lo in range(0, order.size, batch_size):
         batch = order[lo:lo + batch_size]
         g = np.zeros_like(w)
+        w_neg = -w
         for idx in batch:
-            X, yv = items[idx]
-            g += _image_grad(spec, X, yv, w)
+            pixels, coords, yv = items[idx]
+            X = steps.load(pixels, coords)
+            g += X @ loss_logit_gradient(spec, yv, _probabilities(w_neg, X))
         w = w - lr * (g / batch.size)
     if not np.all(np.isfinite(w)):
         raise NonFiniteLoss(f"training diverged to non-finite weights (loss={spec.label()}, lr={lr})")
@@ -336,8 +376,10 @@ def train(data: SampleSet, cfg: TrainConfig) -> TrainResult:
     return _fit(_prepare(data, _resolve_masks(data, None)), cfg)
 
 
+@np.errstate(over="ignore")
 def _fit(items, cfg: TrainConfig) -> TrainResult:
     """train() on prepared items."""
+    steps = _StepMatrix(items)
     n = len(items)
     n_val = min(int(round(VAL_FRACTION * n)), n - 1)
     train_items = items[: n - n_val]
@@ -348,10 +390,10 @@ def _fit(items, cfg: TrainConfig) -> TrainResult:
 
     ce = LossSpec("ce")
     for _ in range(cfg.pretrain_epochs_ce):
-        w = _run_epoch(train_items, w, ce, cfg.learning_rate, cfg.batch_size, rng)
+        w = _run_epoch(train_items, steps, w, ce, cfg.learning_rate, cfg.batch_size, rng)
 
     lr = cfg.learning_rate
-    best_val = _mean_loss(val_items, w, cfg.loss)
+    best_val = _mean_loss(val_items, steps, w, cfg.loss)
     if not math.isfinite(best_val):
         raise NonFiniteLoss(f"initial validation loss is {best_val}")
     best_w = w.copy()
@@ -361,8 +403,8 @@ def _fit(items, cfg: TrainConfig) -> TrainResult:
     lr_cuts: list[int] = []
     stop_reason = "max_epochs"
     for epoch in range(cfg.max_epochs):
-        w = _run_epoch(train_items, w, cfg.loss, lr, cfg.batch_size, rng)
-        vl = _mean_loss(val_items, w, cfg.loss)
+        w = _run_epoch(train_items, steps, w, cfg.loss, lr, cfg.batch_size, rng)
+        vl = _mean_loss(val_items, steps, w, cfg.loss)
         if not math.isfinite(vl):
             raise NonFiniteLoss(f"non-finite validation loss {vl} at epoch {epoch} "
                                 f"(loss={cfg.loss.label()}, lr={lr})")
@@ -387,12 +429,15 @@ def score_images(data: SampleSet, idx, w: np.ndarray) -> dict[str, np.ndarray]:
     return _score(_prepare(subset, _resolve_masks(subset, None)), w)
 
 
+@np.errstate(over="ignore")
 def _score(items, w: np.ndarray) -> dict[str, np.ndarray]:
     """score_images() on prepared items."""
+    steps = _StepMatrix(items)
+    w_neg = -w
     out = {c: np.empty(len(items)) for c in SCORE_COLUMNS}
-    for i, (X, yv) in enumerate(items):
+    for i, (pixels, coords, yv) in enumerate(items):
         truth = yv.astype(bool)
-        counts = (*overlap_counts(truth, _sigmoid(w @ X) > 0.5), truth.size)
+        counts = (*overlap_counts(truth, _probabilities(w_neg, steps.load(pixels, coords)) > 0.5), truth.size)
         values = (dice_from_counts(*counts), jaccard_from_counts(*counts),
                   *(fbeta_from_counts(*counts, b) for b in FBETAS))
         for c, v in zip(SCORE_COLUMNS, values):

@@ -71,11 +71,15 @@ def test_probe_multiplies_sample_features_by_weights_and_training_gets_feature_m
     keep = np.zeros(d, dtype=bool)
     keep[::3] = True
     for sels in ([slice(None)] * 2, [keep] * 2):
-        for (X, yv), s, sel in zip(toytrain._prepare(data, sels), data, sels):
+        items = toytrain._prepare(data, sels)
+        steps = toytrain._StepMatrix(items)
+        for (pixels, coords, yv), s, sel in zip(items, data, sels):
+            X = steps.load(pixels, coords)
             assert X.flags.c_contiguous and X.shape == (toytrain.N_FEATURES, yv.size)
             assert np.array_equal(X.T, s.features[sel])
-            # every pixel selected: a view of the sample, no copy
-            assert np.shares_memory(X, s.features) == isinstance(sel, slice)
+            # every pixel selected: the sample's own rows, no copy
+            assert np.shares_memory(pixels, s.pixels) == isinstance(sel, slice)
+            assert np.shares_memory(coords, s.coords) == isinstance(sel, slice)
 
 
 def test_span_reads_the_mask_path_argument_by_name():

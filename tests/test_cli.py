@@ -73,6 +73,24 @@ def test_bounds_closed_form_violation_is_numeric_failure(tmp_path, capsys, monke
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_bounds_tversky_weights_past_the_float_range(tmp_path, capsys):
+    # 2w overflows at 1e308 and 0.5/w at 1e-320: a closed form that is not
+    # a float is one numeric-failure line, with no report written
+    for pair in ("dice-tversky:1e308:1e308", "dice-tversky:1e-320:0.5"):
+        out = tmp_path / pair.replace(":", "_")
+        assert cli.main(["--out-dir", str(out), "bounds", "--pair", pair, "--dmax", "3"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("segloss: numeric failure: ") and err.count("\n") == 1
+        assert not out.exists()
+    # no closed form here; the Tversky denominator overflows to inf and
+    # gives the limit 0 without a warning line
+    out = tmp_path / "tj"
+    assert cli.main(["--out-dir", str(out), "bounds", "--pair", "tversky:1e308:1e308-jaccard", "--dmax", "3"]) == 0
+    assert capsys.readouterr().err == ""
+    rows = fileio.read_report_json(str(out / "bounds_tversky_1e308_1e308-jaccard.json")).rows
+    assert [row[0] for row in rows] == [1, 2, 3]
+
+
 def write_eval_inputs(directory, case: str) -> tuple[str, str]:
     """A fixed (ground truth, prediction) file pair for an evaluate case:
     "pair" is a 2x4x5 MSK1 volume with a probability-map prediction;
@@ -161,6 +179,14 @@ def test_evaluate_non_finite_metric_value_is_numeric_failure(tmp_path, capsys):
     assert cli.main(["--out-dir", str(out), "evaluate", gt, pred, "--metrics", "fbeta:1e200"]) == 3
     assert "numeric failure" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_evaluate_tversky_weights_past_the_float_range_give_the_limit_0(tmp_path, capsys):
+    gt, pred = write_eval_inputs(tmp_path, "pair")
+    out = tmp_path / "out"
+    assert cli.main(["--out-dir", str(out), "evaluate", gt, pred, "--metrics", "tversky:1e308:1e308"]) == 0
+    assert capsys.readouterr().err == ""
+    assert fileio.read_report_json(str(out / "evaluate.json")).rows == [["tversky:1e+308:1e+308", 0.0, True]]
 
 
 @pytest.mark.parametrize("case", ["pair", "empty_pred"])

@@ -26,6 +26,8 @@ from util import (
     prob_of,
     random_instance,
     reference_soft_dice,
+    reference_soft_jaccard,
+    reference_tversky,
     reference_wce,
 )
 
@@ -196,11 +198,16 @@ def _same_bits(a, b) -> bool:
 _REFERENCE = {"ce": lambda y, p: reference_wce(y, p, 0.5, 2.0),
               "wce": lambda y, p, gamma: reference_wce(y, p, gamma, 1.0),
               "soft_dice_l1": lambda y, p: reference_soft_dice(y, p, "l1"),
-              "soft_dice_l2": lambda y, p: reference_soft_dice(y, p, "l2")}
+              "soft_dice_l2": lambda y, p: reference_soft_dice(y, p, "l2"),
+              "soft_jaccard": reference_soft_jaccard,
+              "tversky": reference_tversky}
 
 
-@pytest.mark.parametrize("spec", [LossSpec("ce"), LossSpec("wce", (0.3,)), LossSpec("wce", (0.9,)),
-                                  LossSpec("soft_dice_l1"), LossSpec("soft_dice_l2")], ids=LossSpec.label)
+@pytest.mark.parametrize("spec", [LossSpec("ce"), LossSpec("wce", (0.0,)), LossSpec("wce", (0.3,)),
+                                  LossSpec("wce", (0.9,)), LossSpec("wce", (1.0,)),
+                                  LossSpec("soft_dice_l1"), LossSpec("soft_dice_l2"), LossSpec("soft_jaccard"),
+                                  LossSpec("tversky", (0.3, 0.7)), LossSpec("tversky", (1.0, 1.0))],
+                         ids=LossSpec.label)
 def test_training_kernels_match_the_written_out_formulas_bit_for_bit(spec):
     rng = np.random.default_rng(29)
     cases = []

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 from dataclasses import replace
 
@@ -13,7 +14,7 @@ from segloss.errors import (
     OutOfRange,
     TooFewSamples,
 )
-from segloss.losses import LossSpec
+from segloss.losses import LossSpec, parse_loss_spec
 from segloss.masks import BinaryMask, threshold
 from segloss.toytrain import (
     N_FEATURES,
@@ -26,10 +27,11 @@ from segloss.toytrain import (
     _fit,
     _mean_loss,
     _prepare,
+    _probabilities,
     _resolve_masks,
     _run_epoch,
     _score,
-    _sigmoid,
+    _StepMatrix,
     build_fgbg_masks,
     generate_dataset,
     run_loss_comparison,
@@ -37,7 +39,7 @@ from segloss.toytrain import (
     stratify_by_size,
     train,
 )
-from util import mask_of, masked_sigmoid, one_branch_sigmoid, prob_of
+from util import mask_of, masked_sigmoid, one_branch_sigmoid, prob_of, sample_of
 
 SMALL = SyntheticConfig(n_images=40, dims=(32, 32), object_radius_range=(3.0, 6.0),
                         fg_prior_target=0.08, noise_sigma=0.3, seed=5)
@@ -139,7 +141,7 @@ def test_train_empty_and_nonfinite():
     # a non-finite feature poisons the loss; the guard must abort loudly
     d = 32 * 32
     feats = np.full((d, 5), np.nan)
-    bad = SampleSet([Sample(feats, BinaryMask((32, 32, 1), np.zeros(d, dtype=np.uint8)))])
+    bad = SampleSet([sample_of(feats, BinaryMask((32, 32, 1), np.zeros(d, dtype=np.uint8)))])
     with pytest.raises(NonFiniteLoss):
         train(bad, TrainConfig(loss=LossSpec("ce"), max_epochs=2, pretrain_epochs_ce=0, seed=0))
 
@@ -170,7 +172,7 @@ def test_train_divergence_is_caught_in_the_phase_it_happens(pretrain, phase_loss
     data = generate_dataset(SMALL).subset(range(5))
     feats = data[0].features.copy()
     feats[0, 0] = np.inf
-    bad = SampleSet([Sample(feats, data[0].label), *data.samples[1:]])
+    bad = SampleSet([sample_of(feats, data[0].label), *data.samples[1:]])
     cfg = TrainConfig(loss=LossSpec("soft_dice_l1"), max_epochs=3, pretrain_epochs_ce=pretrain, seed=0)
     with np.errstate(invalid="ignore"), pytest.raises(
             NonFiniteLoss, match=rf"non-finite weights \(loss={phase_loss}, lr=4.0\)"):
@@ -182,14 +184,15 @@ def test_train_loss_mostly_nonincreasing():
     # training-set loss it descends on in nearly every epoch
     data = generate_dataset(SMALL)
     items = _prepare(data, [slice(None)] * len(data))
+    steps = _StepMatrix(items)
     for loss in (LossSpec("ce"), LossSpec("soft_dice_l1")):
         cfg = TrainConfig(loss=loss, seed=7)
         rng = np.random.default_rng(cfg.seed)
         w = rng.normal(0.0, 0.5, N_FEATURES)
         curve = []
         for _ in range(30):
-            w = _run_epoch(items, w, loss, cfg.learning_rate, cfg.batch_size, rng)
-            curve.append(_mean_loss(items, w, loss))
+            w = _run_epoch(items, steps, w, loss, cfg.learning_rate, cfg.batch_size, rng)
+            curve.append(_mean_loss(items, steps, w, loss))
         frac = float(np.mean(np.diff(curve) <= 1e-12))
         assert frac >= 0.9
 
@@ -315,9 +318,9 @@ def test_sigmoid_is_one_branch_and_keeps_the_two_branch_threshold():
         s[rng.integers(0, s.size, 40)] = rng.choice(special, 40)
         logits.append(s)
     for s in logits:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the overflow below s = -709.78 stays silent
-            p = _sigmoid(s)
+        # weight 1 on a one-row matrix of the negated logits: w_neg @ X is -s
+        with np.errstate(over="ignore"):
+            p = _probabilities(np.ones(1), (-s)[None, :])
         assert np.array_equal(p.view(np.int64), one_branch_sigmoid(s).view(np.int64))
         two = masked_sigmoid(s)
         pos = s >= 0  # +-0, +inf and 800 included
@@ -327,6 +330,23 @@ def test_sigmoid_is_one_branch_and_keeps_the_two_branch_threshold():
         # the scores threshold at 0.5, so they depend on the weights alone
         assert np.array_equal(p > 0.5, two > 0.5)
         assert np.array_equal(np.isnan(p), np.isnan(s))
+
+
+def test_fit_and_score_keep_the_sigmoid_overflow_silent():
+    # pixel values of +-800 put logits below s = -709.78, where exp(-s)
+    # overflows to inf; each fit and scoring pass silences that warning
+    data = generate_dataset(SMALL).subset(range(8))
+    loud = SampleSet([Sample(np.where(s.pixels > 0.5, 800.0, -800.0), s.coords, s.label) for s in data])
+    items = _prepare(loud, _resolve_masks(loud, None))
+    w = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            _probabilities(-w, _StepMatrix(items).load(*items[0][:2]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sc = _score(items, w)
+        res = _fit(items, replace(QUICK, max_epochs=2, pretrain_epochs_ce=1))
+    assert np.all(np.isfinite(sc["dice"])) and np.all(np.isfinite(res.weights))
 
 
 def test_score_images_equals_metrics_of_thresholded_probabilities():
@@ -343,7 +363,103 @@ def test_score_images_equals_metrics_of_thresholded_probabilities():
             s = data[i]
             keep = slice(None) if sel is None else sel[i].data.astype(bool)
             y = mask_of(s.label.data[keep])
-            yhat = threshold(prob_of(_sigmoid(s.features[keep] @ w)), 0.5)
+            yhat = threshold(prob_of(one_branch_sigmoid(s.features[keep] @ w)), 0.5)
             assert sc["dice"][i] == metrics.dice(y, yhat)
             assert sc["jaccard"][i] == metrics.jaccard(y, yhat)
         assert 0.0 < sc["dice"].mean() < 1.0
+
+
+# train() on SMALL with QUICK under each loss, and a _fit on the in-rectangle
+# pixels (fg/bg ratio 0.3) under two: the weights and the best validation loss
+# as float.hex, recorded before the features were split into per-image pixel
+# rows and one shared coordinate array
+FROZEN_FITS = {
+    "ce": (("0x1.7386f3424314fp+1", "0x1.1e1649d26f3cdp+2", "-0x1.3dbe7c20d6c37p+0",
+            "-0x1.10ab42a3041b7p+0", "-0x1.967a845d9c1d6p+1"), "0x1.eb0d81ab60870p-5"),
+    "wce:0.9": (("0x1.52cc6f6d8425fp+1", "0x1.c4f86ee2181ebp+1", "-0x1.ee109a8af2239p-1",
+                 "-0x1.26e210e3e78aap-1", "-0x1.7ba3cb0f1b22cp+0"), "0x1.866c82b0d638fp-6"),
+    "soft_dice_l1": (("0x1.1aab165b0099ap+2", "0x1.b9c57dc13e2fbp+2", "-0x1.6b6a1e2f07c9dp+0",
+                      "-0x1.6a90eb4623285p+0", "-0x1.299a688252654p+2"), "0x1.3787d2fed291ap-3"),
+    "soft_dice_l2": (("0x1.3f0e7d6e44682p+1", "0x1.650c98cb4717ep+2", "-0x1.b6790789ce036p-1",
+                      "-0x1.884cf4ef25d5ep-1", "-0x1.980ec9976b255p+1"), "0x1.35aa4e7e6aac9p-4"),
+    "soft_jaccard": (("0x1.20b07bdaccd1ep+2", "0x1.d09fc9f41fc5dp+2", "-0x1.74af8d3937dbcp+0",
+                      "-0x1.87932a3c082f1p+0", "-0x1.476903bf1d710p+2"), "0x1.edd24cc4a65d6p-3"),
+    "tversky:0.3:0.7": (("0x1.1863a07317458p+2", "0x1.b28d4af4a8ba4p+2", "-0x1.4ffedca9df934p+0",
+                         "-0x1.4adb79a60d026p+0", "-0x1.fc638d4308ea6p+1"), "0x1.24f2b005a93dap-3"),
+    "lovasz": (("0x1.0f89d1369ca8fp+1", "0x1.6504752b307d8p+2", "-0x1.7d4c708a78d1ep-1",
+                "-0x1.76e6f908ffaa5p-1", "-0x1.9fa88ec68b806p+1"), "0x1.d763a95e3b2bbp-3"),
+}
+FROZEN_MASKED_FITS = {
+    "ce": (("0x1.586beb5f750e7p+1", "0x1.52734ef05c656p+2", "-0x1.f2de31f332aa5p-1",
+            "-0x1.5638ff9b89346p-3", "-0x1.9ab219d1b689ap+1"), "0x1.04ed0565897f7p-3"),
+    "soft_dice_l1": (("0x1.01c2ec55156f7p+2", "0x1.7ed46c5b0bf33p+2", "-0x1.210aeeef1d24fp+0",
+                      "-0x1.171888fdf68f9p-2", "-0x1.be6a4a8b28fcbp+1"), "0x1.059292113821ep-3"),
+}
+
+
+def _hex_fit(res):
+    return tuple(float(v).hex() for v in res.weights), res.best_val_loss.hex()
+
+
+def test_train_weights_are_frozen_bit_for_bit():
+    data = generate_dataset(SMALL)
+    for token, frozen in FROZEN_FITS.items():
+        assert _hex_fit(train(data, replace(QUICK, loss=parse_loss_spec(token)))) == frozen, token
+    items = _prepare(data, _resolve_masks(data, build_fgbg_masks(data, 0.3)[0]))
+    for token, frozen in FROZEN_MASKED_FITS.items():
+        assert _hex_fit(_fit(items, replace(QUICK, loss=parse_loss_spec(token)))) == frozen, token
+
+
+def test_samples_of_one_dataset_share_one_coordinate_array():
+    data = generate_dataset(SMALL)
+    first = data[0].coords
+    assert first.shape == (N_FEATURES - 2, 32 * 32) and first.flags.c_contiguous
+    for s in data:
+        assert s.coords is first and np.shares_memory(s.coords, first)
+        assert s.pixels.shape == (2, 32 * 32) and s.pixels.flags.c_contiguous
+        assert not np.shares_memory(s.pixels, first)
+    assert not np.shares_memory(data[0].pixels, data[1].pixels)
+    # a second dataset gets its own
+    assert not np.shares_memory(generate_dataset(SMALL)[0].coords, first)
+
+
+def test_sample_features_are_the_stacked_feature_values():
+    data = generate_dataset(SMALL)
+    # sha256 of every image's (d, 5) features, recorded when generate_dataset
+    # stored them as one (5, d) array per image
+    digest = hashlib.sha256()
+    for s in data:
+        assert s.features.shape == (32 * 32, N_FEATURES) and s.features.dtype == np.float64
+        digest.update(np.ascontiguousarray(s.features).tobytes())
+    assert digest.hexdigest() == "0cdacd82916fe243a5cdf876d4c6d518e8f5102bb208f88795c3214e760684ff"
+    s = data[3]
+    assert np.array_equal(s.features, np.vstack([s.pixels, s.coords]).T)
+    ys, xs = np.mgrid[0:32, 0:32] / 31.0
+    assert np.array_equal(s.features[:, 2:], np.stack([xs.ravel(), ys.ravel(), np.ones(32 * 32)], axis=1))
+
+
+def test_prepare_gives_views_of_all_pixels_and_copies_under_a_mask():
+    data = generate_dataset(SMALL).subset(range(4))
+    keep = np.zeros(32 * 32, dtype=bool)
+    keep[5::3] = True
+    sels = [slice(None), keep, slice(None), keep]
+    for (pixels, coords, yv), s, sel in zip(_prepare(data, sels), data, sels):
+        if isinstance(sel, slice):
+            assert pixels is s.pixels and coords is s.coords
+        else:
+            assert not np.shares_memory(pixels, s.pixels) and not np.shares_memory(coords, s.coords)
+        assert pixels.flags.c_contiguous and coords.flags.c_contiguous
+        assert np.array_equal(np.vstack([pixels, coords]).T, s.features[sel])
+        assert np.array_equal(yv, s.label.data[sel].astype(np.float64))
+
+
+def test_step_matrix_loads_pixel_rows_and_changed_coordinate_rows():
+    data = generate_dataset(SMALL).subset(range(3))
+    keep = np.zeros(32 * 32, dtype=bool)
+    keep[::4] = True
+    items = _prepare(data, [slice(None), keep, slice(None)])
+    steps = _StepMatrix(items)
+    for pixels, coords, _ in [*items, items[1], items[0]]:
+        X = steps.load(pixels, coords)
+        assert X.flags.c_contiguous and X.shape == (N_FEATURES, pixels.shape[1])
+        assert np.array_equal(X, np.vstack([pixels, coords]))

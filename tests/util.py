@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: independent set-based oracles, the
 full 4**d mask-pair enumeration, the pairwise Hausdorff scan, the one- and
-two-branch sigmoids, the np.clip clamp, the written-out wCE and soft-Dice
-kernels, the one-direction paired bootstrap and the gradient-check harness.  Apart from the 4**d bound scan, which checks the
+two-branch sigmoids, the np.clip clamp, the written-out wCE, soft-Dice,
+soft-Jaccard and Tversky kernels, a Sample built from (d, 5) features, the
+one-direction paired bootstrap and the gradient-check harness.  Apart from the 4**d bound scan, which checks the
 count-space reduction and so evaluates the library's own kernels, nothing
 here uses the library's count/metric kernels, so tests check two routes."""
 
@@ -16,6 +17,7 @@ from segloss.bounds import BoundReport, Witness, closed_form_bounds, parse_metri
 from segloss.errors import DTooLarge, OutOfRange
 from segloss.losses import CLAMP_EPS, eval_loss_arrays, finite_diff_gradient
 from segloss.masks import BinaryMask, ProbMap
+from segloss.toytrain import N_PIXEL_ROWS, Sample
 
 # 4**d ordered pairs must stay enumerable
 MAX_ENUM_D = 14
@@ -298,6 +300,46 @@ def reference_soft_dice(y: np.ndarray, p: np.ndarray, variant: str):
     dnum = num if variant == "l1" else num * 2.0 * p  # the numerator's share of the quotient rule
     grad = -(2.0 * y * den - dnum) / (den * den)
     return 1.0 - num / den, grad, grad * p * (1.0 - p)
+
+
+def reference_soft_jaccard(y: np.ndarray, p: np.ndarray):
+    """(value, gradient, logit gradient) the soft-Jaccard kernel must give:
+    1 - y.p / (sum y + sum p - y.p), and 0 with a zero gradient when that
+    denominator is 0."""
+    inter = float(y @ p)
+    union = float(y.sum() + p.sum()) - inter
+    if union == 0.0:
+        return 0.0, np.zeros_like(p), np.zeros_like(p)
+    grad = -(y * union - inter * (1.0 - y)) / (union * union)
+    return 1.0 - inter / union, grad, grad * p * (1.0 - p)
+
+
+def reference_tversky(y: np.ndarray, p: np.ndarray, alpha: float, beta: float):
+    """(value, gradient, logit gradient) the Tversky kernel must give:
+    1 - y.p / (y.p + alpha (1-y).p + beta y.(1-p)), and 0 with a zero
+    gradient when that denominator is 0.  The weights 0.5/0.5 are the L1
+    soft Dice and 1/1 the soft Jaccard, so those two pairs give their bits."""
+    if (alpha, beta) == (0.5, 0.5):
+        return reference_soft_dice(y, p, "l1")
+    if (alpha, beta) == (1.0, 1.0):
+        return reference_soft_jaccard(y, p)
+    inter = float(y @ p)
+    den = inter + alpha * float((1.0 - y) @ p) + beta * float(y @ (1.0 - p))
+    if den == 0.0:
+        return 0.0, np.zeros_like(p), np.zeros_like(p)
+    dden = y + alpha * (1.0 - y) - beta * y  # the denominator's derivative
+    grad = -(y * den - inter * dden) / (den * den)
+    return 1.0 - inter / den, grad, grad * p * (1.0 - p)
+
+
+# --- a generated-layout sample from (d, 5) feature values ----------------------
+
+
+def sample_of(features: np.ndarray, label: BinaryMask) -> Sample:
+    """The Sample whose ``features`` are the given (d, 5) values: its pixel
+    rows and its coordinate rows, each a C-contiguous copy."""
+    rows = np.ascontiguousarray(features.T)
+    return Sample(rows[:N_PIXEL_ROWS].copy(), rows[N_PIXEL_ROWS:].copy(), label)
 
 
 # --- reference paired bootstrap, one direction per pass ------------------------
