@@ -3,8 +3,11 @@ with respect to the relaxed prediction, and a finite-difference oracle.
 
 Conventions:
 
-* labels y are 0/1 vectors, as ``eval_loss_arrays`` states; two gradient
-  forms rely on it and give other values for fractional labels:
+* labels y are 0/1 vectors of any numeric or bool dtype, as
+  ``eval_loss_arrays`` states, used as given, without a float copy: every
+  label sum widens (``ndarray.sum``, ``np.cumsum``, a product with float
+  p), so uint8 labels give the float labels' bits at any d; two gradient
+  forms rely on 0/1 labels and give other values for fractional ones:
   - the L1 soft-Dice, soft-Jaccard and Tversky p-space gradients take
     only two values, so each is evaluated once at y = 1 and once at y = 0
     (bit for bit the elementwise expression there) and picked per pixel;
@@ -239,14 +242,15 @@ def parse_loss_spec(token: str, fg_prior: float | None = None) -> LossSpec:
 
 
 def _kernel(spec: LossSpec, y, p, value: bool, grad: bool, **logit):
-    return LOSSES[spec.kind].kernel(np.asarray(y, dtype=np.float64), np.asarray(p, dtype=np.float64),
+    return LOSSES[spec.kind].kernel(np.asarray(y), np.asarray(p, dtype=np.float64),
                                     *spec.params, value=value, grad=grad, **logit)
 
 
 def eval_loss_arrays(spec: LossSpec, y: np.ndarray, p: np.ndarray):
     """Array-level evaluation; returns (value, gradient, degenerate).
 
-    y is a 0/1 float or int vector, p a float vector in [0, 1].
+    y is a 0/1 vector of any numeric or bool dtype (a mask's uint8 bytes
+    need no copy), p a float vector in [0, 1].
     """
     return _kernel(spec, y, p, True, True)
 

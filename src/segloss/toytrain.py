@@ -22,9 +22,16 @@ runs its images through one C-contiguous (N_FEATURES, d') step matrix: a
 step copies in the image's pixel rows, and its coordinate rows only when
 they are not the ones already loaded, so every ``w @ X`` and ``X @ v`` sees
 the same contiguous (N_FEATURES, d') layout and gives the same bits as a
-product over one stacked array.  The sigmoid's exp(-s) overflows to inf,
-the right p = 0, below s = -709.78; one ``np.errstate(over="ignore")``
-around each fit and each scoring pass silences that.
+product over one stacked array.  The labels are each mask's own uint8
+bytes (a uint8 copy under an output mask), never a float copy: the loss
+kernels take 0/1 labels of any dtype.
+
+The sigmoid's exp(-s) overflows to inf, the right p = 0, below
+s = -709.78; ``np.errstate(over="ignore")`` around each scoring pass
+silences that.  Each fit runs under ``np.errstate(all="ignore")``: a
+non-finite step ends in non-finite weights or a non-finite validation
+loss, both of which raise ``NonFiniteLoss``, so a numpy warning would only
+repeat that error.
 """
 
 from __future__ import annotations
@@ -327,12 +334,13 @@ def _resolve_masks(data: SampleSet, output_masks) -> list:
 
 
 def _prepare(samples, sels) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(pixel rows, coordinate rows, float labels) of each sample's
-    selected pixels: the sample's own arrays when every pixel is selected,
-    C-contiguous per-image copies under an output mask."""
-    return [(s.pixels, s.coords, s.label.data.astype(np.float64)) if isinstance(sel, slice)
+    """(pixel rows, coordinate rows, uint8 0/1 labels) of each sample's
+    selected pixels: the sample's own arrays, its mask's bytes included,
+    when every pixel is selected, C-contiguous per-image copies under an
+    output mask."""
+    return [(s.pixels, s.coords, s.label.data) if isinstance(sel, slice)
             else (np.ascontiguousarray(s.pixels[:, sel]), np.ascontiguousarray(s.coords[:, sel]),
-                  s.label.data[sel].astype(np.float64))
+                  s.label.data[sel])
             for s, sel in zip(samples, sels)]
 
 
@@ -376,7 +384,7 @@ def train(data: SampleSet, cfg: TrainConfig) -> TrainResult:
     return _fit(_prepare(data, _resolve_masks(data, None)), cfg)
 
 
-@np.errstate(over="ignore")
+@np.errstate(all="ignore")
 def _fit(items, cfg: TrainConfig) -> TrainResult:
     """train() on prepared items."""
     steps = _StepMatrix(items)
@@ -521,6 +529,20 @@ class SizeStrata:
     mean_dice: dict[str, list[float]]
 
 
+def _quantile_edges(sizes: np.ndarray, n_bins: int) -> np.ndarray:
+    """np.quantile(sizes, [k / n_bins for k in range(1, n_bins)]) bit for
+    bit, by its default linear rule, without the np.unique inside it that
+    imports numpy.ma: the sorted values at (n - 1) q, each interpolated
+    toward the next one from the nearer side."""
+    ordered = np.sort(sizes)
+    pos = (sizes.size - 1) * np.array([k / n_bins for k in range(1, n_bins)])
+    lo = np.floor(pos).astype(np.intp)
+    t = pos - lo
+    below, above = ordered[lo], ordered[np.minimum(lo + 1, sizes.size - 1)]
+    step = above - below
+    return np.where(t >= 0.5, above - step * (1 - t), below + step * t)
+
+
 def stratify_by_size(result: ExperimentResult, n_bins: int = 10) -> SizeStrata:
     """Mean Dice per loss within size deciles: bin boundaries sit at the
     empirical percentiles of the ground-truth foreground counts, so
@@ -532,7 +554,7 @@ def stratify_by_size(result: ExperimentResult, n_bins: int = 10) -> SizeStrata:
     sizes = result.fg_sizes
     if sizes.size == 0:
         raise EmptySet("empty experiment result")
-    edges = np.quantile(sizes, [k / n_bins for k in range(1, n_bins)])
+    edges = _quantile_edges(sizes, n_bins)
     assignment = np.searchsorted(edges, sizes, side="right")
     parts = [np.flatnonzero(assignment == b) for b in range(n_bins)]
     if any(p.size == 0 for p in parts):

@@ -319,6 +319,26 @@ def test_train_cli_process_matches_golden(tmp_path):
     assert _tree(tmp_path / "out") == _tree(pathlib.Path(GOLDEN) / "train")
 
 
+def test_train_leaves_numpy_ma_unloaded(tmp_path):
+    # np.quantile imports numpy.ma through np.unique, about 0.65 MB of a
+    # train command's peak memory; the size strata get its edges without it
+    (tmp_path / "train.cfg").write_text(TINY_TRAIN)
+    _fresh_python(["-c", "import sys; from segloss import cli; "
+                         "assert cli.main(['--out-dir', 'out', 'train', 'train.cfg']) == 0; "
+                         "assert 'numpy.ma' not in sys.modules"], cwd=tmp_path)
+    assert (tmp_path / "out" / "strata.json").exists()
+
+
+def test_train_extreme_tversky_weights_exit_3_with_one_error_line(tmp_path, capsys):
+    # the weights overflow the Tversky denominator, so training diverges;
+    # numpy's floating-point warnings on the way stay silent
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(TINY_TRAIN.replace("losses = ce, soft_dice", "losses = ce, tversky:1e308:1e308"))
+    assert cli.main(["--out-dir", str(tmp_path / "out"), "train", str(cfg)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("segloss: numeric failure: training diverged"), err
+
+
 def test_sweep_builds_eleven_arms(tmp_path):
     # no alphas or equal_alphas in the config: the default arms
     cfg = tmp_path / "sweep.cfg"

@@ -163,28 +163,42 @@ def _bits(x) -> np.ndarray:
     return np.atleast_1d(np.asarray(x, dtype=np.float64)).view(np.int64)
 
 
+# training passes the masks' own uint8 bytes; a loop over the dtypes in the
+# test body keeps one test id per loss row
+LABEL_DTYPES = (np.uint8, np.bool_, np.int64, np.float64)
+
+
 @pytest.mark.parametrize("spec", ALL_KINDS, ids=lambda s: s.label())
 def test_value_and_gradient_entry_points_match_the_full_evaluation_bit_for_bit(spec):
     rng = np.random.default_rng(21)
-    d = 64
+    # more than 255 ones, so a label sum that stays uint8 wraps around
+    d = 640
     y = rng.integers(0, 2, size=d).astype(np.float64)
+    assert y.sum() > 255
     # p exactly 0 and 1 puts the CE/WCE clamp in play
     clamped = rng.uniform(0.0, 1.0, size=d)
     clamped[::5] = 0.0
     clamped[1::5] = 1.0
     cases = [(y, rng.uniform(0.0, 1.0, size=d)), (y, clamped),
              (np.zeros(d), np.zeros(d))]  # degenerate for the soft overlaps
-    for yv, p in cases:
-        value, grad, _ = eval_loss_arrays(spec, yv, p)
-        assert np.array_equal(_bits(loss_value(spec, yv, p)), _bits(value))
-        assert np.array_equal(_bits(loss_gradient(spec, yv, p)), _bits(grad))
-        # the logit-space gradient is the gradient chained through the
-        # sigmoid; the CE rows' closed form rounds differently
-        chained, logit = grad * p * (1.0 - p), loss_logit_gradient(spec, yv, p)
-        if LOSSES[spec.kind].logit:
-            np.testing.assert_allclose(logit, chained, rtol=1e-12, atol=0.0)
-        else:
-            assert np.array_equal(_bits(logit), _bits(chained))
+    for y_float, p in cases:
+        value, grad, _ = eval_loss_arrays(spec, y_float, p)
+        for dtype in LABEL_DTYPES:
+            yv = y_float.astype(dtype)
+            # any 0/1 label dtype gives the float labels' bits
+            typed_value, typed_grad, _ = eval_loss_arrays(spec, yv, p)
+            assert np.array_equal(_bits(typed_value), _bits(value)), dtype
+            assert np.array_equal(_bits(typed_grad), _bits(grad)), dtype
+            assert np.array_equal(_bits(loss_value(spec, yv, p)), _bits(value)), dtype
+            assert np.array_equal(_bits(loss_gradient(spec, yv, p)), _bits(grad)), dtype
+            # the logit-space gradient is the gradient chained through the
+            # sigmoid; the CE rows' closed form rounds differently
+            chained, logit = grad * p * (1.0 - p), loss_logit_gradient(spec, yv, p)
+            if LOSSES[spec.kind].logit:
+                np.testing.assert_allclose(logit, chained, rtol=1e-12, atol=0.0)
+                assert np.array_equal(_bits(logit), _bits(loss_logit_gradient(spec, y_float, p))), dtype
+            else:
+                assert np.array_equal(_bits(logit), _bits(chained)), dtype
 
 
 def _same_bits(a, b) -> bool:

@@ -28,6 +28,7 @@ from segloss.toytrain import (
     _mean_loss,
     _prepare,
     _probabilities,
+    _quantile_edges,
     _resolve_masks,
     _run_epoch,
     _score,
@@ -265,6 +266,17 @@ def test_stratify_empty_bins_collapse_with_warning():
     assert all(c >= 1 for c in strata.bin_counts)
 
 
+def test_size_edges_are_np_quantile_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for n in range(1, 301):
+        # few distinct sizes give ties, many give distinct neighbours
+        sizes = rng.integers(0, rng.choice([3, 40, 2000]), size=n)
+        for n_bins in (3, 5, 10):
+            want = np.quantile(sizes, [k / n_bins for k in range(1, n_bins)])
+            got = _quantile_edges(sizes, n_bins)
+            assert got.dtype == want.dtype and np.array_equal(got.view(np.int64), want.view(np.int64)), (n, n_bins)
+
+
 def test_stratify_two_identical_losses_identical_curves():
     data = generate_dataset(SMALL)
     tiny = TrainConfig(loss=LossSpec("ce"), max_epochs=2, pretrain_epochs_ce=0, seed=0)
@@ -445,12 +457,13 @@ def test_prepare_gives_views_of_all_pixels_and_copies_under_a_mask():
     sels = [slice(None), keep, slice(None), keep]
     for (pixels, coords, yv), s, sel in zip(_prepare(data, sels), data, sels):
         if isinstance(sel, slice):
-            assert pixels is s.pixels and coords is s.coords
+            assert pixels is s.pixels and coords is s.coords and yv is s.label.data
         else:
             assert not np.shares_memory(pixels, s.pixels) and not np.shares_memory(coords, s.coords)
+            assert not np.shares_memory(yv, s.label.data)
         assert pixels.flags.c_contiguous and coords.flags.c_contiguous
         assert np.array_equal(np.vstack([pixels, coords]).T, s.features[sel])
-        assert np.array_equal(yv, s.label.data[sel].astype(np.float64))
+        assert yv.dtype == np.uint8 and np.array_equal(yv, s.label.data[sel])
 
 
 def test_step_matrix_loads_pixel_rows_and_changed_coordinate_rows():
