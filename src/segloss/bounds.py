@@ -9,6 +9,16 @@ instead of the 4**d mask pairs and gives the same suprema.  The witness
 pair is rebuilt from the winning triple with the tie-break a lexicographic
 scan over the pairs would apply (see ``brute_force_sup``).
 
+Between the surrogate losses only the L1 pair keeps these bounds.  L1
+soft Dice D and soft Jaccard J satisfy J = D/(2 - D) for every y and p,
+as the discrete metrics do
+(``test_soft_dice_l1_and_soft_jaccard_satisfy_the_dice_jaccard_identity``).
+L2 soft Dice has no relative bound against soft Jaccard:
+``soft_dice_l2_blowup_witness(m)`` gives D/J - 1 = sqrt(m)
+(``test_soft_dice_l2_blowup_ratio_is_sqrt_m``).  A random search over
+d <= 8 found |D - J| up to 0.456 for the L2 pair; no closed form for it
+is known here.
+
 Conventions for the empirical suprema: the single both-empty pair is
 excluded entirely, and pairs where either similarity is exactly 0 are
 additionally excluded from the relative-ratio supremum (the ratio is
@@ -19,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -251,6 +260,9 @@ def hamming_blowup_witness(a: float) -> HammingBlowupWitness:
     """
     if not 0.0 < a < (math.sqrt(5.0) - 1.0) / 2.0:
         raise OutOfRange(f"a must lie in (0, (sqrt(5)-1)/2), got {a}")
+    # imported here: fractions loads decimal and numbers, which no command needs
+    from fractions import Fraction
+
     frac = Fraction(a).limit_denominator(10 ** 6)
     p, q = frac.numerator, frac.denominator
     d = q * q
@@ -262,6 +274,40 @@ def hamming_blowup_witness(a: float) -> HammingBlowupWitness:
     gamma_star, h_star = (0.0, h0) if h0 <= h1 else (1.0, h1)
     d_val = float(dice_from_counts(tp, fp, fn, d))
     return HammingBlowupWitness(tp, fp, fn, d, gamma_star, h_star, d_val, h_star / d_val)
+
+
+@dataclass(frozen=True)
+class SoftDiceL2BlowupWitness:
+    """One member of the family y = e_0, p = (p0, 1/sqrt(m) m times): one
+    foreground pixel predicted near 0 and m background pixels."""
+
+    m: int
+    y: np.ndarray
+    p: np.ndarray
+    soft_dice: float      # 2 y.p / (|y| + p.p), one minus the soft_dice_l2 loss
+    soft_jaccard: float   # y.p / (|y| + sum(p) - y.p), one minus the soft_jaccard loss
+    ratio: float          # soft_dice / soft_jaccard - 1, which is sqrt(m)
+
+
+def soft_dice_l2_blowup_witness(m: int) -> SoftDiceL2BlowupWitness:
+    """Instantiate the family showing L2 soft Dice (p.p in the
+    denominator) and soft Jaccard do not relatively approximate each
+    other: the relative error D/J - 1 = 2(1 + sqrt(m))/(2 + p0**2) - 1
+    tends to sqrt(m) as p0 -> 0, and equals it to rounding at this p0.
+
+    The similarities are computed as the ratios themselves, not as one
+    minus a loss near 1, so that values near p0 keep their digits.
+    """
+    if m < 1:
+        raise OutOfRange(f"m must be >= 1, got {m}")
+    y = np.zeros(m + 1)
+    y[0] = 1.0
+    p = np.full(m + 1, 1.0 / math.sqrt(m))
+    p[0] = 2.0 ** -30  # p0: small enough that p0**2 vanishes beside the Dice denominator's 2
+    inter = float(y @ p)
+    dice_l2 = 2.0 * inter / float(y.sum() + p @ p)
+    jac = inter / (float(y.sum() + p.sum()) - inter)
+    return SoftDiceL2BlowupWitness(m, y, p, dice_l2, jac, dice_l2 / jac - 1.0)
 
 
 @dataclass(frozen=True)

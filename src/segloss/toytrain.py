@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -533,14 +534,31 @@ def _quantile_edges(sizes: np.ndarray, n_bins: int) -> np.ndarray:
     """np.quantile(sizes, [k / n_bins for k in range(1, n_bins)]) bit for
     bit, by its default linear rule, without the np.unique inside it that
     imports numpy.ma: the sorted values at (n - 1) q, each interpolated
-    toward the next one from the nearer side."""
-    ordered = np.sort(sizes)
-    pos = (sizes.size - 1) * np.array([k / n_bins for k in range(1, n_bins)])
-    lo = np.floor(pos).astype(np.intp)
-    t = pos - lo
-    below, above = ordered[lo], ordered[np.minimum(lo + 1, sizes.size - 1)]
-    step = above - below
-    return np.where(t >= 0.5, above - step * (1 - t), below + step * t)
+    toward the next one from the nearer side.
+
+    The one-per-image sizes are sorted in Python: the first np.sort of an
+    int64 array faults in about 0.26 MB of numpy's SIMD sort code, which
+    nothing else in a train command uses.  Python's int/float arithmetic
+    rounds as numpy's does, so the edges are the same bits."""
+    ordered = sorted(sizes.tolist())
+    last = len(ordered) - 1
+    edges = []
+    for k in range(1, n_bins):
+        pos = last * (k / n_bins)
+        lo = math.floor(pos)
+        t = pos - lo
+        below, above = ordered[lo], ordered[min(lo + 1, last)]
+        step = above - below
+        edges.append(above - step * (1 - t) if t >= 0.5 else below + step * t)
+    return np.array(edges, dtype=np.float64)
+
+
+def _size_bins(sizes: np.ndarray, n_bins: int) -> np.ndarray:
+    """Each image's size bin, np.searchsorted(_quantile_edges(sizes,
+    n_bins), sizes, side="right"), by bisect_right without the numpy
+    search code a train command would load only for this."""
+    edges = _quantile_edges(sizes, n_bins).tolist()
+    return np.array([bisect_right(edges, s) for s in sizes.tolist()])
 
 
 def stratify_by_size(result: ExperimentResult, n_bins: int = 10) -> SizeStrata:
@@ -554,8 +572,7 @@ def stratify_by_size(result: ExperimentResult, n_bins: int = 10) -> SizeStrata:
     sizes = result.fg_sizes
     if sizes.size == 0:
         raise EmptySet("empty experiment result")
-    edges = _quantile_edges(sizes, n_bins)
-    assignment = np.searchsorted(edges, sizes, side="right")
+    assignment = _size_bins(sizes, n_bins)
     parts = [np.flatnonzero(assignment == b) for b in range(n_bins)]
     if any(p.size == 0 for p in parts):
         warnings.warn(

@@ -12,9 +12,11 @@ from segloss.bounds import (
     hamming_blowup_witness,
     parse_metric_id,
     risk_inequality_check,
+    soft_dice_l2_blowup_witness,
     tversky_dice_bounds,
 )
 from segloss.errors import DTooLarge, EmptySet, OutOfRange
+from segloss.losses import LossSpec, loss_value
 from segloss.masks import confusion_counts
 from util import (
     all_masks,
@@ -219,6 +221,28 @@ def test_blowup_counts_follow_the_family():
         assert w.fn == 0
         assert Fraction(w.fp, w.d) == fr
         assert Fraction(w.tp, w.d) == fr * fr
+
+
+@pytest.mark.parametrize("d", [1, 2, 8, 100, 4096])
+def test_soft_dice_l1_and_soft_jaccard_satisfy_the_dice_jaccard_identity(d):
+    rng = np.random.default_rng(d)
+    for _ in range(50):
+        y = (rng.random(d) < rng.random()).astype(np.uint8)
+        p = rng.random(d) ** rng.uniform(0.2, 5.0)
+        dice = 1.0 - loss_value(LossSpec("soft_dice_l1"), y, p)
+        jac = 1.0 - loss_value(LossSpec("soft_jaccard"), y, p)
+        assert jac == pytest.approx(dice / (2.0 - dice), rel=0, abs=1e-15)
+
+
+@pytest.mark.parametrize("m", [1, 4, 100, 10_000])
+def test_soft_dice_l2_blowup_ratio_is_sqrt_m(m):
+    w = soft_dice_l2_blowup_witness(m)
+    assert w.ratio == pytest.approx(math.sqrt(m), rel=1e-12)
+    # the witness scores the pair as the trained losses do
+    assert 1.0 - loss_value(LossSpec("soft_dice_l2"), w.y, w.p) == pytest.approx(w.soft_dice, abs=1e-15)
+    assert 1.0 - loss_value(LossSpec("soft_jaccard"), w.y, w.p) == pytest.approx(w.soft_jaccard, abs=1e-15)
+    with pytest.raises(OutOfRange):
+        soft_dice_l2_blowup_witness(0)
 
 
 def test_risk_inequality_single_and_perfect():

@@ -319,14 +319,31 @@ def test_train_cli_process_matches_golden(tmp_path):
     assert _tree(tmp_path / "out") == _tree(pathlib.Path(GOLDEN) / "train")
 
 
-def test_train_leaves_numpy_ma_unloaded(tmp_path):
-    # np.quantile imports numpy.ma through np.unique, about 0.65 MB of a
-    # train command's peak memory; the size strata get its edges without it
-    (tmp_path / "train.cfg").write_text(TINY_TRAIN)
+# modules no command needs: np.quantile imports numpy.ma through np.unique,
+# about 0.65 MB of a train command's peak memory, and fractions (with
+# decimal) is only for the Hamming blow-up witness, 0.43 MB of every command
+UNNEEDED_MODULES = ("numpy.ma", "decimal", "fractions")
+
+
+def _run_leaving_unneeded_modules_unloaded(argv, cwd):
     _fresh_python(["-c", "import sys; from segloss import cli; "
-                         "assert cli.main(['--out-dir', 'out', 'train', 'train.cfg']) == 0; "
-                         "assert 'numpy.ma' not in sys.modules"], cwd=tmp_path)
+                         f"assert cli.main({argv!r}) == 0; "
+                         f"loaded = [m for m in {UNNEEDED_MODULES!r} if m in sys.modules]; "
+                         "assert not loaded, loaded"], cwd=cwd)
+
+
+def test_train_leaves_numpy_ma_unloaded(tmp_path):
+    # the size strata get their edges without np.quantile
+    (tmp_path / "train.cfg").write_text(TINY_TRAIN)
+    _run_leaving_unneeded_modules_unloaded(["--out-dir", "out", "train", "train.cfg"], tmp_path)
     assert (tmp_path / "out" / "strata.json").exists()
+
+
+def test_evaluate_leaves_unneeded_modules_unloaded(tmp_path):
+    gt, pred = write_eval_inputs(str(tmp_path), "pair")
+    _run_leaving_unneeded_modules_unloaded(["--out-dir", "out", "evaluate", gt, pred,
+                                            "--metrics", "dice,whamming,hausdorff,avd"], tmp_path)
+    assert (tmp_path / "out" / "evaluate.json").exists()
 
 
 def test_train_extreme_tversky_weights_exit_3_with_one_error_line(tmp_path, capsys):

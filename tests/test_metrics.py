@@ -189,15 +189,50 @@ HAUSDORFF_SHAPES = [(1, 1, 1), (1, 1, 9), (1, 9, 1), (7, 1, 1), (12, 17), (1, 12
                     (3, 1, 20), (2, 15, 1), (4, 9, 13), (6, 11, 5), (9, 16, 24)]
 
 
+def _random_sub_box(shape, rng) -> tuple[slice, ...]:
+    """A random box inside ``shape`` that leaves a margin where it can."""
+    box = []
+    for n in shape:
+        lo = int(rng.integers(0, (n + 1) // 2))
+        box.append(slice(lo, int(rng.integers(lo, n - lo)) + 1))
+    return tuple(box)
+
+
+def _inside(mask: np.ndarray, box) -> np.ndarray:
+    out = np.zeros_like(mask)
+    out[box] = mask[box]
+    return out
+
+
+def _touching_every_face(mask: np.ndarray, rng) -> np.ndarray:
+    """``mask`` with one more voxel set at a random spot of each face."""
+    out = mask.copy()
+    for axis, n in enumerate(mask.shape):
+        for end in (0, n - 1):
+            spot = [int(rng.integers(0, m)) for m in mask.shape]
+            spot[axis] = end
+            out[tuple(spot)] = True
+    return out
+
+
 @pytest.mark.parametrize("shape", HAUSDORFF_SHAPES)
 def test_hausdorff_equals_pairwise_scan(shape):
     rng = np.random.default_rng(sum(shape) * 1009 + len(shape))
+    # a second stream, so the original cases keep their draws
+    box_rng = np.random.default_rng(sum(shape) * 2017 + len(shape))
     for density in (0.02, 0.2, 0.6, 1.0):
         a = rng.random(shape) < density
         b = rng.random(shape) < density
         single = np.zeros(shape, dtype=bool)
         single[tuple(rng.integers(0, n) for n in shape)] = True
-        for y, yhat in ((a, b), (single, b), (a, single)):
+        # the transforms see only the bounding box of y | yhat: masks in
+        # interior sub-boxes (their own, or one shared) and masks touching
+        # every face, where the box is the whole volume
+        box_a, box_b = _random_sub_box(shape, box_rng), _random_sub_box(shape, box_rng)
+        a_in = _inside(a, box_a)
+        faces = (_touching_every_face(a, box_rng), _touching_every_face(b, box_rng))
+        for y, yhat in ((a, b), (single, b), (a, single), (a_in, _inside(b, box_b)),
+                        (a_in, _inside(b, box_a)), (single, a_in), faces, (single, faces[1])):
             got, want = _hausdorff_pair(y, yhat)
             if math.isnan(want):
                 assert not got.defined and math.isnan(got.value)

@@ -32,6 +32,7 @@ from segloss.toytrain import (
     _resolve_masks,
     _run_epoch,
     _score,
+    _size_bins,
     _StepMatrix,
     build_fgbg_masks,
     generate_dataset,
@@ -275,6 +276,8 @@ def test_size_edges_are_np_quantile_bit_for_bit():
             want = np.quantile(sizes, [k / n_bins for k in range(1, n_bins)])
             got = _quantile_edges(sizes, n_bins)
             assert got.dtype == want.dtype and np.array_equal(got.view(np.int64), want.view(np.int64)), (n, n_bins)
+            bins = _size_bins(sizes, n_bins)
+            assert np.array_equal(bins, np.searchsorted(want, sizes, side="right")), (n, n_bins)
 
 
 def test_stratify_two_identical_losses_identical_curves():
