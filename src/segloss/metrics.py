@@ -103,29 +103,31 @@ def tversky_from_counts(tp, fp, fn, d, alpha, beta):
 
 
 def fbeta_from_counts(tp, fp, fn, d, b):
-    """(1+b^2)tp / ((1+b^2)tp + b^2*fn + fp); 1.0 when all counts are zero."""
+    """(1+b^2)tp / ((1+b^2)tp + b^2*fn + fp); 1.0 when all counts are zero.
+    Overflow of the products at huge b is silent; callers reject a NaN it gives."""
     b2 = b * b
-    return _safe_div((1.0 + b2) * np.asarray(tp, dtype=np.float64), (1.0 + b2) * np.asarray(tp) + b2 * np.asarray(fn) + np.asarray(fp), 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _safe_div((1.0 + b2) * np.asarray(tp, dtype=np.float64), (1.0 + b2) * np.asarray(tp) + b2 * np.asarray(fn) + np.asarray(fp), 1.0)
 
 
-def _score(kind: str, y: BinaryMask, yhat: BinaryMask, *params: float) -> float:
+def _mask_score(kind: str, y: BinaryMask, yhat: BinaryMask, *params: float) -> float:
     mid = MetricId(kind, params)
     return float(mid.counts(*confusion_counts(y, yhat), y.d))
 
 
 def dice(y: BinaryMask, yhat: BinaryMask) -> float:
     """Dice score 2|y ∩ ŷ| / (|y| + |ŷ|)."""
-    return _score("dice", y, yhat)
+    return _mask_score("dice", y, yhat)
 
 
 def jaccard(y: BinaryMask, yhat: BinaryMask) -> float:
     """Jaccard index |y ∩ ŷ| / |y ∪ ŷ|; satisfies J = D/(2-D)."""
-    return _score("jaccard", y, yhat)
+    return _mask_score("jaccard", y, yhat)
 
 
 def hamming(y: BinaryMask, yhat: BinaryMask) -> float:
     """Hamming similarity 1 - |y △ ŷ|/d; equals accuracy up to rounding."""
-    return _score("hamming", y, yhat)
+    return _mask_score("hamming", y, yhat)
 
 
 def weighted_hamming(y: BinaryMask, yhat: BinaryMask, gamma: float) -> float:
@@ -133,13 +135,13 @@ def weighted_hamming(y: BinaryMask, yhat: BinaryMask, gamma: float) -> float:
 
     Equals plain Hamming when gamma = |y|/d (and 0 < |y| < d).
     """
-    return _score("whamming", y, yhat, gamma)
+    return _mask_score("whamming", y, yhat, gamma)
 
 
 def tversky(y: BinaryMask, yhat: BinaryMask, alpha: float, beta: float) -> float:
     """Tversky index weighting false positives by alpha, false negatives
     by beta.  Equals Dice at alpha = beta = 0.5 and Jaccard at 1, 1."""
-    return _score("tversky", y, yhat, alpha, beta)
+    return _mask_score("tversky", y, yhat, alpha, beta)
 
 
 def _min_plus(g: np.ndarray, axis: int) -> np.ndarray:

@@ -17,14 +17,15 @@ image keeps its two pixel rows (raw intensity, 3x3 box mean) as one
 C-contiguous (2, d) array; the three coordinate rows (x/nx, y/ny, 1) are
 the same for every image of a dataset, so ``generate_dataset`` builds one
 (3, d) array that all its samples reference.  ``Sample.features`` puts the
-two together as the (d, N_FEATURES) values.  Each fit and each scoring pass
-runs its images through one C-contiguous (N_FEATURES, d') step matrix: a
-step copies in the image's pixel rows, and its coordinate rows only when
-they are not the ones already loaded, so every ``w @ X`` and ``X @ v`` sees
-the same contiguous (N_FEATURES, d') layout and gives the same bits as a
+two together as the (d, N_FEATURES) values.  Under output masks each image
+becomes a Sample of its d' in-mask pixels, with its own copies of the rows
+and a flat (d', 1, 1) label.  Each fit and each scoring pass runs its
+samples through one C-contiguous (N_FEATURES, d') step matrix: a step
+copies in the sample's pixel rows, and its coordinate rows only when they
+are not the ones already loaded, so every ``w @ X`` and ``X @ v`` sees the
+same contiguous (N_FEATURES, d') layout and gives the same bits as a
 product over one stacked array.  The labels are each mask's own uint8
-bytes (a uint8 copy under an output mask), never a float copy: the loss
-kernels take 0/1 labels of any dtype.
+bytes, never a float copy: the loss kernels take 0/1 labels of any dtype.
 
 The sigmoid's exp(-s) overflows to inf, the right p = 0, below
 s = -709.78; ``np.errstate(over="ignore")`` around each scoring pass
@@ -299,80 +300,77 @@ def _probabilities(w_neg: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 class _StepMatrix:
-    """One C-contiguous (N_FEATURES, d') matrix each prepared image is
-    copied into before its products: the pixel rows on every load, the
-    coordinate rows only when they are not the ones loaded last."""
+    """One C-contiguous (N_FEATURES, d') matrix each sample is copied into
+    before its products: the pixel rows on every load, the coordinate rows
+    only when they are not the ones loaded last."""
 
-    def __init__(self, items):
-        self._buf = np.empty(N_FEATURES * max((px.shape[1] for px, _, _ in items), default=0))
+    def __init__(self, samples):
+        self._buf = np.empty(N_FEATURES * max((s.pixels.shape[1] for s in samples), default=0))
         self._coords = None
         self._X = None
 
-    def load(self, pixels: np.ndarray, coords: np.ndarray) -> np.ndarray:
-        if coords is not self._coords:
-            d = coords.shape[1]
+    def load(self, s: Sample) -> np.ndarray:
+        if s.coords is not self._coords:
+            d = s.coords.shape[1]
             self._X = self._buf[:N_FEATURES * d].reshape(N_FEATURES, d)
-            self._X[N_PIXEL_ROWS:] = coords
-            self._coords = coords
-        self._X[:N_PIXEL_ROWS] = pixels
+            self._X[N_PIXEL_ROWS:] = s.coords
+            self._coords = s.coords
+        self._X[:N_PIXEL_ROWS] = s.pixels
         return self._X
 
 
-def _resolve_masks(data: SampleSet, output_masks) -> list:
-    """One pixel selector per image: its output mask as a boolean vector,
-    or slice(None) for every pixel when there are no masks."""
+def _masked(data: SampleSet, output_masks) -> SampleSet:
+    """data itself without masks; otherwise one Sample per image holding
+    C-contiguous copies of its in-mask pixel and coordinate rows, labelled
+    by its in-mask uint8 bytes as a flat (d', 1, 1) mask."""
     if output_masks is None:
-        return [slice(None)] * len(data)
+        return data
     masks = list(output_masks)
     if len(masks) != len(data):
         raise OutOfRange("need one output mask per image")
     out = []
-    for m, s in zip(masks, data):
+    for i, (m, s) in enumerate(zip(masks, data)):
         if m.dims != s.label.dims:
             raise OutOfRange("output mask dims do not match the data")
-        out.append(m.data.astype(bool))
-    return out
+        sel, d = m.data.astype(bool), m.count()
+        if d == 0:
+            raise OutOfRange(f"output mask of image {i} selects no pixels")
+        out.append(Sample(np.ascontiguousarray(s.pixels[:, sel]), np.ascontiguousarray(s.coords[:, sel]),
+                          BinaryMask((d, 1, 1), s.label.data[sel])))
+    return SampleSet(out)
 
 
-def _prepare(samples, sels) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(pixel rows, coordinate rows, uint8 0/1 labels) of each sample's
-    selected pixels: the sample's own arrays, its mask's bytes included,
-    when every pixel is selected, C-contiguous per-image copies under an
-    output mask."""
-    return [(s.pixels, s.coords, s.label.data) if isinstance(sel, slice)
-            else (np.ascontiguousarray(s.pixels[:, sel]), np.ascontiguousarray(s.coords[:, sel]),
-                  s.label.data[sel])
-            for s, sel in zip(samples, sels)]
-
-
-def _mean_loss(items, steps: _StepMatrix, w: np.ndarray, spec: LossSpec) -> float:
+def _mean_loss(samples, steps: _StepMatrix, w: np.ndarray, spec: LossSpec) -> float:
     w_neg = -w
     total = 0.0
-    for pixels, coords, yv in items:
-        total += loss_value(spec, yv, _probabilities(w_neg, steps.load(pixels, coords)))
-    return total / len(items)
+    for s in samples:
+        total += loss_value(spec, s.label.data, _probabilities(w_neg, steps.load(s)))
+    return total / len(samples)
 
 
-def _run_epoch(items, steps: _StepMatrix, w: np.ndarray, spec: LossSpec, lr: float, batch_size: int,
+def _run_epoch(samples, steps: _StepMatrix, w: np.ndarray, spec: LossSpec, lr: float, batch_size: int,
                rng) -> np.ndarray:
-    order = rng.permutation(len(items))
+    order = rng.permutation(len(samples))
     for lo in range(0, order.size, batch_size):
         batch = order[lo:lo + batch_size]
         g = np.zeros_like(w)
         w_neg = -w
         for idx in batch:
-            pixels, coords, yv = items[idx]
-            X = steps.load(pixels, coords)
-            g += X @ loss_logit_gradient(spec, yv, _probabilities(w_neg, X))
+            s = samples[idx]
+            X = steps.load(s)
+            g += X @ loss_logit_gradient(spec, s.label.data, _probabilities(w_neg, X))
         w = w - lr * (g / batch.size)
     if not np.all(np.isfinite(w)):
         raise NonFiniteLoss(f"training diverged to non-finite weights (loss={spec.label()}, lr={lr})")
     return w
 
 
+@np.errstate(all="ignore")
 def train(data: SampleSet, cfg: TrainConfig) -> TrainResult:
     """Gradient descent on the mean per-image loss of a linear per-pixel
-    scorer (5 features -> logit -> sigmoid), over every pixel.
+    scorer (5 features -> logit -> sigmoid), over every pixel of each
+    sample; the masked fg/bg runs fit through it too, on samples that hold
+    only their in-mask pixels.
 
     Runs a CE warm-up for cfg.pretrain_epochs_ce epochs, then switches to
     cfg.loss with the optimizer state (learning rate, plateau counters)
@@ -380,29 +378,23 @@ def train(data: SampleSet, cfg: TrainConfig) -> TrainResult:
     plateau; training stops when the patience is exhausted.  Returns the
     weights with the best validation loss seen in the main phase.
     """
-    if len(data) == 0:
+    n = len(data)
+    if n == 0:
         raise EmptySet("train needs at least one image")
-    return _fit(_prepare(data, _resolve_masks(data, None)), cfg)
-
-
-@np.errstate(all="ignore")
-def _fit(items, cfg: TrainConfig) -> TrainResult:
-    """train() on prepared items."""
-    steps = _StepMatrix(items)
-    n = len(items)
+    steps = _StepMatrix(data)
     n_val = min(int(round(VAL_FRACTION * n)), n - 1)
-    train_items = items[: n - n_val]
-    val_items = items[n - n_val:] if n_val > 0 else items
+    train_samples = data.samples[: n - n_val]
+    val_samples = data.samples[n - n_val:] if n_val > 0 else data.samples
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     w = rng.normal(0.0, 0.5, N_FEATURES)
 
     ce = LossSpec("ce")
     for _ in range(cfg.pretrain_epochs_ce):
-        w = _run_epoch(train_items, steps, w, ce, cfg.learning_rate, cfg.batch_size, rng)
+        w = _run_epoch(train_samples, steps, w, ce, cfg.learning_rate, cfg.batch_size, rng)
 
     lr = cfg.learning_rate
-    best_val = _mean_loss(val_items, steps, w, cfg.loss)
+    best_val = _mean_loss(val_samples, steps, w, cfg.loss)
     if not math.isfinite(best_val):
         raise NonFiniteLoss(f"initial validation loss is {best_val}")
     best_w = w.copy()
@@ -412,8 +404,8 @@ def _fit(items, cfg: TrainConfig) -> TrainResult:
     lr_cuts: list[int] = []
     stop_reason = "max_epochs"
     for epoch in range(cfg.max_epochs):
-        w = _run_epoch(train_items, steps, w, cfg.loss, lr, cfg.batch_size, rng)
-        vl = _mean_loss(val_items, steps, w, cfg.loss)
+        w = _run_epoch(train_samples, steps, w, cfg.loss, lr, cfg.batch_size, rng)
+        vl = _mean_loss(val_samples, steps, w, cfg.loss)
         if not math.isfinite(vl):
             raise NonFiniteLoss(f"non-finite validation loss {vl} at epoch {epoch} "
                                 f"(loss={cfg.loss.label()}, lr={lr})")
@@ -431,22 +423,17 @@ def _fit(items, cfg: TrainConfig) -> TrainResult:
     return TrainResult(best_w, best_val, np.array(val_hist), tuple(lr_cuts), stop_reason)
 
 
+@np.errstate(over="ignore")
 def score_images(data: SampleSet, idx, w: np.ndarray) -> dict[str, np.ndarray]:
     """Discrete scores at threshold 0.5 of the images idx of data, one
     array per SCORE_COLUMNS entry."""
     subset = data.subset(idx)
-    return _score(_prepare(subset, _resolve_masks(subset, None)), w)
-
-
-@np.errstate(over="ignore")
-def _score(items, w: np.ndarray) -> dict[str, np.ndarray]:
-    """score_images() on prepared items."""
-    steps = _StepMatrix(items)
+    steps = _StepMatrix(subset)
     w_neg = -w
-    out = {c: np.empty(len(items)) for c in SCORE_COLUMNS}
-    for i, (pixels, coords, yv) in enumerate(items):
-        truth = yv.astype(bool)
-        counts = (*overlap_counts(truth, _probabilities(w_neg, steps.load(pixels, coords)) > 0.5), truth.size)
+    out = {c: np.empty(len(subset)) for c in SCORE_COLUMNS}
+    for i, s in enumerate(subset):
+        truth = s.label.data.astype(bool)
+        counts = (*overlap_counts(truth, _probabilities(w_neg, steps.load(s)) > 0.5), truth.size)
         values = (dice_from_counts(*counts), jaccard_from_counts(*counts),
                   *(fbeta_from_counts(*counts, b) for b in FBETAS))
         for c, v in zip(SCORE_COLUMNS, values):
@@ -486,7 +473,7 @@ def run_loss_comparison(
     checkpoint selection) and scored on the left-out images, so each image
     is scored exactly once per arm.  Given output_masks (one BinaryMask
     per image of data), both training and scoring see only in-mask pixels;
-    the masks are resolved once for the whole experiment.  Arms must have
+    the images are masked once for the whole experiment.  Arms must have
     distinct labels, which name their report files.  The jobs run one
     after another; threads is accepted for compatibility and ignored.
     """
@@ -499,7 +486,7 @@ def run_loss_comparison(
     if n < folds:
         raise TooFewSamples(f"need at least {folds} images, got {n}")
     base = base_cfg if base_cfg is not None else TrainConfig(loss=LossSpec("ce"))
-    items = _prepare(data, _resolve_masks(data, output_masks))
+    pool = _masked(data, output_masks)
 
     fold_of = np.arange(n) % folds
     fg_sizes = data.fg_counts()
@@ -510,11 +497,10 @@ def run_loss_comparison(
 
     for f in range(folds):
         test_idx = np.flatnonzero(fold_of == f)
-        train_items = [items[i] for i in np.flatnonzero(fold_of != f)]
-        test_items = [items[i] for i in test_idx]
+        train_pool = pool.subset(np.flatnonzero(fold_of != f))
         for ai, arm in enumerate(arms):
-            res = _fit(train_items, replace(base, loss=arm.spec, seed=derive_seed(seed, f, ai)))
-            for c, values in _score(test_items, res.weights).items():
+            res = train(train_pool, replace(base, loss=arm.spec, seed=derive_seed(seed, f, ai)))
+            for c, values in score_images(pool, test_idx, res.weights).items():
                 arm.scores[c][test_idx] = values
     return ExperimentResult(arms, fold_of, fg_sizes)
 

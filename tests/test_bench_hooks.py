@@ -70,16 +70,49 @@ def test_probe_multiplies_sample_features_by_weights_and_training_gets_feature_m
         assert (s.features @ w).shape == (d,)
     keep = np.zeros(d, dtype=bool)
     keep[::3] = True
-    for sels in ([slice(None)] * 2, [keep] * 2):
-        items = toytrain._prepare(data, sels)
-        steps = toytrain._StepMatrix(items)
-        for (pixels, coords, yv), s, sel in zip(items, data, sels):
-            X = steps.load(pixels, coords)
-            assert X.flags.c_contiguous and X.shape == (toytrain.N_FEATURES, yv.size)
+    for masks, sel in ((None, slice(None)), ([BinaryMask(data.dims, keep.astype(np.uint8))] * 2, keep)):
+        pool = toytrain._masked(data, masks)
+        steps = toytrain._StepMatrix(pool)
+        for m, s in zip(pool, data):
+            X = steps.load(m)
+            assert X.flags.c_contiguous and X.shape == (toytrain.N_FEATURES, m.label.d)
             assert np.array_equal(X.T, s.features[sel])
-            # every pixel selected: the sample's own rows, no copy
-            assert np.shares_memory(pixels, s.pixels) == isinstance(sel, slice)
-            assert np.shares_memory(coords, s.coords) == isinstance(sel, slice)
+            # no output masks: the sample's own rows, no copy
+            assert np.shares_memory(m.pixels, s.pixels) == (masks is None)
+            assert np.shares_memory(m.coords, s.coords) == (masks is None)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_runner_fits_and_scores_through_train_and_score_images(monkeypatch, masked):
+    # the probe times toytrain.train and toytrain.score_images as the
+    # runner's per-job work, so the runner must call exactly those
+    data = toytrain.generate_dataset(toytrain.SyntheticConfig(
+        n_images=5, dims=(16, 16), object_radius_range=(2.0, 4.0), fg_prior_target=0.08))
+    masks = [BinaryMask(data.dims, np.ones(16 * 16, dtype=np.uint8))] * len(data) if masked else None
+    arms = [losses.LossSpec("ce"), losses.LossSpec("soft_dice_l1")]
+    base = toytrain.TrainConfig(loss=losses.LossSpec("ce"), max_epochs=2, pretrain_epochs_ce=1)
+
+    def run():
+        return toytrain.run_loss_comparison(data, arms, folds=2, seed=3, base_cfg=base, output_masks=masks)
+
+    plain = run()
+    calls = {"train": 0, "score_images": 0}
+
+    def counted(name):
+        real = getattr(toytrain, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(toytrain, name, counted(name))
+    wrapped = run()
+    assert calls == {"train": 2 * len(arms), "score_images": 2 * len(arms)}
+    for a, b in zip(plain.arms, wrapped.arms):
+        for c in toytrain.SCORE_COLUMNS:
+            assert np.array_equal(a.scores[c], b.scores[c])
 
 
 def test_span_reads_the_mask_path_argument_by_name():

@@ -181,6 +181,21 @@ def test_evaluate_non_finite_metric_value_is_numeric_failure(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "{gt}", "{pred}", "--metrics", "fbeta:1e200"],
+    ["bounds", "--pair", "dice-fbeta:1e200", "--dmax", "3"],
+], ids=["evaluate", "bounds"])
+def test_fbeta_past_the_float_range_exits_3_with_one_error_line(tmp_path, capsys, argv):
+    # (1+b^2)*tp is inf*0 when the prediction is empty; numpy's
+    # floating-point warnings on the way stay silent
+    gt, pred = write_eval_inputs(tmp_path, "empty_pred")
+    out = tmp_path / "out"
+    assert cli.main(["--out-dir", str(out), *(a.format(gt=gt, pred=pred) for a in argv)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["segloss: numeric failure: fbeta:1e+200 gave a non-finite value"], err
+    assert not out.exists()
+
+
 def test_evaluate_tversky_weights_past_the_float_range_give_the_limit_0(tmp_path, capsys):
     gt, pred = write_eval_inputs(tmp_path, "pair")
     out = tmp_path / "out"
@@ -433,12 +448,13 @@ def test_os_error_on_a_path_is_data_error(tmp_path, capsys, argv):
     assert (tmp_path / "file").read_bytes() == b""
 
 
+def _no_training(*args, **kwargs):
+    raise AssertionError("a job was trained")
+
+
 @pytest.mark.parametrize("losses", ["ce, ce", "soft_dice, soft_dice_l1"])
 def test_train_duplicate_arm_labels_are_usage_error_before_training(tmp_path, capsys, monkeypatch, losses):
-    def no_training(*args, **kwargs):
-        raise AssertionError("an arm was trained")
-
-    monkeypatch.setattr(toytrain, "_fit", no_training)
+    monkeypatch.setattr(toytrain, "train", _no_training)
     cfg = tmp_path / "train.cfg"
     cfg.write_text(TINY_TRAIN.replace("losses = ce, soft_dice", f"losses = {losses}"))
     out = tmp_path / "out"
@@ -496,10 +512,7 @@ def test_train_arms_equal_in_g_format_get_distinct_reports(tmp_path):
 ])
 def test_experiment_config_errors_stop_before_training(tmp_path, capsys, monkeypatch,
                                                        command, edit, code, message):
-    def no_training(*args, **kwargs):
-        raise AssertionError("a job was trained")
-
-    monkeypatch.setattr(toytrain, "_fit", no_training)
+    monkeypatch.setattr(toytrain, "train", _no_training)
     cfg = tmp_path / f"{command}.cfg"
     cfg.write_text({"train": TINY_TRAIN, "sweep": TINY_SWEEP}[command].replace(*edit))
     out = tmp_path / "out"

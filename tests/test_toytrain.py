@@ -24,14 +24,11 @@ from segloss.toytrain import (
     SampleSet,
     SyntheticConfig,
     TrainConfig,
-    _fit,
+    _masked,
     _mean_loss,
-    _prepare,
     _probabilities,
     _quantile_edges,
-    _resolve_masks,
     _run_epoch,
-    _score,
     _size_bins,
     _StepMatrix,
     build_fgbg_masks,
@@ -184,17 +181,16 @@ def test_train_divergence_is_caught_in_the_phase_it_happens(pretrain, phase_loss
 def test_train_loss_mostly_nonincreasing():
     # descent at the default learning rate and batch size lowers the
     # training-set loss it descends on in nearly every epoch
-    data = generate_dataset(SMALL)
-    items = _prepare(data, [slice(None)] * len(data))
-    steps = _StepMatrix(items)
+    samples = generate_dataset(SMALL).samples
+    steps = _StepMatrix(samples)
     for loss in (LossSpec("ce"), LossSpec("soft_dice_l1")):
         cfg = TrainConfig(loss=loss, seed=7)
         rng = np.random.default_rng(cfg.seed)
         w = rng.normal(0.0, 0.5, N_FEATURES)
         curve = []
         for _ in range(30):
-            w = _run_epoch(items, steps, w, loss, cfg.learning_rate, cfg.batch_size, rng)
-            curve.append(_mean_loss(items, steps, w, loss))
+            w = _run_epoch(samples, steps, w, loss, cfg.learning_rate, cfg.batch_size, rng)
+            curve.append(_mean_loss(samples, steps, w, loss))
         frac = float(np.mean(np.diff(curve) <= 1e-12))
         assert frac >= 0.9
 
@@ -203,7 +199,7 @@ def test_output_mask_all_ones_matches_unmasked():
     data = generate_dataset(SMALL)
     ones = [BinaryMask(data.dims, np.ones(32 * 32, dtype=np.uint8))] * len(data)
     r_plain = train(data, QUICK)
-    r_masked = _fit(_prepare(data, _resolve_masks(data, ones)), QUICK)
+    r_masked = train(_masked(data, ones), QUICK)
     assert np.array_equal(r_plain.weights, r_masked.weights)
     plain = run_loss_comparison(data, [LossSpec("ce")], folds=4, seed=3, base_cfg=QUICK)
     masked = run_loss_comparison(data, [LossSpec("ce")], folds=4, seed=3, base_cfg=QUICK,
@@ -222,6 +218,12 @@ def test_output_mask_validation():
     with pytest.raises(OutOfRange, match="one output mask per image"):
         run_loss_comparison(data, [LossSpec("ce")], folds=2, base_cfg=tiny,
                             output_masks=(ones,) * (len(data) - 1))
+    # a mask that selects no pixels would leave the losses a 0-pixel image
+    empty = BinaryMask(data.dims, np.zeros(32 * 32, dtype=np.uint8))
+    for masks, image in (([empty] * len(data), 0), ([ones] * 3 + [empty] + [ones] * (len(data) - 4), 3)):
+        with pytest.raises(OutOfRange, match=f"output mask of image {image} selects no pixels"):
+            run_loss_comparison(data, [LossSpec("ce"), LossSpec("soft_dice_l1")], folds=2, base_cfg=tiny,
+                                output_masks=masks)
 
 
 def test_comparison_shapes_folds_and_determinism():
@@ -352,15 +354,14 @@ def test_fit_and_score_keep_the_sigmoid_overflow_silent():
     # overflows to inf; each fit and scoring pass silences that warning
     data = generate_dataset(SMALL).subset(range(8))
     loud = SampleSet([Sample(np.where(s.pixels > 0.5, 800.0, -800.0), s.coords, s.label) for s in data])
-    items = _prepare(loud, _resolve_masks(loud, None))
     w = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError):
-            _probabilities(-w, _StepMatrix(items).load(*items[0][:2]))
+            _probabilities(-w, _StepMatrix(loud).load(loud[0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sc = _score(items, w)
-        res = _fit(items, replace(QUICK, max_epochs=2, pretrain_epochs_ce=1))
+        sc = score_images(loud, range(len(loud)), w)
+        res = train(loud, replace(QUICK, max_epochs=2, pretrain_epochs_ce=1))
     assert np.all(np.isfinite(sc["dice"])) and np.all(np.isfinite(res.weights))
 
 
@@ -370,10 +371,7 @@ def test_score_images_equals_metrics_of_thresholded_probabilities():
     rects = build_fgbg_masks(data, 0.3)[0]
     idx = range(len(data))
     for sel in (None, rects):
-        if sel is None:
-            sc = score_images(data, idx, w)
-        else:  # the runner scores in-mask pixels this way
-            sc = _score(_prepare(data, _resolve_masks(data, sel)), w)
+        sc = score_images(_masked(data, sel), idx, w)  # as the runner scores
         for i in idx:
             s = data[i]
             keep = slice(None) if sel is None else sel[i].data.astype(bool)
@@ -384,7 +382,7 @@ def test_score_images_equals_metrics_of_thresholded_probabilities():
         assert 0.0 < sc["dice"].mean() < 1.0
 
 
-# train() on SMALL with QUICK under each loss, and a _fit on the in-rectangle
+# train() on SMALL with QUICK under each loss, and on the in-rectangle
 # pixels (fg/bg ratio 0.3) under two: the weights and the best validation loss
 # as float.hex, recorded before the features were split into per-image pixel
 # rows and one shared coordinate array
@@ -420,9 +418,9 @@ def test_train_weights_are_frozen_bit_for_bit():
     data = generate_dataset(SMALL)
     for token, frozen in FROZEN_FITS.items():
         assert _hex_fit(train(data, replace(QUICK, loss=parse_loss_spec(token)))) == frozen, token
-    items = _prepare(data, _resolve_masks(data, build_fgbg_masks(data, 0.3)[0]))
+    masked = _masked(data, build_fgbg_masks(data, 0.3)[0])
     for token, frozen in FROZEN_MASKED_FITS.items():
-        assert _hex_fit(_fit(items, replace(QUICK, loss=parse_loss_spec(token)))) == frozen, token
+        assert _hex_fit(train(masked, replace(QUICK, loss=parse_loss_spec(token)))) == frozen, token
 
 
 def test_samples_of_one_dataset_share_one_coordinate_array():
@@ -453,29 +451,33 @@ def test_sample_features_are_the_stacked_feature_values():
     assert np.array_equal(s.features[:, 2:], np.stack([xs.ravel(), ys.ravel(), np.ones(32 * 32)], axis=1))
 
 
-def test_prepare_gives_views_of_all_pixels_and_copies_under_a_mask():
+def test_masked_gives_views_of_all_pixels_and_copies_under_a_mask():
     data = generate_dataset(SMALL).subset(range(4))
+    # every pixel: the samples themselves, their own arrays and mask bytes
+    assert _masked(data, None) is data
     keep = np.zeros(32 * 32, dtype=bool)
     keep[5::3] = True
-    sels = [slice(None), keep, slice(None), keep]
-    for (pixels, coords, yv), s, sel in zip(_prepare(data, sels), data, sels):
-        if isinstance(sel, slice):
-            assert pixels is s.pixels and coords is s.coords and yv is s.label.data
-        else:
-            assert not np.shares_memory(pixels, s.pixels) and not np.shares_memory(coords, s.coords)
-            assert not np.shares_memory(yv, s.label.data)
-        assert pixels.flags.c_contiguous and coords.flags.c_contiguous
-        assert np.array_equal(np.vstack([pixels, coords]).T, s.features[sel])
-        assert yv.dtype == np.uint8 and np.array_equal(yv, s.label.data[sel])
+    part = BinaryMask(data.dims, keep.astype(np.uint8))
+    ones = BinaryMask(data.dims, np.ones(32 * 32, dtype=np.uint8))
+    masks = [part, ones, part, ones]
+    for m, s, mask in zip(_masked(data, masks), data, masks):
+        sel = mask.data.astype(bool)
+        assert not np.shares_memory(m.pixels, s.pixels) and not np.shares_memory(m.coords, s.coords)
+        assert not np.shares_memory(m.label.data, s.label.data)
+        assert m.pixels.flags.c_contiguous and m.coords.flags.c_contiguous
+        assert np.array_equal(m.features, s.features[sel])
+        assert m.label.dims == (mask.count(), 1, 1)
+        assert m.label.data.dtype == np.uint8 and np.array_equal(m.label.data, s.label.data[sel])
 
 
 def test_step_matrix_loads_pixel_rows_and_changed_coordinate_rows():
     data = generate_dataset(SMALL).subset(range(3))
     keep = np.zeros(32 * 32, dtype=bool)
     keep[::4] = True
-    items = _prepare(data, [slice(None), keep, slice(None)])
-    steps = _StepMatrix(items)
-    for pixels, coords, _ in [*items, items[1], items[0]]:
-        X = steps.load(pixels, coords)
-        assert X.flags.c_contiguous and X.shape == (N_FEATURES, pixels.shape[1])
-        assert np.array_equal(X, np.vstack([pixels, coords]))
+    masked = _masked(data, [BinaryMask(data.dims, keep.astype(np.uint8))] * 3)
+    samples = [data[0], masked[1], data[2]]
+    steps = _StepMatrix(samples)
+    for s in [*samples, samples[1], samples[0]]:
+        X = steps.load(s)
+        assert X.flags.c_contiguous and X.shape == (N_FEATURES, s.pixels.shape[1])
+        assert np.array_equal(X, np.vstack([s.pixels, s.coords]))
