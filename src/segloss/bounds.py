@@ -134,7 +134,7 @@ class BoundReport:
     closed_form_rel: float | None  # math.inf when no finite bound exists
     empirical_abs: float
     empirical_rel: float
-    witness: Witness | None        # attains empirical_abs
+    witness: Witness               # attains empirical_abs; |va - vb| >= 0 is never excluded
     witness_rel: Witness | None    # attains empirical_rel
 
 

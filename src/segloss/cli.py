@@ -163,9 +163,7 @@ def cmd_bounds(args) -> int:
             d, rep.metric_a, rep.metric_b,
             rep.closed_form_abs, rep.closed_form_rel,
             rep.empirical_abs, rep.empirical_rel,
-            w.tp if w else None, w.fp if w else None, w.fn if w else None,
-            w.n_true if w else None, w.n_pred if w else None,
-            _bits_string(w.y) if w else None, _bits_string(w.yhat) if w else None,
+            w.tp, w.fp, w.fn, w.n_true, w.n_pred, _bits_string(w.y), _bits_string(w.yhat),
         ])
     table = fileio.ReportTable(
         "bounds",

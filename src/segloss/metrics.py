@@ -13,6 +13,8 @@ Degenerate-case conventions (the formulas themselves are silent):
 * both masks empty -> Dice = Jaccard = Tversky = F-beta = 1 (perfect
   agreement on nothing); exactly one side empty -> 0 (forced: zero
   numerator over a positive denominator);
+* F-beta past b = 2^400 is its limit as b grows: tp/(tp+fn), 1.0 when
+  all counts are zero, 0.0 when only fp is nonzero;
 * weighted Hamming with |y| = 0 treats the fn term as 0, and the fp term
   as 0 when |y| = d (each term's numerator is also 0 there);
 * Hausdorff is undefined when either side has no foreground, absolute
@@ -104,10 +106,18 @@ def tversky_from_counts(tp, fp, fn, d, alpha, beta):
 
 def fbeta_from_counts(tp, fp, fn, d, b):
     """(1+b^2)tp / ((1+b^2)tp + b^2*fn + fp); 1.0 when all counts are zero.
-    Overflow of the products at huge b is silent; callers reject a NaN it gives."""
-    b2 = b * b
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _safe_div((1.0 + b2) * np.asarray(tp, dtype=np.float64), (1.0 + b2) * np.asarray(tp) + b2 * np.asarray(fn) + np.asarray(fp), 1.0)
+
+    Past b = 2^400 the same ratio is taken divided through by b^2, so b^2
+    never overflows and the value tends to its limit tp/(tp+fn), with 1.0
+    when all counts are zero and 0.0 when only fp is nonzero.
+    """
+    tp = np.asarray(tp, dtype=np.float64)
+    if b <= 2.0 ** 400:
+        b2 = b * b
+        return _safe_div((1.0 + b2) * tp, (1.0 + b2) * tp + b2 * np.asarray(fn) + np.asarray(fp), 1.0)
+    inv = 1.0 / b / b  # 0 past b ~ 5e161, where the ratio is the limit itself
+    return _safe_div((1.0 + inv) * tp, (1.0 + inv) * tp + np.asarray(fn) + inv * np.asarray(fp),
+                     np.where(np.asarray(fp) > 0, 0.0, 1.0))
 
 
 def _mask_score(kind: str, y: BinaryMask, yhat: BinaryMask, *params: float) -> float:

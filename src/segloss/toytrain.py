@@ -575,65 +575,44 @@ def stratify_by_size(result: ExperimentResult, n_bins: int = 10) -> SizeStrata:
     return SizeStrata(counts, mean_size, mean_dice)
 
 
-def _label_planes(data: SampleSet) -> list[np.ndarray]:
-    nx, ny, nz = data.dims
-    if nz != 1:
-        raise OutOfRange("fg/bg masking is defined for 2D data")
-    return [s.label.to_array()[0] for s in data]
-
-
 def build_fgbg_masks(data: SampleSet, ratio: float):
     """Per-image rectangles of the image's aspect ratio, positioned to
     contain as much of the object as possible (all of it whenever it
     fits), with one size shared by the whole dataset chosen so the mean
-    in-rectangle foreground fraction matches the requested ratio.
+    in-rectangle foreground fraction matches the requested ratio. One pass
+    over the widths keeps each image's best origin at the best width.
 
     Returns (masks, rect_w, rect_h, achieved_fraction).
     """
     if not 0.0 < ratio <= 1.0:
         raise OutOfRange("ratio must lie in (0, 1]")
-    nx, ny, _ = data.dims
-    planes = _label_planes(data)
-    integrals = [
-        np.pad(p.astype(np.int64).cumsum(0).cumsum(1), ((1, 0), (1, 0)))
-        for p in planes
-    ]
-
-    def window_sums(integ, h, w):
-        """In-rect foreground count for every rectangle position."""
-        return (
-            integ[h:, w:] - integ[:-h, w:] - integ[h:, :-w] + integ[:-h, :-w]
-        )
-
-    def best_origin(integ, h, w):
-        sums = window_sums(integ, h, w)
-        flat = int(np.argmax(sums))  # first max: smallest (top, left)
-        top, left = divmod(flat, sums.shape[1])
-        return top, left, int(sums[top, left])
-
-    def mean_fraction(w):
-        h = min(ny, max(1, round(w * ny / nx)))
-        total = 0.0
-        for integ in integrals:
-            _, _, fg = best_origin(integ, h, w)
-            total += fg / (w * h)
-        return h, total / len(planes)
-
+    nx, ny, nz = data.dims
+    if nz != 1:
+        raise OutOfRange("fg/bg masking is defined for 2D data")
+    integrals = [np.pad(s.label.to_array()[0].astype(np.int64).cumsum(0).cumsum(1), ((1, 0), (1, 0)))
+                 for s in data]
     best = None
     for w in range(1, nx + 1):
-        h, frac = mean_fraction(w)
+        h = min(ny, max(1, round(w * ny / nx)))
+        origins, total = [], 0.0
+        for integ in integrals:
+            # in-rect foreground count at every rectangle position
+            fg = integ[h:, w:] - integ[:-h, w:] - integ[h:, :-w] + integ[:-h, :-w]
+            flat = int(np.argmax(fg))  # first max: smallest (top, left)
+            origins.append(divmod(flat, fg.shape[1]))
+            total += int(fg.flat[flat]) / (w * h)
+        frac = total / len(integrals)
         dev = abs(frac - ratio)
         if best is None or dev < best[0]:
-            best = (dev, w, h, frac)
-    dev, rect_w, rect_h, achieved = best
+            best = (dev, w, h, frac, origins)
+    dev, rect_w, rect_h, achieved, origins = best
     if dev > 0.25 * ratio:
         raise InfeasibleRatio(
             f"best rectangle gives mean fg fraction {achieved:.4f}, "
-            f"target {ratio} (relative deviation {dev / ratio:.2f})"
+            f"target {ratio} (relative deviation {dev / ratio:.3g})"
         )
     masks = []
-    for integ in integrals:
-        top, left, _ = best_origin(integ, rect_h, rect_w)
+    for top, left in origins:
         m = np.zeros((ny, nx), dtype=np.uint8)
         m[top:top + rect_h, left:left + rect_w] = 1
         masks.append(BinaryMask.from_array(m))

@@ -4,11 +4,12 @@ import pathlib
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from segloss import bounds, cli, fileio, toytrain
+from segloss import bounds, cli, fileio, metrics, toytrain
 from segloss.losses import LossSpec
 from segloss.masks import BinaryMask, ProbMap
 from segloss.stats import DEFAULT_RESAMPLES
@@ -172,28 +173,35 @@ def test_bad_metric_token_is_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def test_evaluate_non_finite_metric_value_is_numeric_failure(tmp_path, capsys):
-    # b*b overflows to inf, so the F-beta ratio is inf/inf
+def test_evaluate_non_finite_metric_value_is_numeric_failure(tmp_path, capsys, monkeypatch):
+    # a counts kernel that gives NaN reaches the finiteness guard in MetricId.counts
+    nan_kernel = replace(metrics.METRICS["fbeta"], counts=lambda tp, fp, fn, d, b: np.full(np.shape(tp), np.nan))
+    monkeypatch.setitem(metrics.METRICS, "fbeta", nan_kernel)
     gt, pred = write_eval_inputs(tmp_path, "pair")
     out = tmp_path / "out"
-    assert cli.main(["--out-dir", str(out), "evaluate", gt, pred, "--metrics", "fbeta:1e200"]) == 3
-    assert "numeric failure" in capsys.readouterr().err
+    assert cli.main(["--out-dir", str(out), "evaluate", gt, pred, "--metrics", "fbeta:2"]) == 3
+    assert capsys.readouterr().err.splitlines() == ["segloss: numeric failure: fbeta:2 gave a non-finite value"]
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["evaluate", "{gt}", "{pred}", "--metrics", "fbeta:1e200"],
-    ["bounds", "--pair", "dice-fbeta:1e200", "--dmax", "3"],
+@pytest.mark.parametrize("argv, report, rows", [
+    # tp = 0, fn = 6: F-beta tends to the recall, 0
+    (["evaluate", "{gt}", "{pred}", "--metrics", "fbeta:1e200"], "evaluate.json",
+     [["fbeta:1e+200", 0.0, True]]),
+    # the sup of |dice - recall| over d = 1..3, at (tp, fp, fn) = (0, 1, 0), (1, 1, 0), (1, 2, 0)
+    (["bounds", "--pair", "dice-fbeta:1e200", "--dmax", "3"], "bounds_dice-fbeta_1e200.json",
+     [[1, 0.0, 0.0], [2, 1 - 2 / 3, 0.5], [3, 0.5, 1.0]]),
 ], ids=["evaluate", "bounds"])
-def test_fbeta_past_the_float_range_exits_3_with_one_error_line(tmp_path, capsys, argv):
-    # (1+b^2)*tp is inf*0 when the prediction is empty; numpy's
-    # floating-point warnings on the way stay silent
+def test_fbeta_past_the_float_range_reports_its_limit(tmp_path, capsys, argv, report, rows):
+    # b*b overflows to inf, so the plain F-beta ratio would be inf/inf or inf*0
     gt, pred = write_eval_inputs(tmp_path, "empty_pred")
     out = tmp_path / "out"
-    assert cli.main(["--out-dir", str(out), *(a.format(gt=gt, pred=pred) for a in argv)]) == 3
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["segloss: numeric failure: fbeta:1e+200 gave a non-finite value"], err
-    assert not out.exists()
+    assert cli.main(["--out-dir", str(out), *(a.format(gt=gt, pred=pred) for a in argv)]) == 0
+    assert capsys.readouterr().err == ""
+    got = fileio.read_report_json(str(out / report)).rows
+    if report.startswith("bounds"):
+        got = [[r[0], r[5], r[6]] for r in got]  # d, empirical_abs, empirical_rel
+    assert got == rows
 
 
 def test_evaluate_tversky_weights_past_the_float_range_give_the_limit_0(tmp_path, capsys):
@@ -522,6 +530,17 @@ def test_experiment_config_errors_stop_before_training(tmp_path, capsys, monkeyp
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert capsys.readouterr().err.startswith(f"segloss: {message}")
     assert not out.exists()
+
+
+def test_train_infeasible_tiny_fgbg_ratio_exits_3_with_one_short_error_line(tmp_path, capsys, monkeypatch):
+    # the relative deviation is about 1e299: printed with three significant digits
+    monkeypatch.setattr(toytrain, "train", _no_training)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(TINY_TRAIN.replace("fgbg_ratios = 0.3", "fgbg_ratios = 1e-300"))
+    assert cli.main(["--out-dir", str(tmp_path / "out"), "train", str(cfg)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and len(err[0]) < 200, err
+    assert err[0].startswith("segloss: numeric failure: best rectangle gives mean fg fraction"), err
 
 
 @pytest.mark.parametrize("raised, shown", [("Unable to allocate 7.28 TiB for an array",) * 2,

@@ -149,6 +149,30 @@ def test_fbeta_frozen_values():
         metrics.evaluate(["fbeta"], y, yh)
 
 
+@pytest.mark.parametrize("counts, limit", [
+    ((1, 0, 0, 4), 1.0),   # perfect prediction
+    ((0, 0, 0, 4), 1.0),   # both empty: the convention
+    ((2, 1, 3, 9), 0.4),   # the recall tp/(tp+fn)
+    ((0, 3, 0, 9), 0.0),   # only false positives
+])
+@pytest.mark.parametrize("b", [1e154, 1e200, 1e308])
+def test_fbeta_past_the_float_range_gives_its_limit(counts, limit, b):
+    assert metrics.fbeta_from_counts(*counts, b) == limit
+
+
+@pytest.mark.parametrize("b", [0.5, 1.0, 1.5, 2.0, 1e100])
+def test_fbeta_from_counts_is_the_plain_ratio_bit_for_bit(b):
+    d = 12
+    tp, fp, fn = (a.ravel() for a in np.meshgrid(*[np.arange(d + 1.0)] * 3, indexing="ij"))
+    keep = tp + fp + fn <= d
+    tp, fp, fn = tp[keep], fp[keep], fn[keep]
+    b2 = b * b
+    den = (1.0 + b2) * tp + b2 * fn + fp
+    plain = np.where(den == 0, 1.0, (1.0 + b2) * tp / np.where(den == 0, 1.0, den))
+    got = metrics.fbeta_from_counts(tp, fp, fn, d, b)
+    assert np.array_equal(got.view(np.int64), plain.view(np.int64))
+
+
 def test_hausdorff_three_four_five():
     a = np.zeros((5, 5), dtype=np.uint8)
     a[0, 0] = 1  # (x=0, y=0)

@@ -319,10 +319,37 @@ def test_fgbg_rect_covering_image_matches_unmasked():
 
 def test_fgbg_infeasible_ratio():
     data = generate_dataset(SMALL)
-    with pytest.raises(InfeasibleRatio):
-        build_fgbg_masks(data, 0.001)
+    # no width comes within 25% of these: the best mean fraction is 0.0825
+    for ratio in (0.001, 0.05):
+        with pytest.raises(InfeasibleRatio,
+                           match=rf"^best rectangle gives mean fg fraction 0\.0825, target {ratio} "):
+            build_fgbg_masks(data, ratio)
     with pytest.raises(OutOfRange):
         build_fgbg_masks(data, 0.0)
+
+
+# build_fgbg_masks on SMALL: (rect_w, rect_h, achieved.hex(), sha256 of the
+# masks' bytes in image order), recorded when the widths were searched twice
+FROZEN_RECTS = {
+    0.1: (29, 29, "0x1.9b6d285d06455p-4",
+          "d8a580ed32e69277aff85f6e8fcc1d59e4ac4194f68c4f40c86eb155c86f8830"),
+    0.2: (20, 20, "0x1.a5810624dd2f2p-3",
+          "66bd3bb6a7aa48a395cedf504fba9b3c6945337f0faaf2089abb59fb845063b6"),
+    0.3: (16, 16, "0x1.2d4cccccccccdp-2",
+          "37f6b6bc87dae8943de7b7e2baa3d7e08c268504f7240047ae6d6def4c5509f3"),
+    0.5: (11, 11, "0x1.0a0cb1b810ecep-1",
+          "fa7f94a44ca7b2409696b5c256a5ecb4aac5b8c982697ae160cb9c4caf9175e0"),
+    0.8: (8, 8, "0x1.9d33333333333p-1",
+          "2f5effd06d552b2501a698362211d5378975e895fbdc3275012e4235997d3a26"),
+}
+
+
+def test_fgbg_rectangles_are_frozen_bit_for_bit():
+    data = generate_dataset(SMALL)
+    for ratio, frozen in FROZEN_RECTS.items():
+        masks, w, h, achieved = build_fgbg_masks(data, ratio)
+        digest = hashlib.sha256(b"".join(m.data.tobytes() for m in masks)).hexdigest()
+        assert (w, h, achieved.hex(), digest) == frozen, ratio
 
 
 def test_sigmoid_is_one_branch_and_keeps_the_two_branch_threshold():
