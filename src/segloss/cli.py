@@ -14,12 +14,14 @@ labels.  Each entry of `fgbg_ratios` reruns the same arms with the loss
 and the scores restricted to a per-image rectangle around the objects,
 sized so the mean foreground fraction inside it is that ratio; its
 reports carry a prefix such as fgbg_0p3_, so a repeated ratio is a usage
-error.  Every config error, including a ratio no rectangle can reach,
-stops the command before the first job trains.  `sweep` is a `train` run
-with generated Tversky arms: one tversky:a:(1-a) per entry of `alphas`,
-then one tversky:v:v per entry of `equal_alphas`, with the summary
-written as sweep_summary.  A weighted-CE gamma sweep needs no command of
-its own: it is a `train` config such as
+error; one scan of the rectangle widths serves every ratio.  Every config
+error, including a ratio no rectangle can reach, and an out dir that cannot
+be made stop the command before the first job trains; a job that fails
+later leaves the out dir with the reports of the runs before it.  `sweep`
+is a `train` run with generated Tversky arms: one tversky:a:(1-a) per
+entry of `alphas`, then one tversky:v:v per entry of `equal_alphas`, with
+the summary written as sweep_summary.  A weighted-CE gamma sweep needs no
+command of its own: it is a `train` config such as
 `losses = wce:0.1, wce:0.3, wce:0.5, wce:0.7, wce:0.9, ce, soft_dice`,
 which tests whether any wCE weighting matches soft Dice on Dice.
 
@@ -55,6 +57,7 @@ from .toytrain import (
     SyntheticConfig,
     TrainConfig,
     build_fgbg_masks,
+    check_comparison,
     derive_seed,
     generate_dataset,
     run_loss_comparison,
@@ -179,23 +182,23 @@ def cmd_bounds(args) -> int:
 
 
 _COMMON_SCHEMA = {
-    "n_images": fileio.cfg_int,
-    "nx": fileio.cfg_int,
-    "ny": fileio.cfg_int,
-    "radius_min": fileio.cfg_float,
-    "radius_max": fileio.cfg_float,
-    "fg_prior": fileio.cfg_float,
-    "noise_sigma": fileio.cfg_float,
-    "gain_jitter": fileio.cfg_float,
-    "data_seed": fileio.cfg_int,
-    "learning_rate": fileio.cfg_float,
-    "max_epochs": fileio.cfg_int,
-    "batch_size": fileio.cfg_int,
-    "pretrain_epochs_ce": fileio.cfg_int,
-    "early_stop_patience": fileio.cfg_int,
-    "folds": fileio.cfg_int,
-    "seed": fileio.cfg_int,
-    "n_resamples": fileio.cfg_int,
+    "n_images": int,
+    "nx": int,
+    "ny": int,
+    "radius_min": float,
+    "radius_max": float,
+    "fg_prior": float,
+    "noise_sigma": float,
+    "gain_jitter": float,
+    "data_seed": int,
+    "learning_rate": float,
+    "max_epochs": int,
+    "batch_size": int,
+    "pretrain_epochs_ce": int,
+    "early_stop_patience": int,
+    "folds": int,
+    "seed": int,
+    "n_resamples": int,
 }
 
 TRAIN_SCHEMA = dict(_COMMON_SCHEMA, losses=fileio.cfg_str_list, fgbg_ratios=fileio.cfg_float_list)
@@ -299,12 +302,15 @@ def _run_train(args, cfg: dict, summary: str) -> int:
     losses = [parse_loss_spec(tok, fg_prior) for tok in cfg.get("losses", ["ce", "soft_dice"])]
     # every check that can fail runs before the first job trains
     check_ranking(len(losses), n_resamples)
+    check_comparison(losses, folds, len(data))
     fgbg = {}
     for ratio in cfg.get("fgbg_ratios", []):
         tag = _arm_filename(token_label("fgbg", (ratio,)))
         if tag in fgbg:
             raise OutOfRange(f"fgbg_ratios must have distinct report names, got {tag} twice")
-        fgbg[tag] = (ratio, *build_fgbg_masks(data, ratio))
+        fgbg[tag] = ratio
+    rects = build_fgbg_masks(data, list(fgbg.values())) if fgbg else []
+    os.makedirs(args.out_dir, exist_ok=True)
     result = run_loss_comparison(data, losses, folds, seed, base)
     _write_scores(result, args.out_dir)
     matrix = _rank_and_write(result, args.out_dir, n_resamples, seed)
@@ -312,7 +318,7 @@ def _run_train(args, cfg: dict, summary: str) -> int:
     _write_strata(result, args.out_dir)
     # each fg/bg ratio reruns the same loss arms with pixels outside a
     # per-image rectangle left out of both the loss and the scores
-    for tag, (ratio, masks, rect_w, rect_h, achieved) in fgbg.items():
+    for (tag, ratio), (masks, rect_w, rect_h, achieved) in zip(fgbg.items(), rects):
         ratio_seed = derive_seed(seed, round(ratio * 1000))
         result = run_loss_comparison(data, losses, folds, ratio_seed, base, output_masks=masks)
         _write_scores(result, args.out_dir, prefix=f"{tag}_scores")

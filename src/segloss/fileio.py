@@ -252,8 +252,6 @@ def parse_config_text(text: str, schema: dict) -> dict:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
             out[key] = schema[key](value)
-        except ConfigError:
-            raise
         except Exception as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     return out
@@ -268,19 +266,8 @@ def load_config(path: str, schema: dict) -> dict:
     return parse_config_text(text, schema)
 
 
-def cfg_int(value: str) -> int:
-    return int(value)
-
-
-def cfg_float(value: str) -> float:
-    return float(value)
-
-
 def cfg_float_list(value: str) -> list[float]:
-    items = [v.strip() for v in value.split(",") if v.strip()]
-    if not items:
-        raise ValueError("empty list")
-    return [float(v) for v in items]
+    return [float(v) for v in cfg_str_list(value)]
 
 
 def cfg_str_list(value: str) -> list[str]:

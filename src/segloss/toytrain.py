@@ -5,8 +5,9 @@ fg/bg output masking).
 
 Every operation is a pure function of its inputs and seed; reruns agree
 bit for bit.  Each (fold x arm) run gets a seed derived by hashing
-(global seed, fold, arm), so its result does not depend on the other runs;
-the runner executes them one after another in a single process.
+(global seed, fold, arm), so its result does not depend on the other runs
+but does depend on its arm position: one loss in two arms gives two results.
+The runner executes the runs one after another in a single process.
 Training computes a loss value only on its validation images, whose curve
 drives early stopping, the learning-rate cuts and the kept weights; no
 train-set loss curve is computed.  Evaluation only ever uses the discrete
@@ -457,6 +458,19 @@ class ExperimentResult:
     fg_sizes: np.ndarray  # ground-truth foreground count per image
 
 
+def check_comparison(losses, folds: int, n_images: int) -> list[str]:
+    """run_loss_comparison's checks of its arms, folds and image count, for
+    a caller to run before training; returns the arm labels."""
+    labels = [spec.label() for spec in losses]
+    if len(set(labels)) < len(labels):
+        raise OutOfRange(f"loss arms must have distinct labels, got {', '.join(labels)}")
+    if folds < 2:
+        raise OutOfRange("folds must be >= 2")
+    if n_images < folds:
+        raise TooFewSamples(f"need at least {folds} images, got {n_images}")
+    return labels
+
+
 def run_loss_comparison(
     data: SampleSet,
     losses,
@@ -477,14 +491,8 @@ def run_loss_comparison(
     distinct labels, which name their report files.  The jobs run one
     after another; threads is accepted for compatibility and ignored.
     """
-    labels = [spec.label() for spec in losses]
-    if len(set(labels)) < len(labels):
-        raise OutOfRange(f"loss arms must have distinct labels, got {', '.join(labels)}")
+    labels = check_comparison(losses, folds, len(data))
     n = len(data)
-    if folds < 2:
-        raise OutOfRange("folds must be >= 2")
-    if n < folds:
-        raise TooFewSamples(f"need at least {folds} images, got {n}")
     base = base_cfg if base_cfg is not None else TrainConfig(loss=LossSpec("ce"))
     pool = _masked(data, output_masks)
 
@@ -575,23 +583,27 @@ def stratify_by_size(result: ExperimentResult, n_bins: int = 10) -> SizeStrata:
     return SizeStrata(counts, mean_size, mean_dice)
 
 
-def build_fgbg_masks(data: SampleSet, ratio: float):
+def build_fgbg_masks(data: SampleSet, ratios):
     """Per-image rectangles of the image's aspect ratio, positioned to
     contain as much of the object as possible (all of it whenever it
     fits), with one size shared by the whole dataset chosen so the mean
     in-rectangle foreground fraction matches the requested ratio. One pass
-    over the widths keeps each image's best origin at the best width.
+    over the widths finds each width's mean fraction and each image's best
+    origin once; each ratio then takes its closest width.
 
-    Returns (masks, rect_w, rect_h, achieved_fraction).
+    Returns one (masks, rect_w, rect_h, achieved_fraction) per ratio, in
+    order: [] for no ratios, without looking at the data.
     """
-    if not 0.0 < ratio <= 1.0:
+    if not ratios:
+        return []
+    if not all(0.0 < ratio <= 1.0 for ratio in ratios):
         raise OutOfRange("ratio must lie in (0, 1]")
     nx, ny, nz = data.dims
     if nz != 1:
         raise OutOfRange("fg/bg masking is defined for 2D data")
     integrals = [np.pad(s.label.to_array()[0].astype(np.int64).cumsum(0).cumsum(1), ((1, 0), (1, 0)))
                  for s in data]
-    best = None
+    scans = []  # (mean fraction, w, h, per-image origins) per width
     for w in range(1, nx + 1):
         h = min(ny, max(1, round(w * ny / nx)))
         origins, total = [], 0.0
@@ -601,19 +613,21 @@ def build_fgbg_masks(data: SampleSet, ratio: float):
             flat = int(np.argmax(fg))  # first max: smallest (top, left)
             origins.append(divmod(flat, fg.shape[1]))
             total += int(fg.flat[flat]) / (w * h)
-        frac = total / len(integrals)
-        dev = abs(frac - ratio)
-        if best is None or dev < best[0]:
-            best = (dev, w, h, frac, origins)
-    dev, rect_w, rect_h, achieved, origins = best
-    if dev > 0.25 * ratio:
-        raise InfeasibleRatio(
-            f"best rectangle gives mean fg fraction {achieved:.4f}, "
-            f"target {ratio} (relative deviation {dev / ratio:.3g})"
-        )
-    masks = []
-    for top, left in origins:
-        m = np.zeros((ny, nx), dtype=np.uint8)
-        m[top:top + rect_h, left:left + rect_w] = 1
-        masks.append(BinaryMask.from_array(m))
-    return masks, rect_w, rect_h, achieved
+        scans.append((total / len(integrals), w, h, origins))
+    results = []
+    for ratio in ratios:
+        # min keeps the first, narrowest, of equally close widths
+        achieved, rect_w, rect_h, origins = min(scans, key=lambda scan: abs(scan[0] - ratio))
+        dev = abs(achieved - ratio)
+        if dev > 0.25 * ratio:
+            raise InfeasibleRatio(
+                f"best rectangle gives mean fg fraction {achieved:.4f}, "
+                f"target {ratio} (relative deviation {dev / ratio:.3g})"
+            )
+        masks = []
+        for top, left in origins:
+            m = np.zeros((ny, nx), dtype=np.uint8)
+            m[top:top + rect_h, left:left + rect_w] = 1
+            masks.append(BinaryMask.from_array(m))
+        results.append((masks, rect_w, rect_h, achieved))
+    return results

@@ -144,3 +144,16 @@ def test_hausdorff_row_resolves_the_module_function_at_call_time(monkeypatch):
     m = BinaryMask((2, 1, 1), np.array([1, 0], dtype=np.uint8))
     assert metrics.METRICS["hausdorff"].masks(m, m) == 0.0
     assert calls == [(m, m)]
+
+
+def test_benchmark_command_lines_parse(monkeypatch):
+    # a flag the benchmark passes, such as --threads, must keep parsing;
+    # workloads.py imports its sibling oracles.py as a top-level module
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    workloads = importlib.import_module("workloads")
+    parser = cli.build_parser()
+    inputs = workloads.Inputs("inputs")
+    for scale in (workloads.FULL, workloads.TINY):
+        for workload in workloads.WORKLOADS.values():
+            for argv in workload(scale).commands(inputs, 1, "out"):
+                parser.parse_args(argv)

@@ -543,6 +543,62 @@ def test_train_infeasible_tiny_fgbg_ratio_exits_3_with_one_short_error_line(tmp_
     assert err[0].startswith("segloss: numeric failure: best rectangle gives mean fg fraction"), err
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("out_dir", ["{file}", "{file}/sub"], ids=["out-dir-is-file", "out-dir-under-file"])
+def test_unusable_out_dir_stops_the_experiment_before_training(tmp_path, capsys, monkeypatch, command, out_dir):
+    monkeypatch.setattr(toytrain, "train", _no_training)
+    cfg = tmp_path / f"{command}.cfg"
+    cfg.write_text({"train": TINY_TRAIN, "sweep": TINY_SWEEP}[command])
+    (tmp_path / "file").write_bytes(b"")
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(["--out-dir", out_dir.format(file=tmp_path / "file"), command, str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("segloss: data error: ") and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "file").read_bytes() == b""
+
+
+@pytest.mark.parametrize("ratios, scans, summaries", [
+    ("fgbg_ratios = 0.3, 0.5", [[0.3, 0.5]], ["fgbg_0p3_summary.json", "fgbg_0p5_summary.json"]),
+    ("", [], []),
+])
+def test_train_scans_the_rectangle_widths_once_for_all_fgbg_ratios(tmp_path, monkeypatch, ratios, scans,
+                                                                   summaries):
+    calls = []
+
+    def counted(data, ratios):
+        calls.append(list(ratios))
+        return toytrain.build_fgbg_masks(data, ratios)
+
+    monkeypatch.setattr(cli, "build_fgbg_masks", counted)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(TINY_TRAIN.replace("fgbg_ratios = 0.3", ratios).replace("max_epochs = 6", "max_epochs = 2"))
+    out = tmp_path / "out"
+    assert cli.main(["--out-dir", str(out), "train", str(cfg)]) == 0
+    assert calls == scans
+    assert sorted(n for n in os.listdir(out) if n.startswith("fgbg_") and n.endswith("_summary.json")) == summaries
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "each arm trains from derive_seed(seed, fold, arm_index), so one loss in two arm "
+    "positions scores differently: on TINY_TRAIN 11 of 12 images differ in Dice for both pairs"))
+@pytest.mark.parametrize("losses, twins", [
+    ("soft_dice, tversky:0.5:0.5", ("soft_dice_l1", "tversky_0p5_0p5")),
+    ("soft_jaccard, tversky:1:1", ("soft_jaccard", "tversky_1_1")),
+])
+def test_one_loss_in_two_arm_positions_scores_the_same(tmp_path, losses, twins):
+    # tversky:0.5:0.5 runs the L1 soft Dice kernel and tversky:1:1 soft
+    # Jaccard's, so each pair is one loss trained in arm positions 0 and 1
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(TINY_TRAIN.replace("losses = ce, soft_dice", f"losses = {losses}"))
+    out = tmp_path / "out"
+    assert cli.main(["--out-dir", str(out), "train", str(cfg)]) == 0
+    first, second = (fileio.read_report_json(str(out / f"scores_{arm}.json")) for arm in twins)
+    assert first.columns == second.columns
+    for c, column in enumerate(first.columns):
+        assert [row[c] for row in first.rows] == [row[c] for row in second.rows], column
+
+
 @pytest.mark.parametrize("raised, shown", [("Unable to allocate 7.28 TiB for an array",) * 2,
                                             ("", "out of memory")])
 def test_out_of_memory_is_numeric_failure(tmp_path, capsys, monkeypatch, raised, shown):

@@ -14,9 +14,7 @@ from segloss.errors import (
 )
 from segloss.fileio import (
     ReportTable,
-    cfg_float,
     cfg_float_list,
-    cfg_int,
     cfg_str_list,
     format_cell,
     parse_config_text,
@@ -239,7 +237,7 @@ def test_report_json_rejects_garbage(tmp_path):
 
 
 def test_config_parser_happy_path():
-    schema = {"n": cfg_int, "lr": cfg_float, "losses": cfg_str_list, "ratios": cfg_float_list}
+    schema = {"n": int, "lr": float, "losses": cfg_str_list, "ratios": cfg_float_list}
     text = """
 # a comment
 n = 5
@@ -252,7 +250,7 @@ ratios = 0.1,0.2
 
 
 def test_config_parser_errors_carry_line_numbers():
-    schema = {"n": cfg_int}
+    schema = {"n": int}
     with pytest.raises(ConfigError, match="line 2"):
         parse_config_text("n = 1\nbogus = 2\n", schema)
     with pytest.raises(ConfigError, match="line 1"):

@@ -297,7 +297,7 @@ def test_stratify_two_identical_losses_identical_curves():
 
 def test_fgbg_masks_hit_target_fraction():
     data = generate_dataset(SyntheticConfig(n_images=60, seed=11))
-    masks, w, h, achieved = build_fgbg_masks(data, 0.2)
+    [(masks, w, h, achieved)] = build_fgbg_masks(data, [0.2])
     assert len(masks) == 60
     assert abs(achieved - 0.2) <= 0.02
     # recompute the fraction independently from the produced masks
@@ -312,7 +312,7 @@ def test_fgbg_masks_hit_target_fraction():
 def test_fgbg_rect_covering_image_matches_unmasked():
     data = generate_dataset(SMALL)
     prior = data.mean_fg_prior()
-    masks, w, h, achieved = build_fgbg_masks(data, prior)  # whole image wins
+    [(masks, w, h, achieved)] = build_fgbg_masks(data, [prior])  # whole image wins
     assert (w, h) == (32, 32)
     assert all(m.data.all() for m in masks)
 
@@ -323,13 +323,14 @@ def test_fgbg_infeasible_ratio():
     for ratio in (0.001, 0.05):
         with pytest.raises(InfeasibleRatio,
                            match=rf"^best rectangle gives mean fg fraction 0\.0825, target {ratio} "):
-            build_fgbg_masks(data, ratio)
+            build_fgbg_masks(data, [ratio])
     with pytest.raises(OutOfRange):
-        build_fgbg_masks(data, 0.0)
+        build_fgbg_masks(data, [0.0])
 
 
 # build_fgbg_masks on SMALL: (rect_w, rect_h, achieved.hex(), sha256 of the
 # masks' bytes in image order), recorded when the widths were searched twice
+# and each ratio had a call of its own; now pinned through one call for all five
 FROZEN_RECTS = {
     0.1: (29, 29, "0x1.9b6d285d06455p-4",
           "d8a580ed32e69277aff85f6e8fcc1d59e4ac4194f68c4f40c86eb155c86f8830"),
@@ -344,12 +345,34 @@ FROZEN_RECTS = {
 }
 
 
+def _rect_key(result):
+    masks, w, h, achieved = result
+    return w, h, achieved.hex(), hashlib.sha256(b"".join(m.data.tobytes() for m in masks)).hexdigest()
+
+
 def test_fgbg_rectangles_are_frozen_bit_for_bit():
     data = generate_dataset(SMALL)
-    for ratio, frozen in FROZEN_RECTS.items():
-        masks, w, h, achieved = build_fgbg_masks(data, ratio)
-        digest = hashlib.sha256(b"".join(m.data.tobytes() for m in masks)).hexdigest()
-        assert (w, h, achieved.hex(), digest) == frozen, ratio
+    results = build_fgbg_masks(data, list(FROZEN_RECTS))
+    assert len(results) == len(FROZEN_RECTS)
+    for (ratio, frozen), result in zip(FROZEN_RECTS.items(), results):
+        assert _rect_key(result) == frozen, ratio
+
+
+def test_fgbg_one_scan_gives_each_ratio_what_it_gives_alone():
+    data = generate_dataset(SMALL)
+    ratios = [0.5, 0.1, 0.8, 0.3, 0.2]  # not sorted: results follow the list
+    for ratio, result in zip(ratios, build_fgbg_masks(data, ratios), strict=True):
+        assert _rect_key(result) == _rect_key(build_fgbg_masks(data, [ratio])[0]), ratio
+    # the first ratio in list order that no width reaches is the one reported
+    with pytest.raises(InfeasibleRatio, match=r"target 0\.05 "):
+        build_fgbg_masks(data, [0.3, 0.05, 0.001])
+    # an empty list looks at no data: a volume, which a ratio rejects, passes
+    volume = SampleSet([Sample(np.zeros((2, 2 * 8 * 8)), np.zeros((3, 2 * 8 * 8)),
+                               BinaryMask.from_array(np.zeros((2, 8, 8), dtype=np.uint8)))])
+    for d in (data, volume):
+        assert build_fgbg_masks(d, []) == []
+    with pytest.raises(OutOfRange, match="2D data"):
+        build_fgbg_masks(volume, [0.3])
 
 
 def test_sigmoid_is_one_branch_and_keeps_the_two_branch_threshold():
@@ -395,7 +418,7 @@ def test_fit_and_score_keep_the_sigmoid_overflow_silent():
 def test_score_images_equals_metrics_of_thresholded_probabilities():
     data = generate_dataset(SMALL)
     w = train(data, QUICK).weights
-    rects = build_fgbg_masks(data, 0.3)[0]
+    rects = build_fgbg_masks(data, [0.3])[0][0]
     idx = range(len(data))
     for sel in (None, rects):
         sc = score_images(_masked(data, sel), idx, w)  # as the runner scores
@@ -445,7 +468,7 @@ def test_train_weights_are_frozen_bit_for_bit():
     data = generate_dataset(SMALL)
     for token, frozen in FROZEN_FITS.items():
         assert _hex_fit(train(data, replace(QUICK, loss=parse_loss_spec(token)))) == frozen, token
-    masked = _masked(data, build_fgbg_masks(data, 0.3)[0])
+    masked = _masked(data, build_fgbg_masks(data, [0.3])[0][0])
     for token, frozen in FROZEN_MASKED_FITS.items():
         assert _hex_fit(train(masked, replace(QUICK, loss=parse_loss_spec(token)))) == frozen, token
 
