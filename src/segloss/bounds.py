@@ -187,6 +187,18 @@ def _witness(values, tp, fp, fn, d: int) -> Witness | None:
     return Witness(BinaryMask(dims, y), BinaryMask(dims, yhat), tp_i, fp_i, fn_i, vmax)
 
 
+def parse_pair(metric_a, metric_b) -> tuple[MetricId, MetricId]:
+    """The MetricIds of a ``brute_force_sup`` pair, given as tokens or
+    MetricIds, after the checks that need no scan: each metric is a
+    function of the confusion counts, and the pair's closed form, if it
+    has one, lies in the float range."""
+    mids = tuple(parse_metric_id(m) if isinstance(m, str) else m for m in (metric_a, metric_b))
+    for mid in mids:
+        mid.check_counts()
+    closed_form_bounds(*mids)
+    return mids
+
+
 def brute_force_sup(metric_a, metric_b, d: int) -> BoundReport:
     """Exact suprema of |A - B| and max(A/B, B/A) - 1 over every ordered
     mask pair of length d.
@@ -205,8 +217,7 @@ def brute_force_sup(metric_a, metric_b, d: int) -> BoundReport:
         raise OutOfRange("d must be >= 1")
     if d > MAX_BRUTE_FORCE_D:
         raise DTooLarge(f"d = {d} exceeds the brute-force limit {MAX_BRUTE_FORCE_D}")
-    mid_a = parse_metric_id(metric_a) if isinstance(metric_a, str) else metric_a
-    mid_b = parse_metric_id(metric_b) if isinstance(metric_b, str) else metric_b
+    mid_a, mid_b = parse_pair(metric_a, metric_b)
 
     tp, fp, fn = _count_space(d)
     va = np.asarray(mid_a.counts(tp, fp, fn, d), dtype=np.float64)

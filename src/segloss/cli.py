@@ -3,7 +3,10 @@ and run the synthetic training experiments from a config file.
 
 Exit codes: 0 ok, 1 usage/config error, 2 data error (an OS error on a
 path included), 3 numeric failure.  A warning prints as one
-`segloss: warning: <message>` line on stderr.
+`segloss: warning: <message>` line on stderr.  `bounds` and `evaluate`
+make the out dir after their argument checks (and evaluate after reading
+its masks), so an out dir that cannot be made stops them before any scan
+or metric runs.
 Every run with identical arguments, config and seed produces byte-identical
 report files.  Experiments run their (fold, arm) jobs one after another in
 one process; --threads is still accepted and checked, but changes nothing.
@@ -25,12 +28,16 @@ command of its own: it is a `train` config such as
 `losses = wce:0.1, wce:0.3, wce:0.5, wce:0.7, wce:0.9, ce, soft_dice`,
 which tests whether any wCE weighting matches soft Dice on Dice.
 
-The command line runs BLAS on one thread: importing this module sets
+Importing this module makes two process-level choices, each unless the
+process made it first.  It runs BLAS on one thread: it sets
 OMP_NUM_THREADS=1 before numpy loads, unless OMP_NUM_THREADS,
 OPENBLAS_NUM_THREADS or MKL_NUM_THREADS is already set.  The largest BLAS
 call in segloss is a 5 x d matrix-vector product, so a second BLAS thread
-only spins.  Code that imports the other modules directly keeps numpy's
-default threading.
+only spins.  And it keeps OpenSSL out: it blocks the _hashlib module,
+unless it is already loaded, so hashlib and hmac use CPython's built-in
+hashes (md5, sha1, sha2, sha3, blake2), and OpenSSL-only names such as
+hashlib.scrypt are missing in a CLI process.  Code that imports the other
+modules directly keeps numpy's default threading and OpenSSL.
 """
 
 from __future__ import annotations
@@ -43,6 +50,11 @@ import warnings
 
 if not any(v in os.environ for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")):
     os.environ["OMP_NUM_THREADS"] = "1"
+# numpy.random imports secrets, and through it hmac and hashlib, only to
+# draw seed entropy, which no segloss call does (every generator gets a
+# seed); without _hashlib they fall back to CPython's built-in hashes and
+# OpenSSL's libcrypto, 3.3 MB of a train process's memory, is never mapped
+sys.modules.setdefault("_hashlib", None)
 
 # the first import that loads numpy, so it must follow the pin
 from . import bounds as bounds_mod
@@ -50,7 +62,7 @@ from . import fileio
 from .errors import DataError, DTooLarge, NumericError, OutOfRange, SeglossError, UsageError
 from .losses import LOSS_GRAMMAR, LossSpec, parse_loss_spec
 from .masks import BinaryMask, ProbMap, threshold
-from .metrics import COUNTS_METRIC_GRAMMAR, METRIC_GRAMMAR, evaluate, token_label
+from .metrics import COUNTS_METRIC_GRAMMAR, METRIC_GRAMMAR, evaluate, parse_metric_ids, token_label
 from .stats import DEFAULT_RESAMPLES, ScoreVector, check_ranking, rank_methods
 from .toytrain import (
     SCORE_COLUMNS,
@@ -119,14 +131,17 @@ def build_parser() -> _Parser:
 def cmd_evaluate(args) -> int:
     if not 0.0 <= args.threshold <= 1.0:
         raise OutOfRange(f"--threshold must lie in [0, 1], got {args.threshold}")
+    tokens = args.metrics.split(",")
+    parse_metric_ids(tokens)  # a bad token stops the command before any file is read
     gt = fileio.read_mask(args.gt)
     if not isinstance(gt, BinaryMask):
         raise DataError(f"{args.gt}: ground truth must be a binary mask")
     pred = fileio.read_mask(args.pred)
     if isinstance(pred, ProbMap):
         pred = threshold(pred, args.threshold)
+    os.makedirs(args.out_dir, exist_ok=True)
     rows = [[mv.name, mv.value if mv.defined else None, mv.defined]
-            for mv in evaluate(args.metrics.split(","), gt, pred)]
+            for mv in evaluate(tokens, gt, pred)]
     table = fileio.ReportTable("evaluate", ["metric", "value", "defined"], rows)
     fileio.write_report(table, args.out_dir, "evaluate")
     return 0
@@ -140,6 +155,7 @@ def cmd_bounds(args) -> int:
     if args.fig1_grid:
         if args.dmax is not None:
             raise UsageError("--dmax applies to --pair only")
+        os.makedirs(args.out_dir, exist_ok=True)
         rows = []
         for alpha in FIG1_GRID:
             a_err, r_err = bounds_mod.tversky_dice_bounds(alpha, alpha)
@@ -158,9 +174,11 @@ def cmd_bounds(args) -> int:
         raise OutOfRange(f"--dmax {dmax} is below 1")
     if dmax > bounds_mod.MAX_BRUTE_FORCE_D:
         raise DTooLarge(f"--dmax {dmax} exceeds the limit {bounds_mod.MAX_BRUTE_FORCE_D}")
+    mids = bounds_mod.parse_pair(name_a, name_b)
+    os.makedirs(args.out_dir, exist_ok=True)
     rows = []
     for d in range(1, dmax + 1):
-        rep = bounds_mod.brute_force_sup(name_a, name_b, d)
+        rep = bounds_mod.brute_force_sup(*mids, d)
         w = rep.witness
         rows.append([
             d, rep.metric_a, rep.metric_b,

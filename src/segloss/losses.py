@@ -6,8 +6,12 @@ Conventions:
 * labels y are 0/1 vectors of any numeric or bool dtype, as
   ``eval_loss_arrays`` states, used as given, without a float copy: every
   label sum widens (``ndarray.sum``, ``np.cumsum``, a product with float
-  p), so uint8 labels give the float labels' bits at any d; two gradient
-  forms rely on 0/1 labels and give other values for fractional ones:
+  p), so uint8 labels give the float labels' bits at any d; three forms
+  rely on 0/1 labels and give other values for fractional ones:
+  - the CE/wCE value keeps, per pixel, gamma log p where y = 1 and
+    (1-gamma) log(1-p) where y = 0: the other term of
+    gamma y log p + (1-gamma)(1-y) log(1-p) is a signed zero there, so
+    the sum has the two-term expression's bits;
   - the L1 soft-Dice, soft-Jaccard and Tversky p-space gradients take
     only two values, so each is evaluated once at y = 1 and once at y = 0
     (bit for bit the elementwise expression there) and picked per pixel;
@@ -96,9 +100,7 @@ def _wce_arrays(y, p, gamma, scale, value=True, grad=True, logit=False):
     else:
         pc = _clamp(p)
         if value:
-            v = -scale / d * float(
-                np.sum(gamma * y * np.log(pc) + (1.0 - gamma) * (1.0 - y) * np.log1p(-pc))
-            )
+            v = -scale / d * float(np.sum(np.where(y, gamma * np.log(pc), (1.0 - gamma) * np.log1p(-pc))))
         if grad:
             g = -scale / d * (gamma * y / pc - (1.0 - gamma) * (1.0 - y) / (1.0 - pc))
     # zero under the clip, masking only when some p reaches it; a NaN p

@@ -315,13 +315,16 @@ class MetricId(Token):
     table = METRICS
     grammar = METRIC_GRAMMAR
 
+    def check_counts(self) -> None:
+        """Raise OutOfRange unless the metric is a function of the confusion counts."""
+        if METRICS[self.kind].counts is None:
+            raise OutOfRange(f"{self.kind} is not a function of the confusion counts")
+
     def counts(self, tp, fp, fn, d):
         """The metric as a function of the confusion counts and d,
         elementwise over arrays."""
-        kernel = METRICS[self.kind].counts
-        if kernel is None:
-            raise OutOfRange(f"{self.kind} is not a function of the confusion counts")
-        values = kernel(tp, fp, fn, d, *self.params)
+        self.check_counts()
+        values = METRICS[self.kind].counts(tp, fp, fn, d, *self.params)
         if not np.isfinite(values).all():
             raise NumericError(f"{self.label()} gave a non-finite value")
         return values
@@ -350,12 +353,19 @@ def parse_metric_id(token: str) -> MetricId:
     return MetricId(head, read_params(parts, "metric", token) if parts else METRICS[head].defaults)
 
 
-def evaluate(tokens, y: BinaryMask, yhat: BinaryMask) -> list[MetricValue]:
-    """Score a mask pair on each metric token, in order; blank tokens are
-    skipped.  Every token is parsed before any metric is computed."""
+def parse_metric_ids(tokens) -> list[MetricId]:
+    """Parse metric tokens, in order; blank tokens are skipped, and at
+    least one must remain."""
     mids = [parse_metric_id(t) for t in tokens if t.strip()]
     if not mids:
         raise OutOfRange("no metrics requested")
+    return mids
+
+
+def evaluate(tokens, y: BinaryMask, yhat: BinaryMask) -> list[MetricValue]:
+    """Score a mask pair on each metric token, in order; blank tokens are
+    skipped.  Every token is parsed before any metric is computed."""
+    mids = parse_metric_ids(tokens)
     counts = (*confusion_counts(y, yhat), y.d)
     out = []
     for mid in mids:

@@ -181,7 +181,8 @@ def test_evaluate_non_finite_metric_value_is_numeric_failure(tmp_path, capsys, m
     out = tmp_path / "out"
     assert cli.main(["--out-dir", str(out), "evaluate", gt, pred, "--metrics", "fbeta:2"]) == 3
     assert capsys.readouterr().err.splitlines() == ["segloss: numeric failure: fbeta:2 gave a non-finite value"]
-    assert not out.exists()
+    # the out dir is made before any metric is computed, and stays empty
+    assert os.listdir(out) == []
 
 
 @pytest.mark.parametrize("argv, report, rows", [
@@ -229,6 +230,29 @@ def test_bounds_dmax_below_one_is_usage_error(tmp_path, capsys, dmax):
     assert cli.main(["--out-dir", str(tmp_path), "bounds", "--pair", "dice-jaccard", "--dmax", dmax]) == 1
     assert "below 1" in capsys.readouterr().err
     assert not os.listdir(tmp_path)
+
+
+def _no_scan(*args, **kwargs):
+    raise AssertionError("a metric was computed")
+
+
+@pytest.mark.parametrize("argv", [["bounds", "--pair", "dice-jaccard", "--dmax", "200"],
+                                  ["bounds", "--fig1-grid"],
+                                  ["evaluate", "{gt}", "{pred}", "--metrics", "dice,hausdorff"]],
+                         ids=["bounds-pair", "bounds-fig1-grid", "evaluate"])
+@pytest.mark.parametrize("out_dir", ["{file}", "{file}/sub"], ids=["out-dir-is-file", "out-dir-under-file"])
+def test_unusable_out_dir_stops_bounds_and_evaluate_before_any_work(tmp_path, capsys, monkeypatch, argv, out_dir):
+    for fn in ("brute_force_sup", "tversky_dice_bounds"):
+        monkeypatch.setattr(bounds, fn, _no_scan)
+    monkeypatch.setattr(cli, "evaluate", _no_scan)
+    gt, pred = write_eval_inputs(tmp_path, "pair")
+    (tmp_path / "file").write_bytes(b"")
+    before = sorted(tmp_path.rglob("*"))
+    argv = [a.format(gt=gt, pred=pred) for a in argv]
+    assert cli.main(["--out-dir", out_dir.format(file=tmp_path / "file"), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("segloss: data error: ") and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 TINY_TRAIN = ("n_images = 12\nnx = 32\nny = 32\nradius_min = 3\nradius_max = 6\nfg_prior = 0.08\n"
@@ -310,13 +334,15 @@ SHOW_THREADS = ("import os, segloss.cli\n"
                 "print(len(os.listdir(task)) if os.path.isdir(task) else 1, os.environ.get('OMP_NUM_THREADS'))\n")
 
 
-def _fresh_python(args, cwd=None, **env):
-    """Run a new interpreter with src on PYTHONPATH and no BLAS thread variable set."""
+def _fresh_python(args, cwd=None, *, quiet=False, **env):
+    """Run a new interpreter with src on PYTHONPATH and no BLAS thread
+    variable set; with quiet, it must write nothing to stderr."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, *args], cwd=cwd, env={**base, **env}, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert not (quiet and proc.stderr), proc.stderr
     return proc.stdout
 
 
@@ -343,15 +369,19 @@ def test_train_cli_process_matches_golden(tmp_path):
 
 
 # modules no command needs: np.quantile imports numpy.ma through np.unique,
-# about 0.65 MB of a train command's peak memory, and fractions (with
-# decimal) is only for the Hamming blow-up witness, 0.43 MB of every command
-UNNEEDED_MODULES = ("numpy.ma", "decimal", "fractions")
+# about 0.65 MB of a train command's peak memory; fractions (with decimal)
+# is only for the Hamming blow-up witness, 0.43 MB of every command; and
+# _hashlib, which numpy.random reaches through secrets and hmac, maps
+# OpenSSL's libcrypto, 3.3 MB of a train command's peak memory.  The cli
+# blocks _hashlib with a None entry in sys.modules, so an entry counts as
+# loaded only when it is not None.
+UNNEEDED_MODULES = ("numpy.ma", "decimal", "fractions", "_hashlib")
 
 
-def _run_leaving_unneeded_modules_unloaded(argv, cwd):
+def _run_leaving_unneeded_modules_unloaded(argv, cwd, modules=UNNEEDED_MODULES):
     _fresh_python(["-c", "import sys; from segloss import cli; "
                          f"assert cli.main({argv!r}) == 0; "
-                         f"loaded = [m for m in {UNNEEDED_MODULES!r} if m in sys.modules]; "
+                         f"loaded = [m for m in {modules!r} if sys.modules.get(m) is not None]; "
                          "assert not loaded, loaded"], cwd=cwd)
 
 
@@ -367,6 +397,47 @@ def test_evaluate_leaves_unneeded_modules_unloaded(tmp_path):
     _run_leaving_unneeded_modules_unloaded(["--out-dir", "out", "evaluate", gt, pred,
                                             "--metrics", "dice,whamming,hausdorff,avd"], tmp_path)
     assert (tmp_path / "out" / "evaluate.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["bounds", "--pair", "dice-jaccard", "--dmax", "3"],
+                                  ["evaluate", "{gt}", "{pred}", "--metrics", EVAL_TOKENS],
+                                  ["report", "{report}"]],
+                         ids=["bounds", "evaluate", "report"])
+def test_commands_without_training_leave_numpy_random_unloaded(tmp_path, argv):
+    # importing numpy.random, and the secrets module it imports, would add
+    # to the start-up time of these commands; it is also why the cli's
+    # _hashlib block changes nothing for them
+    gt, pred = write_eval_inputs(str(tmp_path), "pair")
+    report = os.path.join(GOLDEN, "train", "summary.json")
+    argv = [a.format(gt=gt, pred=pred, report=report) for a in argv]
+    _run_leaving_unneeded_modules_unloaded(["--out-dir", "out", *argv], tmp_path, ("numpy.random", "secrets"))
+
+
+# sha256(b"abc") and HMAC-SHA256 of b"m" under key b"k"
+SHA256_ABC = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+HMAC_K_M = "b60090e3052297aeb5a080889ce2fc4bca957e756faeb4df7d31800ca1e771ec"
+
+
+def test_train_process_maps_no_openssl(tmp_path):
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("no /proc/self/maps on this platform")
+    (tmp_path / "train.cfg").write_text(TINY_TRAIN)
+    # hashlib and hmac load after the run, as a caller of the cli would
+    # load them, and still give their known digests
+    out = _fresh_python(["-c", "from segloss import cli; "
+                               "assert cli.main(['--out-dir', 'out', 'train', 'train.cfg']) == 0; "
+                               "maps = open('/proc/self/maps').read().splitlines(); "
+                               "print([m for m in maps if 'libcrypto' in m]); "
+                               "import hashlib, hmac; "
+                               "print(hashlib.sha256(b'abc').hexdigest()); "
+                               "print(hmac.new(b'k', b'm', 'sha256').hexdigest())"],
+                        cwd=tmp_path, quiet=True)
+    assert out.splitlines() == ["[]", SHA256_ABC, HMAC_K_M]
+
+
+def test_cli_keeps_an_already_loaded_hashlib_module():
+    out = _fresh_python(["-c", "import _hashlib, sys, segloss.cli; print(sys.modules['_hashlib'] is _hashlib)"])
+    assert out.split() == ["True"]
 
 
 def test_train_extreme_tversky_weights_exit_3_with_one_error_line(tmp_path, capsys):

@@ -245,6 +245,29 @@ def test_training_kernels_match_the_written_out_formulas_bit_for_bit(spec):
         assert _same_bits(both[0], value) and _same_bits(both[1], grad)
 
 
+@pytest.mark.parametrize("spec", [LossSpec("ce"), LossSpec("wce", (0.0,)), LossSpec("wce", (0.5,)),
+                                  LossSpec("wce", (0.9,)), LossSpec("wce", (1.0,))], ids=LossSpec.label)
+def test_ce_value_keeps_one_log_per_pixel_with_the_two_log_bits(spec):
+    # the kernel keeps gamma log p at y = 1 and (1-gamma) log(1-p) at y = 0;
+    # the other term of the written-out sum is a signed zero there, so every
+    # 0/1 label dtype gives its bits, all-zero sums and clipped p included
+    rng = np.random.default_rng(31)
+    d = 4096
+    y = (rng.uniform(size=d) < 0.02).astype(np.float64)
+    y[:8] = [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0]
+    p = rng.uniform(size=d)
+    clipped = p.copy()
+    clipped[:8] = [0.0, 1.0, 5e-8, 1.0 - 5e-8] * 2
+    nan = p.copy()
+    nan[[0, 4]] = np.nan  # one NaN at y = 0, one at y = 1
+    cases = [(y, p), (y, clipped), (y, nan), (np.zeros(d), np.zeros(d)), (np.ones(d), np.ones(d)),
+             (np.zeros(d), np.ones(d)), (np.ones(d), np.zeros(d))]
+    for labels, probs in cases:
+        want = _REFERENCE[spec.kind](labels, probs, *spec.params)[0]
+        for dtype in LABEL_DTYPES:
+            assert _same_bits(loss_value(spec, labels.astype(dtype), probs), want), dtype
+
+
 GRAD_TOL = 1e-5
 
 
