@@ -13,7 +13,9 @@ one process; --threads is still accepted and checked, but changes nothing.
 
 `train` compares the loss arms its config lists under `losses`, one token
 per arm (`segloss train --help` lists the forms); arms must have distinct
-labels.  Each entry of `fgbg_ratios` reruns the same arms with the loss
+labels.  The arms of a fold share one seed and one CE warm-up, so an arm's
+score files depend neither on its place in `losses` nor on the other arms.
+Each entry of `fgbg_ratios` reruns the same arms with the loss
 and the scores restricted to a per-image rectangle around the objects,
 sized so the mean foreground fraction inside it is that ratio; its
 reports carry a prefix such as fgbg_0p3_, so a repeated ratio is a usage

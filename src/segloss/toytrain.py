@@ -4,10 +4,10 @@ and the experiment protocols (loss comparison, object-size stratification,
 fg/bg output masking).
 
 Every operation is a pure function of its inputs and seed; reruns agree
-bit for bit.  Each (fold x arm) run gets a seed derived by hashing
-(global seed, fold, arm), so its result does not depend on the other runs
-but does depend on its arm position: one loss in two arms gives two results.
-The runner executes the runs one after another in a single process.
+bit for bit.  Every arm of a fold trains from one seed, derived by hashing
+(global seed, fold), and from one CE warm-up run once per fold, so the arms
+differ only in their loss: an arm's result depends neither on its position
+nor on the other arms.  The runs execute one after another in one process.
 Training computes a loss value only on its validation images, whose curve
 drives early stopping, the learning-rate cuts and the kept weights; no
 train-set loss curve is computed.  Evaluation only ever uses the discrete
@@ -196,7 +196,7 @@ def generate_dataset(cfg: SyntheticConfig) -> SampleSet:
     for _ in range(cfg.n_images):
         t_img = float(np.clip(target * rng.uniform(0.7, 1.3), area_lo, area_hi))
         k_lo = max(1, math.ceil(t_img / (math.pi * rmax * rmax)))
-        k_hi = min(3, max(1, math.floor(t_img / (math.pi * rmin * rmin))))
+        k_hi = 3 if not area_lo or t_img / area_lo >= 3 else max(1, math.floor(t_img / area_lo))
         k = int(rng.integers(k_lo, k_hi + 1)) if k_lo < k_hi else k_lo
         parts = rng.dirichlet(np.full(k, 4.0)) * t_img
         areas = np.clip(parts, math.pi * rmin * rmin, math.pi * rmax * rmax)
@@ -366,33 +366,41 @@ def _run_epoch(samples, steps: _StepMatrix, w: np.ndarray, spec: LossSpec, lr: f
     return w
 
 
+def _split(data: SampleSet):
+    if not data.samples:
+        raise EmptySet("train needs at least one image")
+    k = len(data) - min(int(round(VAL_FRACTION * len(data))), len(data) - 1)
+    return data.samples[:k], data.samples[k:] or data.samples, _StepMatrix(data)
+
+
 @np.errstate(all="ignore")
-def train(data: SampleSet, cfg: TrainConfig) -> TrainResult:
+def warm_up(data: SampleSet, cfg: TrainConfig):
+    """train's CE warm-up from cfg.seed: (weights, generator state) after it."""
+    train_samples, _, steps = _split(data)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    w = rng.normal(0.0, 0.5, N_FEATURES)
+    for _ in range(cfg.pretrain_epochs_ce):
+        w = _run_epoch(train_samples, steps, w, LossSpec("ce"), cfg.learning_rate, cfg.batch_size, rng)
+    return w, rng.bit_generator.state
+
+
+@np.errstate(all="ignore")
+def train(data: SampleSet, cfg: TrainConfig, start=None) -> TrainResult:
     """Gradient descent on the mean per-image loss of a linear per-pixel
     scorer (5 features -> logit -> sigmoid), over every pixel of each
     sample; the masked fg/bg runs fit through it too, on samples that hold
-    only their in-mask pixels.
+    only their in-mask pixels; the last 20% of the images validate.
 
-    Runs a CE warm-up for cfg.pretrain_epochs_ce epochs, then switches to
-    cfg.loss with the optimizer state (learning rate, plateau counters)
-    reset.  The learning rate is divided by 5 on a validation-loss
-    plateau; training stops when the patience is exhausted.  Returns the
-    weights with the best validation loss seen in the main phase.
+    Continues from a copy of start, a warm_up(data, cfg) result (run here when
+    start is None, with the same bits), under cfg.loss with a fresh optimizer
+    state.  The learning rate is divided by 5 on a validation-loss plateau;
+    training stops when the patience is exhausted.  Returns the weights with
+    the best validation loss seen in the main phase.
     """
-    n = len(data)
-    if n == 0:
-        raise EmptySet("train needs at least one image")
-    steps = _StepMatrix(data)
-    n_val = min(int(round(VAL_FRACTION * n)), n - 1)
-    train_samples = data.samples[: n - n_val]
-    val_samples = data.samples[n - n_val:] if n_val > 0 else data.samples
-
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    w = rng.normal(0.0, 0.5, N_FEATURES)
-
-    ce = LossSpec("ce")
-    for _ in range(cfg.pretrain_epochs_ce):
-        w = _run_epoch(train_samples, steps, w, ce, cfg.learning_rate, cfg.batch_size, rng)
+    train_samples, val_samples, steps = _split(data)
+    w, state = warm_up(data, cfg) if start is None else start
+    rng = np.random.default_rng(0)  # seeded only to skip an OS entropy draw
+    rng.bit_generator.state = state
 
     lr = cfg.learning_rate
     best_val = _mean_loss(val_samples, steps, w, cfg.loss)
@@ -482,14 +490,14 @@ def run_loss_comparison(
 ) -> ExperimentResult:
     """Five-fold (by default) cross-validated comparison of loss arms.
 
-    Fold of image i is i % folds.  Per fold and arm a model is trained on
-    the remaining images (the last 20% of them serving as validation for
-    checkpoint selection) and scored on the left-out images, so each image
-    is scored exactly once per arm.  Given output_masks (one BinaryMask
-    per image of data), both training and scoring see only in-mask pixels;
-    the images are masked once for the whole experiment.  Arms must have
-    distinct labels, which name their report files.  The jobs run one
-    after another; threads is accepted for compatibility and ignored.
+    Fold of image i is i % folds.  In fold f every arm trains on the other
+    folds' images from one warm_up seeded derive_seed(seed, f), and is
+    scored on fold f's images, so each image is scored exactly once per
+    arm.  Given output_masks (one BinaryMask per image of data), both
+    training and scoring see only in-mask pixels; the images are masked
+    once for the whole experiment.  Arms must have distinct labels, which
+    name their report files.  The jobs run one after another; threads is
+    accepted for compatibility and ignored.
     """
     labels = check_comparison(losses, folds, len(data))
     n = len(data)
@@ -506,8 +514,10 @@ def run_loss_comparison(
     for f in range(folds):
         test_idx = np.flatnonzero(fold_of == f)
         train_pool = pool.subset(np.flatnonzero(fold_of != f))
-        for ai, arm in enumerate(arms):
-            res = train(train_pool, replace(base, loss=arm.spec, seed=derive_seed(seed, f, ai)))
+        cfg = replace(base, seed=derive_seed(seed, f))
+        start = warm_up(train_pool, cfg)
+        for arm in arms:
+            res = train(train_pool, replace(cfg, loss=arm.spec), start)
             for c, values in score_images(pool, test_idx, res.weights).items():
                 arm.scores[c][test_idx] = values
     return ExperimentResult(arms, fold_of, fg_sizes)

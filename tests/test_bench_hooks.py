@@ -85,7 +85,8 @@ def test_probe_multiplies_sample_features_by_weights_and_training_gets_feature_m
 @pytest.mark.parametrize("masked", [False, True])
 def test_runner_fits_and_scores_through_train_and_score_images(monkeypatch, masked):
     # the probe times toytrain.train and toytrain.score_images as the
-    # runner's per-job work, so the runner must call exactly those
+    # runner's per-job work, so the runner must call exactly those; the
+    # CE warm-up runs once per fold, and every arm of the fold starts from it
     data = toytrain.generate_dataset(toytrain.SyntheticConfig(
         n_images=5, dims=(16, 16), object_radius_range=(2.0, 4.0), fg_prior_target=0.08))
     masks = [BinaryMask(data.dims, np.ones(16 * 16, dtype=np.uint8))] * len(data) if masked else None
@@ -96,7 +97,7 @@ def test_runner_fits_and_scores_through_train_and_score_images(monkeypatch, mask
         return toytrain.run_loss_comparison(data, arms, folds=2, seed=3, base_cfg=base, output_masks=masks)
 
     plain = run()
-    calls = {"train": 0, "score_images": 0}
+    calls = {"train": 0, "warm_up": 0, "score_images": 0}
 
     def counted(name):
         real = getattr(toytrain, name)
@@ -109,7 +110,7 @@ def test_runner_fits_and_scores_through_train_and_score_images(monkeypatch, mask
     for name in calls:
         monkeypatch.setattr(toytrain, name, counted(name))
     wrapped = run()
-    assert calls == {"train": 2 * len(arms), "score_images": 2 * len(arms)}
+    assert calls == {"train": 2 * len(arms), "warm_up": 2, "score_images": 2 * len(arms)}
     for a, b in zip(plain.arms, wrapped.arms):
         for c in toytrain.SCORE_COLUMNS:
             assert np.array_equal(a.scores[c], b.scores[c])

@@ -264,6 +264,14 @@ def _tree(directory):
     return {name: (directory / name).read_bytes() for name in sorted(os.listdir(directory))}
 
 
+def _assert_same_tree(directory, golden):
+    """The same file names, then the same bytes; a failure names the files."""
+    got, want = _tree(directory), _tree(golden)
+    assert list(got) == list(want)
+    changed = [name for name in want if got[name] != want[name]]
+    assert not changed, f"bytes differ in {', '.join(changed)}"
+
+
 def test_train_reports_identical_across_threads(tmp_path):
     cfg = tmp_path / "train.cfg"
     cfg.write_text(TINY_TRAIN)
@@ -325,7 +333,7 @@ def test_experiment_reports_match_golden(tmp_path, command, config):
     cfg.write_text(config)
     out = tmp_path / "out"
     assert cli.main(["--out-dir", str(out), command, str(cfg)]) == 0
-    assert _tree(out) == _tree(pathlib.Path(GOLDEN) / GOLDEN_TREE[config])
+    _assert_same_tree(out, pathlib.Path(GOLDEN) / GOLDEN_TREE[config])
 
 
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -365,7 +373,7 @@ def test_train_cli_process_matches_golden(tmp_path):
     cfg = tmp_path / "train.cfg"
     cfg.write_text(TINY_TRAIN)
     _fresh_python(["-m", "segloss.cli", "--out-dir", "out", "train", str(cfg)], cwd=tmp_path)
-    assert _tree(tmp_path / "out") == _tree(pathlib.Path(GOLDEN) / "train")
+    _assert_same_tree(tmp_path / "out", pathlib.Path(GOLDEN) / "train")
 
 
 # modules no command needs: np.quantile imports numpy.ma through np.unique,
@@ -603,6 +611,17 @@ def test_experiment_config_errors_stop_before_training(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rmin", ["1e-160", "1e-300", "5e-324"])
+def test_train_runs_with_a_radius_min_whose_blob_area_underflows(tmp_path, capsys, rmin):
+    # pi * radius_min^2 is subnormal or 0: the blob count once took
+    # floor(inf) or divided by 0 and ended in a traceback
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(TINY_TRAIN.replace("radius_min = 3", f"radius_min = {rmin}")
+                   .replace("max_epochs = 6", "max_epochs = 2"))
+    assert cli.main(["--out-dir", str(tmp_path / "out"), "train", str(cfg)]) == 0
+    assert all(line.startswith("segloss: warning: ") for line in capsys.readouterr().err.splitlines())
+
+
 def test_train_infeasible_tiny_fgbg_ratio_exits_3_with_one_short_error_line(tmp_path, capsys, monkeypatch):
     # the relative deviation is about 1e299: printed with three significant digits
     monkeypatch.setattr(toytrain, "train", _no_training)
@@ -650,9 +669,6 @@ def test_train_scans_the_rectangle_widths_once_for_all_fgbg_ratios(tmp_path, mon
     assert sorted(n for n in os.listdir(out) if n.startswith("fgbg_") and n.endswith("_summary.json")) == summaries
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "each arm trains from derive_seed(seed, fold, arm_index), so one loss in two arm "
-    "positions scores differently: on TINY_TRAIN 11 of 12 images differ in Dice for both pairs"))
 @pytest.mark.parametrize("losses, twins", [
     ("soft_dice, tversky:0.5:0.5", ("soft_dice_l1", "tversky_0p5_0p5")),
     ("soft_jaccard, tversky:1:1", ("soft_jaccard", "tversky_1_1")),
@@ -668,6 +684,18 @@ def test_one_loss_in_two_arm_positions_scores_the_same(tmp_path, losses, twins):
     assert first.columns == second.columns
     for c, column in enumerate(first.columns):
         assert [row[c] for row in first.rows] == [row[c] for row in second.rows], column
+
+
+def test_an_arm_scores_the_same_whatever_the_other_arms(tmp_path):
+    # the arms of a fold share its seed and its CE warm-up, so soft Dice
+    # beside Lovasz writes the bytes it writes beside CE in the golden tree
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(TINY_TRAIN.replace("losses = ce, soft_dice", "losses = lovasz, soft_dice"))
+    out = tmp_path / "out"
+    assert cli.main(["--out-dir", str(out), "train", str(cfg)]) == 0
+    names = [f"{prefix}scores_soft_dice_l1.{ext}" for prefix in ("", "fgbg_0p3_") for ext in ("csv", "json")]
+    for name in names:
+        assert (out / name).read_bytes() == (pathlib.Path(GOLDEN) / "train" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("raised, shown", [("Unable to allocate 7.28 TiB for an array",) * 2,

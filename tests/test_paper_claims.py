@@ -112,7 +112,7 @@ def test_claim_5_metric_sensitive_loss_beats_ce_on_dice_and_jaccard():
     """“can confirm that metric-sensitive losses are superior to cross-entropy
     based loss functions in case of evaluation with Dice Score or Jaccard
     Index”: in the pinned desk-scale train run, soft Dice beats CE on mean
-    Dice (0.758 vs 0.670) and mean Jaccard, and the bootstrap ranks CE
+    Dice (0.769 vs 0.670) and mean Jaccard, and the bootstrap ranks CE
     inferior to all."""
     arms = {r["method"]: r for r in _records(TRAIN / "summary.json")}
     ce, soft_dice = arms["ce"], arms["soft_dice_l1"]
@@ -121,14 +121,13 @@ def test_claim_5_metric_sensitive_loss_beats_ce_on_dice_and_jaccard():
     assert ce["inferior_to_all"] and soft_dice["top_ranked"]
 
 
-@pytest.mark.xfail(raises=AssertionError,
-                   reason="at desk scale soft Dice loses to CE in size bin 1 (0.9481 vs 0.9530) "
-                          "and at fg/bg ratio 0.3 (0.8145 vs 0.8579)")
 def test_claim_6_metric_sensitive_loss_wins_across_sizes_and_fgbg_ratios():
     """“This further holds in a multi-class setting, and across different
     object sizes and foreground/background ratios.”  The object-size and
     fg/bg half: in the pinned train run, soft Dice's mean Dice is at least
-    CE's in every size bin and at every fg/bg ratio."""
+    CE's in every size bin and at every fg/bg ratio.  That is one seed of a
+    12-image tree, and its closest margins are size bin 1 (0.9560 vs
+    0.9530) and fg/bg ratio 0.3 (0.8792 vs 0.8579)."""
     losses = []
     bins: dict[int, dict] = {}
     for r in _records(TRAIN / "strata.json"):

@@ -37,6 +37,7 @@ from segloss.toytrain import (
     score_images,
     stratify_by_size,
     train,
+    warm_up,
 )
 from util import mask_of, masked_sigmoid, one_branch_sigmoid, prob_of, sample_of
 
@@ -93,6 +94,14 @@ def test_generate_infeasible_configs():
                                          fg_prior_target=0.5))
     with pytest.raises(InfeasibleConfig):
         generate_dataset(SyntheticConfig(dims=(16, 16), object_radius_range=(3.0, 12.0)))
+
+
+@pytest.mark.parametrize("rmin", [1e-160, 1e-300, 5e-324])
+def test_generate_takes_a_radius_min_whose_blob_area_underflows(rmin):
+    # pi * rmin^2 is subnormal at 1e-160, where the blob-count quotient
+    # overflows to inf, and 0 at the two smaller radii; up to 3 blobs fit
+    data = generate_dataset(replace(SMALL, n_images=4, object_radius_range=(rmin, 6.0)))
+    assert len(data) == 4 and all(s.label.count() > 0 for s in data)
 
 
 def test_train_deterministic_and_tversky_collapse():
@@ -466,11 +475,16 @@ def _hex_fit(res):
 
 def test_train_weights_are_frozen_bit_for_bit():
     data = generate_dataset(SMALL)
-    for token, frozen in FROZEN_FITS.items():
-        assert _hex_fit(train(data, replace(QUICK, loss=parse_loss_spec(token)))) == frozen, token
     masked = _masked(data, build_fgbg_masks(data, [0.3])[0][0])
-    for token, frozen in FROZEN_MASKED_FITS.items():
-        assert _hex_fit(train(masked, replace(QUICK, loss=parse_loss_spec(token)))) == frozen, token
+    for pool, fits in ((data, FROZEN_FITS), (masked, FROZEN_MASKED_FITS)):
+        # each loss alone, then from one warm-up that every loss starts
+        # from, as the arms of a fold do: a generator shared rather than
+        # copied would give every loss after the first other bits
+        start = warm_up(pool, QUICK)
+        for token, frozen in fits.items():
+            cfg = replace(QUICK, loss=parse_loss_spec(token))
+            assert _hex_fit(train(pool, cfg)) == frozen, token
+            assert _hex_fit(train(pool, cfg, start)) == frozen, token
 
 
 def test_samples_of_one_dataset_share_one_coordinate_array():
