@@ -178,11 +178,11 @@ def _witness(values, tp, fp, fn, d: int) -> Witness | None:
     best = tied[np.lexsort((t, f, t + n, np.maximum(t + f, t + n)))[0]]
     tp_i, fp_i, fn_i = int(tp[best]), int(fp[best]), int(fn[best])
     k = tp_i + fn_i
-    y = np.zeros(d, dtype=np.uint8)
-    y[d - k:] = 1
-    yhat = np.zeros(d, dtype=np.uint8)
-    yhat[d - tp_i:] = 1
-    yhat[d - k - fp_i:d - k] = 1
+    y = np.zeros(d, dtype=bool)
+    y[d - k:] = True
+    yhat = np.zeros(d, dtype=bool)
+    yhat[d - tp_i:] = True
+    yhat[d - k - fp_i:d - k] = True
     dims = (d, 1, 1)
     return Witness(BinaryMask(dims, y), BinaryMask(dims, yhat), tp_i, fp_i, fn_i, vmax)
 

@@ -110,7 +110,7 @@ def _decode(dims, raw: bytes, dtype: str) -> BinaryMask | ProbMap:
         raise NonBinaryPixel(
             f"binary mask contains value {int(data[bad][0])} (only 0/255 allowed)"
         )
-    return BinaryMask(dims, (data == 255).astype(np.uint8))
+    return BinaryMask(dims, data == 255)
 
 
 def read_mask(path: str) -> BinaryMask | ProbMap:

@@ -6,8 +6,8 @@ Conventions:
 * labels y are 0/1 vectors of any numeric or bool dtype, as
   ``eval_loss_arrays`` states, used as given, without a float copy: every
   label sum widens (``ndarray.sum``, ``np.cumsum``, a product with float
-  p), so uint8 labels give the float labels' bits at any d; three forms
-  rely on 0/1 labels and give other values for fractional ones:
+  p), so a mask's bool labels give the float labels' bits at any d;
+  three forms rely on 0/1 labels and give other values for fractional ones:
   - the CE/wCE value keeps, per pixel, gamma log p where y = 1 and
     (1-gamma) log(1-p) where y = 0: the other term of
     gamma y log p + (1-gamma)(1-y) log(1-p) is a signed zero there, so
@@ -25,7 +25,9 @@ Conventions:
   the gradient is that of the clipped value, zero where the clip is active
   (masked only when some p reaches the clip or is NaN);
 * a zero surrogate denominator (possible only when y and p are both
-  identically zero) yields value 0, gradient 0 and a ``degenerate`` flag.
+  identically zero) yields value 0, gradient 0 and a ``degenerate`` flag;
+* Lovász sorts the errors in descending order, ties by pixel index and NaNs
+  last, by a stable sort only when an unstable one finds a tie or a NaN.
 
 ``LOSSES`` is the one table of loss tokens.  Each row, keyed by token
 head, names the parameters with their range rule, and gives the
@@ -154,9 +156,12 @@ def _soft_tversky_arrays(y, p, alpha, beta, value=True, grad=True):
 
 
 def _lovasz_arrays(y, p, value=True, grad=True):
-    # errors m_i = |y_i - p_i|; sort descending, stable ties by pixel index
-    m = np.where(y > 0, 1.0 - p, p)
-    order = np.argsort(-m, kind="stable")
+    # errors m_i = |y_i - p_i|; sort descending, ties by pixel index
+    m = np.where(y, 1.0 - p, p)
+    order = np.argsort(-m)
+    ms = m[order]
+    if np.isnan(ms[-1:]).any() or (ms[1:] == ms[:-1]).any():
+        order = np.argsort(-m, kind="stable")
     ys = y[order]
     fg = float(ys.sum())
     inter = fg - np.cumsum(ys)
@@ -168,7 +173,7 @@ def _lovasz_arrays(y, p, value=True, grad=True):
     if grad:
         out = np.empty_like(p)
         out[order] = g
-        out *= np.where(y > 0, -1.0, 1.0)
+        out *= np.where(y, -1.0, 1.0)
     return v, out, False
 
 
@@ -251,8 +256,8 @@ def _kernel(spec: LossSpec, y, p, value: bool, grad: bool, **logit):
 def eval_loss_arrays(spec: LossSpec, y: np.ndarray, p: np.ndarray):
     """Array-level evaluation; returns (value, gradient, degenerate).
 
-    y is a 0/1 vector of any numeric or bool dtype (a mask's uint8 bytes
-    need no copy), p a float vector in [0, 1].
+    y is a 0/1 vector of any numeric or bool dtype (a mask's bool data
+    needs no copy), p a float vector in [0, 1].
     """
     return _kernel(spec, y, p, True, True)
 

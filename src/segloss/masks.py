@@ -1,9 +1,10 @@
 """Mask and probability-map containers plus set-count primitives, which
 return the plain ``(tp, fp, fn)`` tuple; tn is ``d - tp - fp - fn``.
 
-Masks are stored as flat vectors with explicit ``(nx, ny, nz)`` dims
-(``nz = 1`` for 2D).  Flat index ``i = x + nx*(y + ny*z)``: x runs fastest.
-All similarity computations operate on the flat vector; the spatial layout
+Masks are stored as flat vectors, bool for a binary mask and float64 for
+a probability map, with explicit ``(nx, ny, nz)`` dims (``nz = 1`` for
+2D).  Flat index ``i = x + nx*(y + ny*z)``: x runs fastest.  All
+similarity computations operate on the flat vector; the spatial layout
 only matters for Hausdorff distances and synthetic data generation.
 """
 
@@ -20,8 +21,8 @@ Dims = tuple[int, int, int]
 
 @dataclass(frozen=True, eq=False)
 class _FlatMap:
-    """A flat vector with its (nx, ny, nz) dims; each subclass sets the
-    vector's ``_dtype`` and checks its values in ``_check(data)``."""
+    """A flat vector with its (nx, ny, nz) dims; each subclass sets its
+    ``_dtype`` and checks the input in ``_check(raw)`` before converting it."""
 
     dims: Dims
     data: np.ndarray
@@ -32,13 +33,15 @@ class _FlatMap:
             t = (t[0], t[1], 1)
         if len(t) != 3 or any(v < 1 for v in t):
             raise ValueError(f"dims must be 2 or 3 positive pixel counts, got {self.dims!r}")
-        data = np.ascontiguousarray(self.data, dtype=self._dtype).ravel()
-        if data.size != t[0] * t[1] * t[2]:
-            raise ValueError(f"data length {data.size} != product of dims {t}")
-        if data.size:
-            self._check(data)
+        raw = np.asarray(self.data).ravel()
+        if raw.dtype.kind not in "biuf":
+            raise ValueError(f"data must be bool or real numbers, got dtype {raw.dtype}")
+        if raw.size != t[0] * t[1] * t[2]:
+            raise ValueError(f"data length {raw.size} != product of dims {t}")
+        if raw.size:
+            self._check(raw)
         object.__setattr__(self, "dims", t)
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", np.ascontiguousarray(raw, dtype=self._dtype))
 
     @property
     def d(self) -> int:
@@ -59,17 +62,17 @@ class _FlatMap:
 
 
 class BinaryMask(_FlatMap):
-    """Flat binary label vector (uint8 in {0, 1}); the sets of foreground pixels."""
+    """Flat bool label vector, the set of foreground pixels; input must be bool or exactly 0/1."""
 
-    _dtype = np.uint8
+    _dtype = np.bool_
 
-    def _check(self, data):
-        if data.max() > 1:
+    def _check(self, raw):
+        if not np.all((raw == 0) | (raw == 1)):
             raise ValueError("binary mask values must be 0 or 1")
 
     def count(self) -> int:
         """Number of foreground pixels |y|."""
-        return int(self.data.sum())
+        return np.count_nonzero(self.data)
 
 
 class ProbMap(_FlatMap):
@@ -77,9 +80,9 @@ class ProbMap(_FlatMap):
 
     _dtype = np.float64
 
-    def _check(self, data):
+    def _check(self, raw):
         # written so that NaN fails too
-        if not (data.min() >= 0.0 and data.max() <= 1.0):
+        if not (raw.min() >= 0.0 and raw.max() <= 1.0):
             raise ValueError("probability values must lie in [0, 1]")
 
 
@@ -99,7 +102,7 @@ def overlap_counts(truth: np.ndarray, pred: np.ndarray) -> tuple[int, int, int]:
 def confusion_counts(y: BinaryMask, yhat: BinaryMask) -> tuple[int, int, int]:
     """(tp, fp, fn) = (|y ∩ ŷ|, |ŷ \\ y|, |y \\ ŷ|) for a pair of binary masks."""
     check_dims(y, yhat)
-    return overlap_counts(y.data.astype(bool), yhat.data.astype(bool))
+    return overlap_counts(y.data, yhat.data)
 
 
 def threshold(p: ProbMap, t: float) -> BinaryMask:
@@ -110,4 +113,4 @@ def threshold(p: ProbMap, t: float) -> BinaryMask:
     """
     if not 0.0 <= t <= 1.0:
         raise OutOfRange(f"threshold must lie in [0, 1], got {t}")
-    return BinaryMask(p.dims, (p.data > t).astype(np.uint8))
+    return BinaryMask(p.dims, p.data > t)

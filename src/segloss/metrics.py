@@ -211,8 +211,8 @@ def hausdorff_distance(y: BinaryMask, yhat: BinaryMask) -> MetricValue:
     integers and d, ny, nx are the box's.
     """
     check_dims(y, yhat)
-    u = y.to_array() != 0
-    v = yhat.to_array() != 0
+    u = y.to_array()
+    v = yhat.to_array()
     if not u.any() or not v.any():
         return MetricValue("hausdorff", float("nan"), defined=False)
     both = u | v

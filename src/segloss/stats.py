@@ -98,14 +98,13 @@ def check_ranking(n_methods: int, n_resamples: int) -> None:
         raise OutOfRange(f"n_resamples must be <= {MAX_RESAMPLES}, got {n_resamples}")
 
 
-def rank_methods(scores, n_resamples: int = DEFAULT_RESAMPLES, seed: int = 0,
-                 level: float = SIGNIFICANCE_LEVEL) -> SignificanceMatrix:
+def rank_methods(scores, n_resamples: int = DEFAULT_RESAMPLES, seed: int = 0) -> SignificanceMatrix:
     """Pairwise bootstrap comparison of two or more methods.
 
     Each unordered pair is drawn once, with a seed derived from the pair,
     for both directions.  The best-mean method is in top_ranked by
     construction; a method lands in inferior_to_all only if every other
-    method beats it at the given level.
+    method beats it at SIGNIFICANCE_LEVEL.
     """
     scores = list(scores)
     check_ranking(len(scores), n_resamples)
@@ -129,10 +128,10 @@ def rank_methods(scores, n_resamples: int = DEFAULT_RESAMPLES, seed: int = 0,
     best = max(names, key=lambda m: means[m])
     top = {
         m for m in names
-        if m == best or p[(best, m)] >= level
+        if m == best or p[(best, m)] >= SIGNIFICANCE_LEVEL
     }
     inferior = {
         m for m in names
-        if all(p[(other, m)] < level for other in names if other != m)
+        if all(p[(other, m)] < SIGNIFICANCE_LEVEL for other in names if other != m)
     }
     return SignificanceMatrix(tuple(names), p, frozenset(top), frozenset(inferior))

@@ -25,8 +25,8 @@ samples through one C-contiguous (N_FEATURES, d') step matrix: a step
 copies in the sample's pixel rows, and its coordinate rows only when they
 are not the ones already loaded, so every ``w @ X`` and ``X @ v`` sees the
 same contiguous (N_FEATURES, d') layout and gives the same bits as a
-product over one stacked array.  The labels are each mask's own uint8
-bytes, never a float copy: the loss kernels take 0/1 labels of any dtype.
+product over one stacked array.  The labels are each mask's own bool
+data, never a float copy: the loss kernels take 0/1 labels of any dtype.
 
 The sigmoid's exp(-s) overflows to inf, the right p = 0, below
 s = -709.78; ``np.errstate(over="ignore")`` around each scoring pass
@@ -77,7 +77,10 @@ SCORE_COLUMNS = ("dice", "jaccard", *(f"f{b:g}" for b in FBETAS))
 
 
 def derive_seed(*parts: int) -> int:
-    """Stable 64-bit seed from integer components."""
+    """Stable 64-bit seed from integer components.  While the parts fit in
+    numpy's four-word SeedSequence pool, trailing zero parts are ignored:
+    derive_seed(s, 17, 0) == derive_seed(s, 17) and derive_seed(s, 0) ==
+    derive_seed(s), so two streams must differ in more than trailing zeros."""
     return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1)[0])
 
 
@@ -243,7 +246,7 @@ def generate_dataset(cfg: SyntheticConfig) -> SampleSet:
             pixels = np.stack([img.ravel(), _box3(img).ravel()])
         if not np.all(np.isfinite(pixels)):
             raise InfeasibleConfig(f"noise_sigma = {cfg.noise_sigma:g} overflows the image features")
-        samples.append(Sample(pixels, coords, BinaryMask.from_array(label.astype(np.uint8))))
+        samples.append(Sample(pixels, coords, BinaryMask.from_array(label)))
     return SampleSet(samples)
 
 
@@ -323,7 +326,7 @@ class _StepMatrix:
 def _masked(data: SampleSet, output_masks) -> SampleSet:
     """data itself without masks; otherwise one Sample per image holding
     C-contiguous copies of its in-mask pixel and coordinate rows, labelled
-    by its in-mask uint8 bytes as a flat (d', 1, 1) mask."""
+    by its in-mask bool labels as a flat (d', 1, 1) mask."""
     if output_masks is None:
         return data
     masks = list(output_masks)
@@ -333,7 +336,7 @@ def _masked(data: SampleSet, output_masks) -> SampleSet:
     for i, (m, s) in enumerate(zip(masks, data)):
         if m.dims != s.label.dims:
             raise OutOfRange("output mask dims do not match the data")
-        sel, d = m.data.astype(bool), m.count()
+        sel, d = m.data, m.count()
         if d == 0:
             raise OutOfRange(f"output mask of image {i} selects no pixels")
         out.append(Sample(np.ascontiguousarray(s.pixels[:, sel]), np.ascontiguousarray(s.coords[:, sel]),
@@ -441,7 +444,7 @@ def score_images(data: SampleSet, idx, w: np.ndarray) -> dict[str, np.ndarray]:
     w_neg = -w
     out = {c: np.empty(len(subset)) for c in SCORE_COLUMNS}
     for i, s in enumerate(subset):
-        truth = s.label.data.astype(bool)
+        truth = s.label.data
         counts = (*overlap_counts(truth, _probabilities(w_neg, steps.load(s)) > 0.5), truth.size)
         values = (dice_from_counts(*counts), jaccard_from_counts(*counts),
                   *(fbeta_from_counts(*counts, b) for b in FBETAS))
@@ -611,7 +614,7 @@ def build_fgbg_masks(data: SampleSet, ratios):
     nx, ny, nz = data.dims
     if nz != 1:
         raise OutOfRange("fg/bg masking is defined for 2D data")
-    integrals = [np.pad(s.label.to_array()[0].astype(np.int64).cumsum(0).cumsum(1), ((1, 0), (1, 0)))
+    integrals = [np.pad(s.label.to_array()[0].cumsum(0).cumsum(1), ((1, 0), (1, 0)))
                  for s in data]
     scans = []  # (mean fraction, w, h, per-image origins) per width
     for w in range(1, nx + 1):
@@ -636,8 +639,8 @@ def build_fgbg_masks(data: SampleSet, ratios):
             )
         masks = []
         for top, left in origins:
-            m = np.zeros((ny, nx), dtype=np.uint8)
-            m[top:top + rect_h, left:left + rect_w] = 1
+            m = np.zeros((ny, nx), dtype=bool)
+            m[top:top + rect_h, left:left + rect_w] = True
             masks.append(BinaryMask.from_array(m))
         results.append((masks, rect_w, rect_h, achieved))
     return results

@@ -163,7 +163,7 @@ def _bits(x) -> np.ndarray:
     return np.atleast_1d(np.asarray(x, dtype=np.float64)).view(np.int64)
 
 
-# training passes the masks' own uint8 bytes; a loop over the dtypes in the
+# training passes the masks' own bool data; a loop over the dtypes in the
 # test body keeps one test id per loss row
 LABEL_DTYPES = (np.uint8, np.bool_, np.int64, np.float64)
 
@@ -266,6 +266,39 @@ def test_ce_value_keeps_one_log_per_pixel_with_the_two_log_bits(spec):
         want = _REFERENCE[spec.kind](labels, probs, *spec.params)[0]
         for dtype in LABEL_DTYPES:
             assert _same_bits(loss_value(spec, labels.astype(dtype), probs), want), dtype
+
+
+def _stable_sort_lovasz(y, p):
+    """The Lovász value and gradient from one stable sort of the errors."""
+    m = np.where(y > 0, 1.0 - p, p)
+    order = np.argsort(-m, kind="stable")
+    ys = y[order]
+    fg = float(ys.sum())
+    g = np.diff(1.0 - (fg - np.cumsum(ys)) / (fg + np.cumsum(1.0 - ys)), prepend=0.0)
+    grad = np.empty_like(p)
+    grad[order] = g
+    grad *= np.where(y > 0, -1.0, 1.0)
+    return float(m[order] @ g), grad
+
+
+def test_lovasz_sorts_as_one_stable_sort_bit_for_bit():
+    rng = np.random.default_rng(31)
+    cases = []
+    for d in (1, 2, 3, 17, 640, 5000):
+        y = rng.uniform(size=d) < rng.uniform(0.02, 0.5)
+        u = rng.uniform(0.0, 1.0, d)
+        ties = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], d)  # exact ties, among them m = 0
+        signed_zeros = np.where(y, 1.0, -0.0)  # errors of +0.0 and -0.0
+        signed_zeros[::3] = u[::3]
+        nan = u.copy()
+        nan[rng.integers(0, d, 1 + d // 4)] = np.nan
+        saturated = 1.0 / (1.0 + np.exp(-rng.normal(0.0, 60.0, d)))  # many exact 0s and 1s
+        cases += [(y, u), (y, np.round(u, 2)), (y, ties), (y, signed_zeros), (y, nan), (y, saturated)]
+    for y, p in cases:
+        want_value, want_grad = _stable_sort_lovasz(y, p)
+        for labels in (y, y.astype(np.float64)):
+            value, grad, _ = eval_loss_arrays(LossSpec("lovasz"), labels, p)
+            assert _same_bits(value, want_value) and _same_bits(grad, want_grad), (y.size, p[:4])
 
 
 GRAD_TOL = 1e-5

@@ -128,6 +128,28 @@ def test_mask_validation():
         ProbMap((1, 1, 1), [np.nan])
 
 
+@pytest.mark.parametrize("values", [[0.5, 1.0], [1.9, 0.0], [256, 1], [-255, 0], [np.nan, 1.0], [2, 0]])
+def test_binary_mask_checks_its_input_before_converting_it(values):
+    # a cast before the check would read 0.5 and 1.9 as 0 or 1, and 256
+    # and -255 as their low byte
+    with pytest.raises(ValueError):
+        BinaryMask((2, 1, 1), np.array(values))
+
+
+@pytest.mark.parametrize("cls, values", [(BinaryMask, [None, 1]), (BinaryMask, ["1", "0"]),
+                                         (ProbMap, [None, 0.5]), (ProbMap, ["0.5", "1"])])
+def test_masks_reject_input_that_is_not_numbers(cls, values):
+    with pytest.raises(ValueError):
+        cls((2, 1, 1), values)
+
+
+@pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int64, np.float64])
+def test_binary_mask_holds_bool_from_any_0_1_input(dtype):
+    m = BinaryMask((2, 2, 1), np.array([0, 1, 1, 0], dtype=dtype))
+    assert m.data.dtype == np.bool_ and m.data.tolist() == [False, True, True, False]
+    assert m.count() == 2
+
+
 def test_mask_array_round_trip_layout():
     arr = np.array([[0, 1, 0], [1, 1, 0]], dtype=np.uint8)  # (ny=2, nx=3)
     m = BinaryMask.from_array(arr)

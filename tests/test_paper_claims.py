@@ -144,7 +144,7 @@ def test_claim_6_metric_sensitive_loss_wins_across_sizes_and_fgbg_ratios():
     assert not losses, "; ".join(losses)
 
 
-@pytest.mark.skip(reason="segloss is binary end to end; the multi-class harness is ROADMAP item 5")
+@pytest.mark.skip(reason="segloss is binary end to end; the multi-class harness is ROADMAP item 9")
 def test_claim_7_metric_sensitive_loss_wins_multi_class():
     """“This further holds in a multi-class setting”: the multi-class half,
     which needs per-class losses and scores."""

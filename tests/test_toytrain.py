@@ -32,6 +32,7 @@ from segloss.toytrain import (
     _size_bins,
     _StepMatrix,
     build_fgbg_masks,
+    derive_seed,
     generate_dataset,
     run_loss_comparison,
     score_images,
@@ -52,6 +53,13 @@ def both_datasets_equal(a, b):
         np.array_equal(sa.features, sb.features) and np.array_equal(sa.label.data, sb.label.data)
         for sa, sb in zip(a, b)
     )
+
+
+@pytest.mark.parametrize("s", [0, 7, 2**32 - 1])
+def test_derive_seed_ignores_trailing_zero_parts(s):
+    assert derive_seed(s, 17, 0) == derive_seed(s, 17)
+    assert derive_seed(s, 0) == derive_seed(s)
+    assert derive_seed(s, 17) != derive_seed(s, 17, 1)
 
 
 def test_generate_is_deterministic():
@@ -531,7 +539,7 @@ def test_masked_gives_views_of_all_pixels_and_copies_under_a_mask():
         assert m.pixels.flags.c_contiguous and m.coords.flags.c_contiguous
         assert np.array_equal(m.features, s.features[sel])
         assert m.label.dims == (mask.count(), 1, 1)
-        assert m.label.data.dtype == np.uint8 and np.array_equal(m.label.data, s.label.data[sel])
+        assert m.label.data.dtype == np.bool_ and np.array_equal(m.label.data, s.label.data[sel])
 
 
 def test_step_matrix_loads_pixel_rows_and_changed_coordinate_rows():
