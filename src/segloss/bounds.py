@@ -135,7 +135,7 @@ class BoundReport:
     empirical_abs: float
     empirical_rel: float
     witness: Witness               # attains empirical_abs; |va - vb| >= 0 is never excluded
-    witness_rel: Witness | None    # attains empirical_rel
+    witness_rel: Witness           # attains empirical_rel
 
 
 # marks triples left out of the relative supremum (a similarity is 0)
@@ -160,9 +160,10 @@ def _count_space(d: int):
     return tuple(a[1:].astype(np.float64) for a in (tp, fp_tri[pos], fn_tri[pos]))
 
 
-def _witness(values, tp, fp, fn, d: int) -> Witness | None:
-    """The canonical pair attaining max(values), or None when every triple
-    is excluded.
+def _witness(values, tp, fp, fn, d: int) -> Witness:
+    """The canonical pair attaining max(values).  Some triple is never
+    excluded: every counts metric scores 1 on the perfect triple (d, 0, 0),
+    whose ratio is 0, so the relative scan always has a witness too.
 
     Ties break on max(|y|, |ŷ|) asc, then |y| asc, then the lexicographic
     index of the (y, ŷ) bit patterns asc.  For fixed counts the smallest
@@ -171,8 +172,6 @@ def _witness(values, tp, fp, fn, d: int) -> Witness | None:
     pairs with equal k the index grows with fp, then with tp.
     """
     vmax = float(values.max())
-    if vmax == _EXCLUDED:
-        return None
     tied = np.flatnonzero(values == vmax)
     t, f, n = tp[tied], fp[tied], fn[tied]
     best = tied[np.lexsort((t, f, t + n, np.maximum(t + f, t + n)))[0]]
@@ -227,7 +226,7 @@ def brute_force_sup(metric_a, metric_b, d: int) -> BoundReport:
         ratio = np.maximum(va / vb, vb / va) - 1.0
     w_rel = _witness(np.where((va > 0.0) & (vb > 0.0), ratio, _EXCLUDED), tp, fp, fn, d)
     emp_abs = w_abs.value
-    emp_rel = w_rel.value if w_rel else 0.0
+    emp_rel = w_rel.value
 
     cf_abs, cf_rel = closed_form_bounds(mid_a, mid_b)
     if cf_abs is not None and emp_abs > cf_abs + BOUND_SLACK:

@@ -27,7 +27,13 @@ Conventions:
 * a zero surrogate denominator (possible only when y and p are both
   identically zero) yields value 0, gradient 0 and a ``degenerate`` flag;
 * Lovász sorts the errors in descending order, ties by pixel index and NaNs
-  last, by a stable sort only when an unstable one finds a tie or a NaN.
+  last: an unstable sort, then a sort of only the positions in tied runs.
+* the kernels follow p's float dtype: a float32 p, as training passes,
+  gives float32 products and a float32 gradient; any other p is converted
+  to float64, where every label term is float64 too, so a float64 p gives
+  the bits of the float64 expressions whatever the label dtype; the
+  two-valued gradients are computed in float64 and rounded once to p's
+  dtype, and the values are Python floats.
 
 ``LOSSES`` is the one table of loss tokens.  Each row, keyed by token
 head, names the parameters with their range rule, and gives the
@@ -78,11 +84,12 @@ def _degenerate(p, value, grad):
 _LABELS = np.float64(1.0), np.float64(0.0)
 
 
-def _by_label(y, grad_at):
-    """The elementwise gradient grad_at(y) of 0/1 labels y, as its two
-    values grad_at(1.0) and grad_at(0.0): numpy scalars, so each rounds,
-    overflows and divides by zero as the array expression would."""
-    return np.where(y, *(grad_at(t) for t in _LABELS))
+def _by_label(y, grad_at, dtype):
+    """The elementwise gradient grad_at(y) of 0/1 labels y, in dtype, as
+    its two values grad_at(1.0) and grad_at(0.0): float64 numpy scalars, so
+    each rounds, overflows and divides by zero as the float64 array
+    expression would, and is then rounded once to dtype."""
+    return np.where(y, *(dtype.type(grad_at(t)) for t in _LABELS))
 
 
 def _clamp(p):
@@ -94,9 +101,10 @@ def _wce_arrays(y, p, gamma, scale, value=True, grad=True, logit=False):
     d = y.size
     v = g = None
     if logit and scale == 2.0:  # CE: with 0/1 y the wCE form below is (p - y)/d bit for bit
-        g = p - y
+        g = np.subtract(p, y, dtype=p.dtype)
         g *= 1.0 / d
     elif logit:  # only d/ds at p = sigmoid(s)
+        y = y.astype(p.dtype, copy=False)  # label terms in p's dtype
         gy = gamma * y
         g = -scale / d * (gy - p * (gy + (1.0 - gamma) * (1.0 - y)))
     else:
@@ -104,6 +112,7 @@ def _wce_arrays(y, p, gamma, scale, value=True, grad=True, logit=False):
         if value:
             v = -scale / d * float(np.sum(np.where(y, gamma * np.log(pc), (1.0 - gamma) * np.log1p(-pc))))
         if grad:
+            y = y.astype(p.dtype, copy=False)
             g = -scale / d * (gamma * y / pc - (1.0 - gamma) * (1.0 - y) / (1.0 - pc))
     # zero under the clip, masking only when some p reaches it; a NaN p
     # fails the range test, takes the mask and stays NaN
@@ -119,9 +128,9 @@ def _soft_dice_arrays(y, p, variant, value=True, grad=True):
         return _degenerate(p, value, grad)
     g = None
     if grad and variant == "l1":
-        g = _by_label(y, lambda t: (t * (2.0 * den) - num) / -(den * den))
+        g = _by_label(y, lambda t: (t * (2.0 * den) - num) / -(den * den), p.dtype)
     elif grad:  # -(2 y den - 2 num p) / den^2, bit for bit in place
-        g = y * (2.0 * den)
+        g = np.multiply(y, 2.0 * den, dtype=p.dtype)
         g -= num * 2.0 * p
         g /= -(den * den)
     return (1.0 - num / den if value else None), g, False
@@ -132,7 +141,7 @@ def _soft_jaccard_arrays(y, p, value=True, grad=True):
     union = float(y.sum() + p.sum()) - inter
     if union == 0.0:
         return _degenerate(p, value, grad)
-    g = _by_label(y, lambda t: -(t * union - inter * (1.0 - t)) / (union * union)) if grad else None
+    g = _by_label(y, lambda t: -(t * union - inter * (1.0 - t)) / (union * union), p.dtype) if grad else None
     return (1.0 - inter / union if value else None), g, False
 
 
@@ -151,17 +160,30 @@ def _soft_tversky_arrays(y, p, alpha, beta, value=True, grad=True):
         return _degenerate(p, value, grad)
     g = None
     if grad:
-        g = _by_label(y, lambda t: -(t * den - inter * (t + alpha * (1.0 - t) - beta * t)) / (den * den))
+        g = _by_label(y, lambda t: -(t * den - inter * (t + alpha * (1.0 - t) - beta * t)) / (den * den),
+                      p.dtype)
     return (1.0 - inter / den if value else None), g, False
+
+
+def _ties_by_index(order, keys):
+    """Reorder in place, by pixel index, the positions of order that hold
+    a run of equal sorted keys, NaNs (which sort last) forming one run: an
+    unstable argsort's order becomes the stable one's.  Only the tied
+    positions are sorted, as keys run * d + index (int64, so d < 3e9)."""
+    tie = keys[1:] == keys[:-1]
+    tie |= np.isnan(keys[:-1])
+    if not tie.any():
+        return
+    pos = np.flatnonzero(np.concatenate(([False], tie)) | np.concatenate((tie, [False])))
+    run = np.cumsum(np.concatenate(([True], ~tie)))[pos]
+    order[pos] = np.sort(run * order.size + order[pos]) % order.size
 
 
 def _lovasz_arrays(y, p, value=True, grad=True):
     # errors m_i = |y_i - p_i|; sort descending, ties by pixel index
     m = np.where(y, 1.0 - p, p)
     order = np.argsort(-m)
-    ms = m[order]
-    if np.isnan(ms[-1:]).any() or (ms[1:] == ms[:-1]).any():
-        order = np.argsort(-m, kind="stable")
+    _ties_by_index(order, m[order])
     ys = y[order]
     fg = float(ys.sum())
     inter = fg - np.cumsum(ys)
@@ -249,8 +271,10 @@ def parse_loss_spec(token: str, fg_prior: float | None = None) -> LossSpec:
 
 
 def _kernel(spec: LossSpec, y, p, value: bool, grad: bool, **logit):
-    return LOSSES[spec.kind].kernel(np.asarray(y), np.asarray(p, dtype=np.float64),
-                                    *spec.params, value=value, grad=grad, **logit)
+    p = np.asarray(p)
+    if p.dtype != np.float32:  # float32 p stays float32 (module docstring)
+        p = p.astype(np.float64, copy=False)
+    return LOSSES[spec.kind].kernel(np.asarray(y), p, *spec.params, value=value, grad=grad, **logit)
 
 
 def eval_loss_arrays(spec: LossSpec, y: np.ndarray, p: np.ndarray):

@@ -28,12 +28,24 @@ same contiguous (N_FEATURES, d') layout and gives the same bits as a
 product over one stacked array.  The labels are each mask's own bool
 data, never a float copy: the loss kernels take 0/1 labels of any dtype.
 
+Precision: the feature rows are stored as float32 (FEATURE_DTYPE), and
+every product, sigmoid and loss kernel of a fit or a scoring pass runs in
+float32, the single precision CNN segmentation training uses.  The
+weights, the batch gradient sum, the update and the validation-loss mean
+stay float64, the master copy of mixed-precision training, so small
+updates are not rounded away.  The reports read only predictions
+thresholded at p > 0.5, which need no more than float32 (a pixel whose
+logit lies within float32 rounding of 0 could flip); float32 rows halve
+the dataset's memory and speed up every pass.  Nothing else picks the
+precision: the step matrix takes its samples' dtype and the kernels
+follow p's.
+
 The sigmoid's exp(-s) overflows to inf, the right p = 0, below
-s = -709.78; ``np.errstate(over="ignore")`` around each scoring pass
-silences that.  Each fit runs under ``np.errstate(all="ignore")``: a
-non-finite step ends in non-finite weights or a non-finite validation
-loss, both of which raise ``NonFiniteLoss``, so a numpy warning would only
-repeat that error.
+s = -88.72 in float32 (-709.78 in float64); ``np.errstate(over="ignore")``
+around each scoring pass silences that.  Each fit runs under
+``np.errstate(all="ignore")``: a non-finite step ends in non-finite
+weights or a non-finite validation loss, both of which raise
+``NonFiniteLoss``, so a numpy warning would only repeat that error.
 """
 
 from __future__ import annotations
@@ -61,6 +73,7 @@ from .metrics import dice_from_counts, fbeta_from_counts, jaccard_from_counts
 
 N_FEATURES = 5  # raw, 3x3 box mean, x/nx, y/ny, constant 1
 N_PIXEL_ROWS = 2  # the rows that differ between images: raw and 3x3 box mean
+FEATURE_DTYPE = np.float32  # of the stored feature rows; fits and scores follow it
 
 # intensity ramp of the blob edge, linear in the squared elliptical radial
 # coordinate: intensity 0.5 falls exactly on the label boundary (rho^2 = 1)
@@ -122,8 +135,10 @@ class SyntheticConfig:
 
 @dataclass(frozen=True, eq=False)
 class Sample:
-    pixels: np.ndarray  # (N_PIXEL_ROWS, d) float64, C-contiguous
-    coords: np.ndarray  # (N_FEATURES - N_PIXEL_ROWS, d) float64, shared by a dataset's samples
+    # float32 (FEATURE_DTYPE) rows, which fits and scores run on against
+    # float64 weights: the reports need no more (module docstring)
+    pixels: np.ndarray  # (N_PIXEL_ROWS, d), C-contiguous
+    coords: np.ndarray  # (N_FEATURES - N_PIXEL_ROWS, d), shared by a dataset's samples
     label: BinaryMask
 
     @property
@@ -192,8 +207,8 @@ def generate_dataset(cfg: SyntheticConfig) -> SampleSet:
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     ys = np.arange(ny, dtype=np.float64)[:, None]
     xs = np.arange(nx, dtype=np.float64)[None, :]
-    coords = np.stack([np.broadcast_to(xs / (nx - 1), (ny, nx)).ravel(),
-                       np.broadcast_to(ys / (ny - 1), (ny, nx)).ravel(), np.ones(d_img)])
+    coords = np.array([np.broadcast_to(xs / (nx - 1), (ny, nx)).ravel(),
+                       np.broadcast_to(ys / (ny - 1), (ny, nx)).ravel(), np.ones(d_img)], dtype=FEATURE_DTYPE)
 
     samples = []
     for _ in range(cfg.n_images):
@@ -239,11 +254,12 @@ def generate_dataset(cfg: SyntheticConfig) -> SampleSet:
         img = intensity
         if cfg.gain_jitter > 0:
             img = img * rng.uniform(1.0 - cfg.gain_jitter, 1.0 + cfg.gain_jitter)
-        # a huge but finite noise_sigma overflows: one error, no numpy warnings
+        # a huge noise_sigma overflows, in float64 or in the cast to
+        # FEATURE_DTYPE: one error, no numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             if cfg.noise_sigma > 0:
                 img = img + cfg.noise_sigma * rng.standard_normal((ny, nx))
-            pixels = np.stack([img.ravel(), _box3(img).ravel()])
+            pixels = np.array([img.ravel(), _box3(img).ravel()], dtype=FEATURE_DTYPE)
         if not np.all(np.isfinite(pixels)):
             raise InfeasibleConfig(f"noise_sigma = {cfg.noise_sigma:g} overflows the image features")
         samples.append(Sample(pixels, coords, BinaryMask.from_array(label)))
@@ -292,12 +308,14 @@ class TrainResult:
 
 
 def _probabilities(w_neg: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """sigmoid(w @ X) from w_neg = -w, as 1/(1+exp(w_neg @ X)) in place;
-    negation is exact, so exp sees -(w @ X).  This one-branch form gives the
+    """sigmoid(w @ X) from w_neg = -w, as 1/(1+exp(w_neg @ X)) in place,
+    in X's dtype: w_neg is rounded to it, so float32 features give float32
+    products and p while the weights stay float64 (module docstring).
+    Negation is exact, so exp sees -(w @ X).  This one-branch form gives the
     bits of the two-branch exp(s)/(1+exp(s)) for s >= 0 and is a few ulp off
     it below, where both give p <= 0.5, so the scores' p > 0.5 is unchanged.
     Callers silence exp's overflow (module docstring)."""
-    e = w_neg @ X
+    e = w_neg.astype(X.dtype, copy=False) @ X
     np.exp(e, out=e)
     e += 1.0
     return np.reciprocal(e, out=e)
@@ -306,10 +324,12 @@ def _probabilities(w_neg: np.ndarray, X: np.ndarray) -> np.ndarray:
 class _StepMatrix:
     """One C-contiguous (N_FEATURES, d') matrix each sample is copied into
     before its products: the pixel rows on every load, the coordinate rows
-    only when they are not the ones loaded last."""
+    only when they are not the ones loaded last.  Its dtype is the widest of
+    FEATURE_DTYPE and its samples' rows, so a load never rounds."""
 
     def __init__(self, samples):
-        self._buf = np.empty(N_FEATURES * max((s.pixels.shape[1] for s in samples), default=0))
+        dtype = np.result_type(FEATURE_DTYPE, *{a.dtype for s in samples for a in (s.pixels, s.coords)})
+        self._buf = np.empty(N_FEATURES * max((s.pixels.shape[1] for s in samples), default=0), dtype)
         self._coords = None
         self._X = None
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from segloss import metrics
 from segloss.bounds import (
     MAX_BRUTE_FORCE_D,
     brute_force_sup,
@@ -148,6 +149,25 @@ def _fields(rep):
 def test_brute_force_equals_mask_pair_scan(pair):
     for d in range(1, 10):
         assert _fields(brute_force_sup(*pair, d)) == _fields(mask_pair_sup(*pair, d)), d
+
+
+# one token per counts-metric head, extreme weights included
+COUNTS_TOKENS = ("dice", "jaccard", "hamming", "accuracy", "whamming:0", "whamming:1", "tversky:1e-9:1e9",
+                 "tversky:0.3:0.7", "fbeta:1e-200", "fbeta:2", "fbeta:1e200")
+
+
+def test_relative_witness_attains_the_relative_supremum_for_every_counts_metric():
+    heads = {t.split(":")[0] for t in COUNTS_TOKENS}
+    assert heads == {h for h, row in metrics.METRICS.items() if row.counts is not None}
+    for a in COUNTS_TOKENS:
+        for b in ("jaccard", "whamming:0.5"):
+            mids = parse_metric_id(a), parse_metric_id(b)
+            for d in range(1, 7):
+                rep = brute_force_sup(a, b, d)
+                w = rep.witness_rel
+                assert (w.tp, w.fp, w.fn) == confusion_counts(w.y, w.yhat)
+                va, vb = (float(mid.counts(w.tp, w.fp, w.fn, d)) for mid in mids)
+                assert w.value == rep.empirical_rel == max(va / vb, vb / va) - 1.0, (a, b, d)
 
 
 @pytest.mark.parametrize("b", ["jaccard", "tversky:0.3:0.7", "tversky:2:0.1", "tversky:1:1"])

@@ -759,3 +759,40 @@ def test_train_non_finite_loss_weight_is_usage_error(tmp_path, capsys, loss):
     assert cli.main(["--out-dir", str(out), "train", str(cfg)]) == 1
     assert "usage error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("blob, message", [
+    (b"P5\n0 5\n255\n", "bad raster size 0x5"),
+    (b"P5\n2 2\n255", "missing whitespace after maxval"),
+    (b"MSK1 2 2 1 u8", "missing header line"),
+    (b"MSK1 a 2 1 u8\n" + bytes(4), "bad dims in header b'MSK1 a 2 1 u8'"),
+], ids=["pgm-zero-width", "pgm-ends-at-maxval", "msk-no-newline", "msk-dims-not-integers"])
+def test_evaluate_malformed_mask_header_is_one_data_error_line(tmp_path, capsys, blob, message):
+    gt, _ = write_eval_inputs(tmp_path, "pair")
+    bad = tmp_path / "bad.msk"
+    bad.write_bytes(blob)
+    out = tmp_path / "out"
+    assert cli.main(["--out-dir", str(out), "evaluate", gt, str(bad)]) == 2
+    assert capsys.readouterr().err == f"segloss: data error: {message}\n"
+    assert not out.exists()
+
+
+def test_evaluate_onto_a_directory_leaves_no_temporary_file(tmp_path, capsys):
+    # the report's rename fails; _atomic_write removes its temporary file
+    gt, pred = write_eval_inputs(tmp_path, "pair")
+    out = tmp_path / "out"
+    (out / "evaluate.csv").mkdir(parents=True)
+    assert cli.main(["--out-dir", str(out), "evaluate", gt, pred, "--metrics", "dice"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("segloss: data error: ") and err.count("\n") == 1
+    assert os.listdir(out) == ["evaluate.csv"] and not os.listdir(out / "evaluate.csv")
+
+
+def test_zero_threads_is_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(toytrain, "train", _no_training)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(TINY_TRAIN)
+    out = tmp_path / "out"
+    assert cli.main(["--threads", "0", "--out-dir", str(out), "train", str(cfg)]) == 1
+    assert capsys.readouterr().err == "segloss: usage error: --threads must be >= 1\n"
+    assert not out.exists()

@@ -293,12 +293,31 @@ def test_lovasz_sorts_as_one_stable_sort_bit_for_bit():
         nan = u.copy()
         nan[rng.integers(0, d, 1 + d // 4)] = np.nan
         saturated = 1.0 / (1.0 + np.exp(-rng.normal(0.0, 60.0, d)))  # many exact 0s and 1s
-        cases += [(y, u), (y, np.round(u, 2)), (y, ties), (y, signed_zeros), (y, nan), (y, saturated)]
+        ps = (u, np.round(u, 2), np.round(u, 1), ties, signed_zeros, nan, saturated)
+        # float32 errors tie far more often: 1 - p rounds, and so do the sigmoids
+        cases += [(y, p) for p in ps] + [(y, p.astype(np.float32)) for p in ps]
     for y, p in cases:
         want_value, want_grad = _stable_sort_lovasz(y, p)
         for labels in (y, y.astype(np.float64)):
             value, grad, _ = eval_loss_arrays(LossSpec("lovasz"), labels, p)
-            assert _same_bits(value, want_value) and _same_bits(grad, want_grad), (y.size, p[:4])
+            assert grad.dtype == p.dtype
+            assert _same_bits(value, want_value) and _same_bits(grad, want_grad), (y.size, p.dtype, p[:4])
+
+
+@pytest.mark.parametrize("spec", ALL_KINDS, ids=lambda s: s.label())
+def test_float32_p_gives_float32_gradients_near_the_float64_ones(spec):
+    # p on a 2**-16 grid in [0.05, 0.95]: float32 holds p and 1 - p exactly,
+    # so the float64 evaluation sees the same values and Lovász the same order
+    rng = np.random.default_rng(32)
+    for d in (1, 17, 4096):
+        y = rng.uniform(size=d) < 0.3
+        p = (rng.integers(3277, 62259, d) / 65536).astype(np.float32)
+        for labels in (y, y.astype(np.float64)):
+            g, v = loss_logit_gradient(spec, labels, p), loss_value(spec, labels, p)
+            assert g.dtype == np.float32 and np.isfinite(v)
+            assert loss_gradient(spec, labels, p).dtype == np.float32
+            np.testing.assert_allclose(g, loss_logit_gradient(spec, labels, p.astype(np.float64)), rtol=1e-4)
+            assert v == pytest.approx(loss_value(spec, labels, p.astype(np.float64)), rel=1e-4)
 
 
 GRAD_TOL = 1e-5

@@ -104,6 +104,17 @@ def test_generate_infeasible_configs():
         generate_dataset(SyntheticConfig(dims=(16, 16), object_radius_range=(3.0, 12.0)))
 
 
+def test_generate_rejects_noise_that_overflows_the_float32_rows():
+    # noise_sigma * N(0, 1) passes float32's 3.4e38 in the cast at 1e39 but
+    # stays finite at 1e37: one error, and no numpy warning (which the test
+    # configuration turns into an error)
+    cfg = replace(SMALL, n_images=3, noise_sigma=1e39)
+    with pytest.raises(InfeasibleConfig, match=r"^noise_sigma = 1e\+39 overflows the image features$"):
+        generate_dataset(cfg)
+    data = generate_dataset(replace(cfg, noise_sigma=1e37))
+    assert all(s.pixels.dtype == np.float32 and np.all(np.isfinite(s.pixels)) for s in data)
+
+
 @pytest.mark.parametrize("rmin", [1e-160, 1e-300, 5e-324])
 def test_generate_takes_a_radius_min_whose_blob_area_underflows(rmin):
     # pi * rmin^2 is subnormal at 1e-160, where the blob-count quotient
@@ -432,6 +443,25 @@ def test_fit_and_score_keep_the_sigmoid_overflow_silent():
     assert np.all(np.isfinite(sc["dice"])) and np.all(np.isfinite(res.weights))
 
 
+def test_float32_fit_and_score_keep_the_sigmoid_overflow_silent():
+    # float32 rows, as generate_dataset stores them: exp(-s) overflows
+    # below s = -88.72, which pixel values of +-100 reach
+    data = generate_dataset(SMALL).subset(range(8))
+    loud = SampleSet([Sample(np.where(s.pixels > 0.5, 100.0, -100.0).astype(np.float32), s.coords, s.label)
+                      for s in data])
+    w = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
+    X = _StepMatrix(loud).load(loud[0])
+    assert X.dtype == np.float32 and np.all(np.abs(w @ X) < 709.0)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            _probabilities(-w, X)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sc = score_images(loud, range(len(loud)), w)
+        res = train(loud, replace(QUICK, max_epochs=2, pretrain_epochs_ce=1))
+    assert np.all(np.isfinite(sc["dice"])) and np.all(np.isfinite(res.weights))
+
+
 def test_score_images_equals_metrics_of_thresholded_probabilities():
     data = generate_dataset(SMALL)
     w = train(data, QUICK).weights
@@ -451,9 +481,12 @@ def test_score_images_equals_metrics_of_thresholded_probabilities():
 
 # train() on SMALL with QUICK under each loss, and on the in-rectangle
 # pixels (fg/bg ratio 0.3) under two: the weights and the best validation loss
-# as float.hex, recorded before the features were split into per-image pixel
-# rows and one shared coordinate array
-FROZEN_FITS = {
+# as float.hex.  The FLOAT64_ fits were recorded when the feature rows and
+# every product, sigmoid and loss kernel were float64 (before that, also
+# before the features were split into per-image pixel rows and one shared
+# coordinate array); the FROZEN_ fits were recorded from the float32 rows
+# and kernels with float64 weights, and lie within 3.4e-7 relative of them
+FLOAT64_FITS = {
     "ce": (("0x1.7386f3424314fp+1", "0x1.1e1649d26f3cdp+2", "-0x1.3dbe7c20d6c37p+0",
             "-0x1.10ab42a3041b7p+0", "-0x1.967a845d9c1d6p+1"), "0x1.eb0d81ab60870p-5"),
     "wce:0.9": (("0x1.52cc6f6d8425fp+1", "0x1.c4f86ee2181ebp+1", "-0x1.ee109a8af2239p-1",
@@ -469,11 +502,33 @@ FROZEN_FITS = {
     "lovasz": (("0x1.0f89d1369ca8fp+1", "0x1.6504752b307d8p+2", "-0x1.7d4c708a78d1ep-1",
                 "-0x1.76e6f908ffaa5p-1", "-0x1.9fa88ec68b806p+1"), "0x1.d763a95e3b2bbp-3"),
 }
-FROZEN_MASKED_FITS = {
+FLOAT64_MASKED_FITS = {
     "ce": (("0x1.586beb5f750e7p+1", "0x1.52734ef05c656p+2", "-0x1.f2de31f332aa5p-1",
             "-0x1.5638ff9b89346p-3", "-0x1.9ab219d1b689ap+1"), "0x1.04ed0565897f7p-3"),
     "soft_dice_l1": (("0x1.01c2ec55156f7p+2", "0x1.7ed46c5b0bf33p+2", "-0x1.210aeeef1d24fp+0",
                       "-0x1.171888fdf68f9p-2", "-0x1.be6a4a8b28fcbp+1"), "0x1.059292113821ep-3"),
+}
+FROZEN_FITS = {
+    "ce": (("0x1.7386f321dbb16p+1", "0x1.1e1649d6bbb5ep+2", "-0x1.3dbe7bf863451p+0",
+            "-0x1.10ab42b632f2dp+0", "-0x1.967a8493819bcp+1"), "0x1.eb0d83c000000p-5"),
+    "wce:0.9": (("0x1.52cc6f24cbb16p+1", "0x1.c4f86eb9836bcp+1", "-0x1.ee109a3ca68a2p-1",
+                 "-0x1.26e2124765e5ap-1", "-0x1.7ba3cb9483378p+0"), "0x1.866c828000000p-6"),
+    "soft_dice_l1": (("0x1.1aab161e5dd8bp+2", "0x1.b9c57d9207b5ep+2", "-0x1.6b6a1dbd03451p+0",
+                      "-0x1.6a90ebeab2f2dp+0", "-0x1.299a68e480cdep+2"), "0x1.3787d0b5b789ep-3"),
+    "soft_dice_l2": (("0x1.3f0e7ccbbbb16p+1", "0x1.650c98ae77b5ep+2", "-0x1.b67907a0068a2p-1",
+                      "-0x1.884cf556e5e5ap-1", "-0x1.980ec95b819bcp+1"), "0x1.35aa50add42fep-4"),
+    "soft_jaccard": (("0x1.20b07c14fdd8bp+2", "0x1.d09fc9fbe7b5ep+2", "-0x1.74af8b1c03451p+0",
+                      "-0x1.879329c6b2f2dp+0", "-0x1.476903c900cdep+2"), "0x1.edd24ba74583ep-3"),
+    "tversky:0.3:0.7": (("0x1.1863a058fdd8bp+2", "0x1.b28d4b2817b5ep+2", "-0x1.4ffedcd203451p+0",
+                         "-0x1.4adb79cab2f2dp+0", "-0x1.fc638d81819bcp+1"), "0x1.24f2afc69f7c0p-3"),
+    "lovasz": (("0x1.0f89d0ef7bb16p+1", "0x1.6504754e57b5ep+2", "-0x1.7d4c7074068a2p-1",
+                "-0x1.76e6f653e5e5ap-1", "-0x1.9fa88f4d019bcp+1"), "0x1.d763a8dff2e48p-3"),
+}
+FROZEN_MASKED_FITS = {
+    "ce": (("0x1.586beb98fbb16p+1", "0x1.52734f1157b5ep+2", "-0x1.f2de2f6a068a2p-1",
+            "-0x1.5638f82497968p-3", "-0x1.9ab219eac19bcp+1"), "0x1.04ed068000000p-3"),
+    "soft_dice_l1": (("0x1.01c2ec8c3dd8bp+2", "0x1.7ed46c8c07b5ep+2", "-0x1.210aef1203451p+0",
+                      "-0x1.171888e44bcb4p-2", "-0x1.be6a4a9ac19bcp+1"), "0x1.059291cbc154ep-3"),
 }
 
 
@@ -484,15 +539,21 @@ def _hex_fit(res):
 def test_train_weights_are_frozen_bit_for_bit():
     data = generate_dataset(SMALL)
     masked = _masked(data, build_fgbg_masks(data, [0.3])[0][0])
-    for pool, fits in ((data, FROZEN_FITS), (masked, FROZEN_MASKED_FITS)):
+    for pool, fits, float64_fits in ((data, FROZEN_FITS, FLOAT64_FITS),
+                                     (masked, FROZEN_MASKED_FITS, FLOAT64_MASKED_FITS)):
         # each loss alone, then from one warm-up that every loss starts
         # from, as the arms of a fold do: a generator shared rather than
         # copied would give every loss after the first other bits
         start = warm_up(pool, QUICK)
         for token, frozen in fits.items():
             cfg = replace(QUICK, loss=parse_loss_spec(token))
-            assert _hex_fit(train(pool, cfg)) == frozen, token
+            res = train(pool, cfg)
+            assert res.weights.dtype == np.float64
+            assert _hex_fit(res) == frozen, token
             assert _hex_fit(train(pool, cfg, start)) == frozen, token
+            w64, loss64 = float64_fits[token]
+            np.testing.assert_allclose(res.weights, [float.fromhex(v) for v in w64], rtol=1e-5, atol=0.0)
+            assert res.best_val_loss == pytest.approx(float.fromhex(loss64), rel=1e-5, abs=0.0), token
 
 
 def test_samples_of_one_dataset_share_one_coordinate_array():
@@ -511,16 +572,19 @@ def test_samples_of_one_dataset_share_one_coordinate_array():
 def test_sample_features_are_the_stacked_feature_values():
     data = generate_dataset(SMALL)
     # sha256 of every image's (d, 5) features, recorded when generate_dataset
-    # stored them as one (5, d) array per image
+    # first stored them as float32 rows: the float64 rows it stored before
+    # (digest 0cdacd82916fe243a5cdf876d4c6d518e8f5102bb208f88795c3214e760684ff),
+    # each rounded once
     digest = hashlib.sha256()
     for s in data:
-        assert s.features.shape == (32 * 32, N_FEATURES) and s.features.dtype == np.float64
+        assert s.features.shape == (32 * 32, N_FEATURES) and s.features.dtype == np.float32
         digest.update(np.ascontiguousarray(s.features).tobytes())
-    assert digest.hexdigest() == "0cdacd82916fe243a5cdf876d4c6d518e8f5102bb208f88795c3214e760684ff"
+    assert digest.hexdigest() == "2ef1cd9a8316e87da9e82b45cf68d9a8569fb2e54bca2097b84120ed2824d3ba"
     s = data[3]
     assert np.array_equal(s.features, np.vstack([s.pixels, s.coords]).T)
     ys, xs = np.mgrid[0:32, 0:32] / 31.0
-    assert np.array_equal(s.features[:, 2:], np.stack([xs.ravel(), ys.ravel(), np.ones(32 * 32)], axis=1))
+    coords = np.stack([xs.ravel(), ys.ravel(), np.ones(32 * 32)], axis=1).astype(np.float32)
+    assert np.array_equal(s.features[:, 2:], coords)
 
 
 def test_masked_gives_views_of_all_pixels_and_copies_under_a_mask():
