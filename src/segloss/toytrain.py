@@ -37,8 +37,7 @@ updates are not rounded away.  The reports read only predictions
 thresholded at p > 0.5, which need no more than float32 (a pixel whose
 logit lies within float32 rounding of 0 could flip); float32 rows halve
 the dataset's memory and speed up every pass.  Nothing else picks the
-precision: the step matrix takes its samples' dtype and the kernels
-follow p's.
+precision: the step matrix is FEATURE_DTYPE and the kernels follow p's.
 
 The sigmoid's exp(-s) overflows to inf, the right p = 0, below
 s = -88.72 in float32 (-709.78 in float64); ``np.errstate(over="ignore")``
@@ -324,12 +323,10 @@ def _probabilities(w_neg: np.ndarray, X: np.ndarray) -> np.ndarray:
 class _StepMatrix:
     """One C-contiguous (N_FEATURES, d') matrix each sample is copied into
     before its products: the pixel rows on every load, the coordinate rows
-    only when they are not the ones loaded last.  Its dtype is the widest of
-    FEATURE_DTYPE and its samples' rows, so a load never rounds."""
+    only when they are not the ones loaded last, in FEATURE_DTYPE."""
 
     def __init__(self, samples):
-        dtype = np.result_type(FEATURE_DTYPE, *{a.dtype for s in samples for a in (s.pixels, s.coords)})
-        self._buf = np.empty(N_FEATURES * max((s.pixels.shape[1] for s in samples), default=0), dtype)
+        self._buf = np.empty(N_FEATURES * max((s.pixels.shape[1] for s in samples), default=0), FEATURE_DTYPE)
         self._coords = None
         self._X = None
 

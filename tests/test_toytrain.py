@@ -428,30 +428,13 @@ def test_sigmoid_is_one_branch_and_keeps_the_two_branch_threshold():
 
 
 def test_fit_and_score_keep_the_sigmoid_overflow_silent():
-    # pixel values of +-800 put logits below s = -709.78, where exp(-s)
-    # overflows to inf; each fit and scoring pass silences that warning
+    # pixel values of +-800 put logits below s = -88.72, where the float32
+    # exp(-s) overflows to inf; each fit and scoring pass silences that warning
     data = generate_dataset(SMALL).subset(range(8))
     loud = SampleSet([Sample(np.where(s.pixels > 0.5, 800.0, -800.0), s.coords, s.label) for s in data])
     w = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
-    with np.errstate(over="raise"):
-        with pytest.raises(FloatingPointError):
-            _probabilities(-w, _StepMatrix(loud).load(loud[0]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        sc = score_images(loud, range(len(loud)), w)
-        res = train(loud, replace(QUICK, max_epochs=2, pretrain_epochs_ce=1))
-    assert np.all(np.isfinite(sc["dice"])) and np.all(np.isfinite(res.weights))
-
-
-def test_float32_fit_and_score_keep_the_sigmoid_overflow_silent():
-    # float32 rows, as generate_dataset stores them: exp(-s) overflows
-    # below s = -88.72, which pixel values of +-100 reach
-    data = generate_dataset(SMALL).subset(range(8))
-    loud = SampleSet([Sample(np.where(s.pixels > 0.5, 100.0, -100.0).astype(np.float32), s.coords, s.label)
-                      for s in data])
-    w = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
     X = _StepMatrix(loud).load(loud[0])
-    assert X.dtype == np.float32 and np.all(np.abs(w @ X) < 709.0)
+    assert X.dtype == np.float32
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError):
             _probabilities(-w, X)
