@@ -12,9 +12,9 @@ Conventions:
     (1-gamma) log(1-p) where y = 0: the other term of
     gamma y log p + (1-gamma)(1-y) log(1-p) is a signed zero there, so
     the sum has the two-term expression's bits;
-  - the L1 soft-Dice, soft-Jaccard and Tversky p-space gradients take
-    only two values, so each is evaluated once at y = 1 and once at y = 0
-    (bit for bit the elementwise expression there) and picked per pixel;
+  - the Tversky p-space gradient (L1 soft Dice and soft Jaccard included)
+    takes only two values, so it is evaluated once at y = 1 and once at
+    y = 0 (bit for bit the elementwise expression there) and picked per pixel;
   - the CE logit gradient is (p - y)/d, the wCE form at gamma 0.5 and
     scale 2 only for 0/1 y;
 * metric-sensitive losses (soft Dice/Jaccard/Tversky, Lovász) are plain
@@ -24,8 +24,9 @@ Conventions:
 * CE/WCE clip p into [CLAMP_EPS, 1-CLAMP_EPS] (no per-spec eps) before the log;
   the gradient is that of the clipped value, zero where the clip is active
   (masked only when some p reaches the clip or is NaN);
-* a zero surrogate denominator (possible only when y and p are both
-  identically zero) yields value 0, gradient 0 and a ``degenerate`` flag;
+* a surrogate denominator that is zero (y and p both zero) or underflows
+  to zero (the L1 soft Dice's for y empty and sum p = 5e-324) yields
+  value 0, gradient 0 and a ``degenerate`` flag;
 * Lovász sorts the errors in descending order, ties by pixel index and NaNs
   last: an unstable sort, then a sort of only the positions in tied runs.
 * the kernels follow p's float dtype: a float32 p, as training passes,
@@ -56,6 +57,7 @@ verifies pairwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -79,17 +81,6 @@ def gamma_for_prior(fg_prior: float) -> float:
 
 def _degenerate(p, value, grad):
     return (0.0 if value else None), (np.zeros_like(p) if grad else None), True
-
-
-_LABELS = np.float64(1.0), np.float64(0.0)
-
-
-def _by_label(y, grad_at, dtype):
-    """The elementwise gradient grad_at(y) of 0/1 labels y, in dtype, as
-    its two values grad_at(1.0) and grad_at(0.0): float64 numpy scalars, so
-    each rounds, overflows and divides by zero as the float64 array
-    expression would, and is then rounded once to dtype."""
-    return np.where(y, *(dtype.type(grad_at(t)) for t in _LABELS))
 
 
 def _clamp(p):
@@ -121,47 +112,31 @@ def _wce_arrays(y, p, gamma, scale, value=True, grad=True, logit=False):
     return v, g, False
 
 
-def _soft_dice_arrays(y, p, variant, value=True, grad=True):
+def _soft_dice_l2_arrays(y, p, value=True, grad=True):
     num = 2.0 * float(y @ p)
-    den = float(y.sum() + (p.sum() if variant == "l1" else p @ p))
+    den = float(y.sum() + p @ p)
     if den == 0.0:
         return _degenerate(p, value, grad)
     g = None
-    if grad and variant == "l1":
-        g = _by_label(y, lambda t: (t * (2.0 * den) - num) / -(den * den), p.dtype)
-    elif grad:  # -(2 y den - 2 num p) / den^2, bit for bit in place
+    if grad:  # -(2 y den - 2 num p) / den^2, bit for bit in place
         g = np.multiply(y, 2.0 * den, dtype=p.dtype)
         g -= num * 2.0 * p
         g /= -(den * den)
     return (1.0 - num / den if value else None), g, False
 
 
-def _soft_jaccard_arrays(y, p, value=True, grad=True):
-    inter = float(y @ p)
-    union = float(y.sum() + p.sum()) - inter
-    if union == 0.0:
-        return _degenerate(p, value, grad)
-    g = _by_label(y, lambda t: -(t * union - inter * (1.0 - t)) / (union * union), p.dtype) if grad else None
-    return (1.0 - inter / union if value else None), g, False
-
-
 def _soft_tversky_arrays(y, p, alpha, beta, value=True, grad=True):
-    # exact parameter collapse: 0.5/0.5 is the L1 soft Dice and 1/1 the
-    # soft Jaccard, value and gradient alike, so dispatch to those paths
-    if alpha == 0.5 and beta == 0.5:
-        return _soft_dice_arrays(y, p, "l1", value, grad)
-    if alpha == 1.0 and beta == 1.0:
-        return _soft_jaccard_arrays(y, p, value, grad)
-    inter = float(y @ p)
-    fp_soft = float((1.0 - y) @ p)
-    fn_soft = float(y @ (1.0 - p))
-    den = inter + alpha * fp_soft + beta * fn_soft
+    """1 - I / (alpha P + beta Y + (1 - alpha - beta) I) of the soft sums
+    I = y.p, P = sum p, Y = sum y: the L1 soft Dice at 0.5/0.5 and the soft
+    Jaccard at 1/1, bit for bit."""
+    inter, p_sum, y_sum = float(y @ p), float(p.sum()), float(y.sum())
+    den = alpha * p_sum + beta * y_sum + (1.0 - alpha - beta) * inter
     if den == 0.0:
         return _degenerate(p, value, grad)
     g = None
-    if grad:
-        g = _by_label(y, lambda t: -(t * den - inter * (t + alpha * (1.0 - t) - beta * t)) / (den * den),
-                      p.dtype)
+    if grad:  # at float64 scalars t, so it rounds, overflows and divides by zero as the array would
+        g = np.where(y, *(p.dtype.type(-(t * den - inter * (t + alpha * (1.0 - t) - beta * t)) / (den * den))
+                          for t in (np.float64(1.0), np.float64(0.0))))
     return (1.0 - inter / den if value else None), g, False
 
 
@@ -225,9 +200,9 @@ LOSSES: dict[str, LossKind] = {
                     metrics.weighted_hamming, valid=lambda gamma: 0.0 <= gamma <= 1.0,
                     rule="gamma must lie in [0, 1]",
                     auto=lambda fg_prior: (gamma_for_prior(fg_prior),), logit=True),
-    "soft_dice_l1": LossKind((), lambda y, p, **want: _soft_dice_arrays(y, p, "l1", **want), metrics.dice),
-    "soft_dice_l2": LossKind((), lambda y, p, **want: _soft_dice_arrays(y, p, "l2", **want), metrics.dice),
-    "soft_jaccard": LossKind((), _soft_jaccard_arrays, metrics.jaccard),
+    "soft_dice_l1": LossKind((), partial(_soft_tversky_arrays, alpha=0.5, beta=0.5), metrics.dice),
+    "soft_dice_l2": LossKind((), _soft_dice_l2_arrays, metrics.dice),
+    "soft_jaccard": LossKind((), partial(_soft_tversky_arrays, alpha=1.0, beta=1.0), metrics.jaccard),
     "lovasz": LossKind((), _lovasz_arrays, metrics.jaccard),
     "tversky": LossKind(("alpha", "beta"), _soft_tversky_arrays, metrics.tversky,
                         valid=lambda alpha, beta: alpha > 0 and beta > 0,

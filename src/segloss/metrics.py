@@ -22,7 +22,9 @@ Degenerate-case conventions (the formulas themselves are silent):
 
 The ``*_from_counts`` kernels all take ``(tp, fp, fn, d, *params)`` as
 scalars or numpy arrays; the bound search evaluates them over every
-(tp, fp, fn) triple of a length d at once.
+(tp, fp, fn) triple of a length d at once.  Dice and Jaccard are the
+Tversky index at alpha = beta = 0.5 and at alpha = beta = 1, and their
+kernels call Tversky's with those weights.
 
 Hausdorff reads each mask's foreground off an exact squared Euclidean
 distance transform of the other mask, separated by axis as in Felzenszwalb
@@ -68,13 +70,13 @@ def _safe_div(num, den, fallback):
 
 
 def dice_from_counts(tp, fp, fn, d):
-    """2tp / (2tp + fp + fn); 1.0 when all three counts are zero."""
-    return _safe_div(2.0 * np.asarray(tp, dtype=np.float64), 2.0 * np.asarray(tp) + np.asarray(fp) + np.asarray(fn), 1.0)
+    """2tp / (2tp + fp + fn), the Tversky index at 0.5/0.5."""
+    return tversky_from_counts(tp, fp, fn, d, 0.5, 0.5)
 
 
 def jaccard_from_counts(tp, fp, fn, d):
-    """tp / (tp + fp + fn); 1.0 when all three counts are zero."""
-    return _safe_div(np.asarray(tp, dtype=np.float64), np.asarray(tp) + np.asarray(fp) + np.asarray(fn), 1.0)
+    """tp / (tp + fp + fn), the Tversky index at 1/1."""
+    return tversky_from_counts(tp, fp, fn, d, 1.0, 1.0)
 
 
 def hamming_from_counts(tp, fp, fn, d):
@@ -96,7 +98,9 @@ def tversky_from_counts(tp, fp, fn, d, alpha, beta):
     With alpha, beta > 0 and integer counts the denominator vanishes only
     when all three counts are zero, so its 1.0 fallback is the convention.
     A weight so large that the denominator overflows to inf gives the
-    limit 0, without a warning.
+    limit 0, without a warning.  Dice and Jaccard are this function at
+    0.5/0.5 and 1/1: halving a denominator is exact, so for counts below
+    2^53 they keep the bits of 2tp/(2tp + fp + fn) and tp/(tp + fp + fn).
     """
     tp = np.asarray(tp, dtype=np.float64)
     with np.errstate(over="ignore"):
@@ -149,8 +153,10 @@ def weighted_hamming(y: BinaryMask, yhat: BinaryMask, gamma: float) -> float:
 
 
 def tversky(y: BinaryMask, yhat: BinaryMask, alpha: float, beta: float) -> float:
-    """Tversky index weighting false positives by alpha, false negatives
-    by beta.  Equals Dice at alpha = beta = 0.5 and Jaccard at 1, 1."""
+    """Tversky index tp / (tp + alpha*fp + beta*fn), weighting false
+    positives by alpha and false negatives by beta.  Dice is its value at
+    alpha = beta = 0.5 and Jaccard at 1, 1, bit for bit: ``dice`` and
+    ``jaccard`` evaluate this same counts kernel."""
     return _mask_score("tversky", y, yhat, alpha, beta)
 
 

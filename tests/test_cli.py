@@ -449,13 +449,14 @@ def test_cli_keeps_an_already_loaded_hashlib_module():
 
 
 def test_train_extreme_tversky_weights_exit_3_with_one_error_line(tmp_path, capsys):
-    # the weights overflow the Tversky denominator, so training diverges;
-    # numpy's floating-point warnings on the way stay silent
+    # the weights overflow the Tversky denominator, whose alpha P + beta Y
+    # and (1 - alpha - beta) I terms reach inf and -inf: the loss is NaN
+    # before the first step, and numpy's floating-point warnings stay silent
     cfg = tmp_path / "train.cfg"
     cfg.write_text(TINY_TRAIN.replace("losses = ce, soft_dice", "losses = ce, tversky:1e308:1e308"))
     assert cli.main(["--out-dir", str(tmp_path / "out"), "train", str(cfg)]) == 3
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("segloss: numeric failure: training diverged"), err
+    assert err == ["segloss: numeric failure: initial validation loss is nan"]
 
 
 def test_sweep_builds_eleven_arms(tmp_path):

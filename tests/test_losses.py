@@ -108,26 +108,69 @@ def test_ce_clamp_keeps_vertex_inputs_finite():
 
 
 def test_tversky_collapse_exact():
+    # tversky:0.5:0.5 and soft_dice_l1 are the L1 soft Dice, tversky:1:1 and
+    # soft_jaccard the soft Jaccard, each bit for bit against its own
+    # written-out formula; on float32 p the kernel rounds the float64
+    # gradient once to float32 and chains it through the sigmoid in float32
+    rows = (((LossSpec("tversky", (0.5, 0.5)), LossSpec("soft_dice_l1")), lambda y, p: reference_soft_dice(y, p, "l1")),
+            ((LossSpec("tversky", (1.0, 1.0)), LossSpec("soft_jaccard")), reference_soft_jaccard))
     rng = np.random.default_rng(5)
-    for _ in range(50):
-        y, p = random_instance(rng, 16)
-        td = eval_loss_arrays(LossSpec("tversky", (0.5, 0.5)), y.data, p.data)
-        sd = eval_loss_arrays(LossSpec("soft_dice_l1"), y.data, p.data)
-        assert td[0] == sd[0]
-        assert np.array_equal(td[1], sd[1])
-        tj = eval_loss_arrays(LossSpec("tversky", (1.0, 1.0)), y.data, p.data)
-        sj = eval_loss_arrays(LossSpec("soft_jaccard"), y.data, p.data)
-        assert tj[0] == sj[0]
-        assert np.array_equal(tj[1], sj[1])
+    cases = []
+    for d in (1, 16, 4096):
+        for _ in range(10):
+            y = rng.uniform(size=d) < rng.uniform(0.05, 0.5)
+            p = rng.uniform(0.0, 1.0, d)
+            p[rng.integers(0, d, 1 + d // 8)] = rng.choice([0.0, 1.0])  # vertices too
+            cases.append((y, p))
+    cases += [(np.zeros(16, bool), np.zeros(16)), (np.ones(16, bool), np.ones(16))]
+    for y, p in cases:
+        for labels in (y, y.astype(np.float64)):
+            for probs in (p, p.astype(np.float32)):
+                for specs, reference in rows:
+                    value, grad, logit = reference(labels, probs)
+                    if probs.dtype == np.float32:
+                        grad = grad.astype(np.float32)
+                        logit = grad * probs * (1.0 - probs)
+                    for spec in specs:
+                        assert loss_gradient(spec, labels, probs).dtype == probs.dtype
+                        assert _same_bits(loss_value(spec, labels, probs), value), (spec, probs.dtype)
+                        assert _same_bits(loss_gradient(spec, labels, probs), grad), (spec, probs.dtype)
+                        assert _same_bits(loss_logit_gradient(spec, labels, probs), logit), (spec, probs.dtype)
 
 
 def test_tversky_general_formula_near_collapse_points():
-    # the dispatch at exactly 0.5/0.5 must agree with the raw formula nearby
+    # one formula serves every weight pair, so the value at exactly 0.5/0.5
+    # agrees with the values at nearby weights
     rng = np.random.default_rng(6)
     y, p = random_instance(rng, 32)
     at = eval_loss_arrays(LossSpec("tversky", (0.5, 0.5)), y.data, p.data)[0]
     near = eval_loss_arrays(LossSpec("tversky", (0.5 + 1e-9, 0.5 - 1e-9)), y.data, p.data)[0]
     assert near == pytest.approx(at, abs=1e-7)
+
+
+def _confusion_term_tversky(y, p, alpha, beta):
+    """The Tversky value and p-space gradient over the soft confusion terms
+    as the definition writes them, 1 - y.p / (y.p + alpha (1-y).p + beta y.(1-p))."""
+    inter = float(y @ p)
+    den = inter + alpha * float((1.0 - y) @ p) + beta * float(y @ (1.0 - p))
+    dden = y + alpha * (1.0 - y) - beta * y
+    return 1.0 - inter / den, -(y * den - inter * dden) / (den * den)
+
+
+@pytest.mark.parametrize("weights", [(0.3, 0.7), (0.7, 0.3), (0.75, 0.75), (1.5, 1.5), (2.0, 0.25)])
+def test_tversky_sums_form_matches_the_confusion_term_form(weights):
+    # the two denominators are equal in exact arithmetic and round apart by
+    # about 1e-15 relative
+    spec = LossSpec("tversky", weights)
+    rng = np.random.default_rng(35)
+    for d in (16, 4096):
+        for _ in range(20):
+            y = rng.uniform(size=d) < rng.uniform(0.05, 0.5)
+            p = rng.uniform(0.0, 1.0, d)
+            want_value, want_grad = _confusion_term_tversky(y.astype(np.float64), p, *weights)
+            value, grad, _ = eval_loss_arrays(spec, y, p)
+            assert value == pytest.approx(want_value, rel=1e-12, abs=0.0)
+            np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=0.0)
 
 
 def test_perfect_prediction_zero_loss():
@@ -145,6 +188,18 @@ def test_degenerate_both_zero():
         assert degenerate
         assert value == 0.0
         assert np.all(grad == 0.0)
+
+
+def test_a_denominator_that_underflows_to_zero_is_degenerate():
+    # halving an empty y's sum 0 and sum p = 5e-324 gives a zero L1 soft-Dice
+    # denominator, which reads as the all-zero case: value 0, a zero gradient
+    # and the flag, with no floating-point warning
+    for spec in (LossSpec("soft_dice_l1"), LossSpec("tversky", (0.5, 0.5)), LossSpec("tversky", (0.3, 0.7))):
+        value, grad, degenerate = eval_loss_arrays(spec, np.array([0]), np.array([5e-324]))
+        assert degenerate and value == 0.0 and grad.tolist() == [0.0]
+        assert loss_value(spec, np.array([0]), np.array([5e-324])) == 0.0
+    # the soft Jaccard's unscaled denominator stays 5e-324
+    assert loss_value(LossSpec("soft_jaccard"), np.array([0]), np.array([5e-324])) == 1.0
 
 
 def test_loss_values_in_range():

@@ -173,6 +173,39 @@ def test_fbeta_from_counts_is_the_plain_ratio_bit_for_bit(b):
     assert np.array_equal(got.view(np.int64), plain.view(np.int64))
 
 
+def _f64_bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def _written_out_dice_jaccard(tp, fp, fn):
+    """2tp/(2tp + fp + fn) and tp/(tp + fp + fn) over integer counts, 1.0
+    where all three are zero; the counts sums are exact below 2^53."""
+    tp, fp, fn = (np.asarray(c, dtype=np.float64) for c in (tp, fp, fn))
+    den_d, den_j = 2.0 * tp + fp + fn, tp + fp + fn
+    dice = np.where(den_d == 0, 1.0, 2.0 * tp / np.where(den_d == 0, 1.0, den_d))
+    return dice, np.where(den_j == 0, 1.0, tp / np.where(den_j == 0, 1.0, den_j))
+
+
+def test_dice_and_jaccard_counts_are_their_own_quotients_bit_for_bit():
+    # both kernels are Tversky's at 0.5/0.5 and 1/1, which halves the Dice
+    # denominator: every triple of a length-60 pair, as arrays and as scalars,
+    # then random counts below 2^40
+    n = 60
+    tp, fp, fn = (a.ravel() for a in np.meshgrid(*[np.arange(n + 1)] * 3, indexing="ij"))
+    keep = tp + fp + fn <= n
+    rng = np.random.default_rng(34)
+    big = rng.integers(0, 2 ** 40, size=(3, 10 ** 5))
+    big[:, :3] = [[0, 0, 2 ** 40 - 1], [0, 2 ** 40 - 1, 2 ** 40 - 1], [2 ** 40 - 1, 0, 0]]
+    for counts in ((tp[keep], fp[keep], fn[keep]), tuple(big)):
+        dice, jaccard = _written_out_dice_jaccard(*counts)
+        assert np.array_equal(_f64_bits(metrics.dice_from_counts(*counts, n)), _f64_bits(dice))
+        assert np.array_equal(_f64_bits(metrics.jaccard_from_counts(*counts, n)), _f64_bits(jaccard))
+    dice, jaccard = _written_out_dice_jaccard(tp[keep], fp[keep], fn[keep])
+    for i, triple in enumerate(zip(tp[keep].tolist(), fp[keep].tolist(), fn[keep].tolist())):
+        assert _f64_bits(metrics.dice_from_counts(*triple, n)) == _f64_bits(dice[i]), triple
+        assert _f64_bits(metrics.jaccard_from_counts(*triple, n)) == _f64_bits(jaccard[i]), triple
+
+
 def test_hausdorff_three_four_five():
     a = np.zeros((5, 5), dtype=np.uint8)
     a[0, 0] = 1  # (x=0, y=0)

@@ -468,7 +468,9 @@ def test_score_images_equals_metrics_of_thresholded_probabilities():
 # every product, sigmoid and loss kernel were float64 (before that, also
 # before the features were split into per-image pixel rows and one shared
 # coordinate array); the FROZEN_ fits were recorded from the float32 rows
-# and kernels with float64 weights, and lie within 3.4e-7 relative of them
+# and kernels with float64 weights, and lie within 3.4e-7 relative of them.
+# tversky:0.3:0.7 was recorded again when the Tversky denominator became
+# alpha P + beta Y + (1 - alpha - beta) I of the soft sums
 FLOAT64_FITS = {
     "ce": (("0x1.7386f3424314fp+1", "0x1.1e1649d26f3cdp+2", "-0x1.3dbe7c20d6c37p+0",
             "-0x1.10ab42a3041b7p+0", "-0x1.967a845d9c1d6p+1"), "0x1.eb0d81ab60870p-5"),
@@ -502,8 +504,8 @@ FROZEN_FITS = {
                       "-0x1.884cf556e5e5ap-1", "-0x1.980ec95b819bcp+1"), "0x1.35aa50add42fep-4"),
     "soft_jaccard": (("0x1.20b07c14fdd8bp+2", "0x1.d09fc9fbe7b5ep+2", "-0x1.74af8b1c03451p+0",
                       "-0x1.879329c6b2f2dp+0", "-0x1.476903c900cdep+2"), "0x1.edd24ba74583ep-3"),
-    "tversky:0.3:0.7": (("0x1.1863a058fdd8bp+2", "0x1.b28d4b2817b5ep+2", "-0x1.4ffedcd203451p+0",
-                         "-0x1.4adb79cab2f2dp+0", "-0x1.fc638d81819bcp+1"), "0x1.24f2afc69f7c0p-3"),
+    "tversky:0.3:0.7": (("0x1.1863a04c9dd8bp+2", "0x1.b28d4b3c77b5ep+2", "-0x1.4ffedd1103451p+0",
+                         "-0x1.4adb7a11b2f2dp+0", "-0x1.fc638d82819bcp+1"), "0x1.24f2af41947a5p-3"),
     "lovasz": (("0x1.0f89d0ef7bb16p+1", "0x1.6504754e57b5ep+2", "-0x1.7d4c7074068a2p-1",
                 "-0x1.76e6f653e5e5ap-1", "-0x1.9fa88f4d019bcp+1"), "0x1.d763a8dff2e48p-3"),
 }

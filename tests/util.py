@@ -316,15 +316,12 @@ def reference_soft_jaccard(y: np.ndarray, p: np.ndarray):
 
 def reference_tversky(y: np.ndarray, p: np.ndarray, alpha: float, beta: float):
     """(value, gradient, logit gradient) the Tversky kernel must give:
-    1 - y.p / (y.p + alpha (1-y).p + beta y.(1-p)), and 0 with a zero
-    gradient when that denominator is 0.  The weights 0.5/0.5 are the L1
-    soft Dice and 1/1 the soft Jaccard, so those two pairs give their bits."""
-    if (alpha, beta) == (0.5, 0.5):
-        return reference_soft_dice(y, p, "l1")
-    if (alpha, beta) == (1.0, 1.0):
-        return reference_soft_jaccard(y, p)
+    1 - I / (alpha P + beta Y + (1 - alpha - beta) I) from the soft sums
+    I = y.p, P = sum p and Y = sum y (the y.p + alpha (1-y).p + beta y.(1-p)
+    of the definition, with (1-y).p = P - I and y.(1-p) = Y - I), and 0
+    with a zero gradient when that denominator is 0."""
     inter = float(y @ p)
-    den = inter + alpha * float((1.0 - y) @ p) + beta * float(y @ (1.0 - p))
+    den = alpha * float(p.sum()) + beta * float(y.sum()) + (1.0 - alpha - beta) * inter
     if den == 0.0:
         return 0.0, np.zeros_like(p), np.zeros_like(p)
     dden = y + alpha * (1.0 - y) - beta * y  # the denominator's derivative
