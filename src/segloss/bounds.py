@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundViolation, DTooLarge, EmptySet, NumericError, OutOfRange
-from .masks import BinaryMask, ProbMap, threshold
-from .metrics import MetricId, dice, dice_from_counts, jaccard, parse_metric_id, weighted_hamming_from_counts
+from .masks import BinaryMask, ProbMap, confusion_counts, threshold
+from .metrics import MetricId, dice_from_counts, jaccard_from_counts, parse_metric_id, weighted_hamming_from_counts
 
 MAX_BRUTE_FORCE_D = 200
 
@@ -343,8 +343,9 @@ def risk_inequality_check(samples) -> RiskInequalityReport:
     for i, (y, pred) in enumerate(pairs):
         if isinstance(pred, ProbMap):
             pred = threshold(pred, 0.5)
-        dl[i] = 1.0 - dice(y, pred)
-        jl[i] = 1.0 - jaccard(y, pred)
+        counts = (*confusion_counts(y, pred), y.d)
+        dl[i] = 1.0 - dice_from_counts(*counts)
+        jl[i] = 1.0 - jaccard_from_counts(*counts)
     pointwise_ok = bool(np.all(dl <= jl))
     mean_d = float(dl.mean())
     mean_j = float(jl.mean())

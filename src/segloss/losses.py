@@ -26,7 +26,8 @@ Conventions:
   (masked only when some p reaches the clip or is NaN);
 * a surrogate denominator that is zero (y and p both zero) or underflows
   to zero (the L1 soft Dice's for y empty and sum p = 5e-324) yields
-  value 0, gradient 0 and a ``degenerate`` flag;
+  value 0, gradient 0 and a ``degenerate`` flag; where only its square
+  underflows (below about 1.5e-154) the gradient divides by it twice;
 * Lovász sorts the errors in descending order, ties by pixel index and NaNs
   last: an unstable sort, then a sort of only the positions in tied runs.
 * the kernels follow p's float dtype: a float32 p, as training passes,
@@ -37,8 +38,9 @@ Conventions:
   dtype, and the values are Python floats.
 
 ``LOSSES`` is the one table of loss tokens.  Each row, keyed by token
-head, names the parameters with their range rule, and gives the
-``(y, p, *params)`` kernel and the discrete similarity the loss relaxes.
+head, names the parameters and gives the ``(y, p, *params)`` kernel and
+the ``metrics.METRICS`` head of the discrete similarity the loss relaxes,
+whose range rule a loss token follows.
 ``parse_loss_spec`` is the only loss token parser, and ``LossSpec`` follows
 the token rule of ``metrics.Token``; ``LOSS_GRAMMAR`` lists the forms.
 
@@ -64,7 +66,7 @@ import numpy as np
 
 from . import metrics
 from .errors import OutOfDomain, OutOfRange
-from .masks import BinaryMask, ProbMap, check_dims
+from .masks import BinaryMask, ProbMap, check_dims, confusion_counts
 
 CLAMP_EPS = 1e-7
 
@@ -121,7 +123,10 @@ def _soft_dice_l2_arrays(y, p, value=True, grad=True):
     if grad:  # -(2 y den - 2 num p) / den^2, bit for bit in place
         g = np.multiply(y, 2.0 * den, dtype=p.dtype)
         g -= num * 2.0 * p
-        g /= -(den * den)
+        sq = den * den
+        g /= -(sq or den)
+        if not sq:  # den^2 underflowed to 0: divide by den twice
+            g /= den
     return (1.0 - num / den if value else None), g, False
 
 
@@ -134,9 +139,12 @@ def _soft_tversky_arrays(y, p, alpha, beta, value=True, grad=True):
     if den == 0.0:
         return _degenerate(p, value, grad)
     g = None
-    if grad:  # at float64 scalars t, so it rounds, overflows and divides by zero as the array would
-        g = np.where(y, *(p.dtype.type(-(t * den - inter * (t + alpha * (1.0 - t) - beta * t)) / (den * den))
-                          for t in (np.float64(1.0), np.float64(0.0))))
+    if grad:  # at float64 scalars t, t = 1 only if some label is 1, so it rounds, overflows and
+        # divides by zero as the array would; where den^2 underflows to 0, it divides by den twice
+        sq = den * den
+        g = np.where(y, *(p.dtype.type(-(t * den - inter * (t + alpha * (1.0 - t) - beta * t))
+                                       / (sq or den) / (1.0 if sq else den))
+                          for t in (np.float64(y_sum > 0), np.float64(0.0))))
     return (1.0 - inter / den if value else None), g, False
 
 
@@ -180,33 +188,27 @@ class LossKind:
     grad=True)`` returns (value, gradient, degenerate) and skips, as None,
     whichever of value and gradient it is not asked for; the CE rows clamp
     at the module constant CLAMP_EPS, with no per-spec eps.
-    ``counterpart(y, yhat, *params)`` is the discrete similarity the loss
-    relaxes; ``valid`` is the range rule.
+    ``counterpart`` is the ``metrics.METRICS`` head of the discrete
+    similarity the loss relaxes; its parameters and range rule are the loss's.
     ``auto``, if set, maps the dataset foreground prior to the parameters
     of the bare token.  ``logit`` marks a kernel that takes ``logit=True``."""
 
     params: tuple[str, ...]
     kernel: Callable
-    counterpart: Callable
-    valid: Callable = lambda *params: True
-    rule: str = ""
+    counterpart: str
     auto: Callable | None = None
     logit: bool = False
 
 
 LOSSES: dict[str, LossKind] = {
-    "ce": LossKind((), lambda y, p, **want: _wce_arrays(y, p, 0.5, 2.0, **want), metrics.hamming, logit=True),
-    "wce": LossKind(("gamma",), lambda y, p, gamma, **want: _wce_arrays(y, p, gamma, 1.0, **want),
-                    metrics.weighted_hamming, valid=lambda gamma: 0.0 <= gamma <= 1.0,
-                    rule="gamma must lie in [0, 1]",
+    "ce": LossKind((), lambda y, p, **want: _wce_arrays(y, p, 0.5, 2.0, **want), "hamming", logit=True),
+    "wce": LossKind(("gamma",), lambda y, p, gamma, **want: _wce_arrays(y, p, gamma, 1.0, **want), "whamming",
                     auto=lambda fg_prior: (gamma_for_prior(fg_prior),), logit=True),
-    "soft_dice_l1": LossKind((), partial(_soft_tversky_arrays, alpha=0.5, beta=0.5), metrics.dice),
-    "soft_dice_l2": LossKind((), _soft_dice_l2_arrays, metrics.dice),
-    "soft_jaccard": LossKind((), partial(_soft_tversky_arrays, alpha=1.0, beta=1.0), metrics.jaccard),
-    "lovasz": LossKind((), _lovasz_arrays, metrics.jaccard),
-    "tversky": LossKind(("alpha", "beta"), _soft_tversky_arrays, metrics.tversky,
-                        valid=lambda alpha, beta: alpha > 0 and beta > 0,
-                        rule="tversky weights must be > 0"),
+    "soft_dice_l1": LossKind((), partial(_soft_tversky_arrays, alpha=0.5, beta=0.5), "dice"),
+    "soft_dice_l2": LossKind((), _soft_dice_l2_arrays, "dice"),
+    "soft_jaccard": LossKind((), partial(_soft_tversky_arrays, alpha=1.0, beta=1.0), "jaccard"),
+    "lovasz": LossKind((), _lovasz_arrays, "jaccard"),
+    "tversky": LossKind(("alpha", "beta"), _soft_tversky_arrays, "tversky"),
 }
 LOSS_ALIASES = {"soft_dice": "soft_dice_l1"}
 
@@ -230,6 +232,8 @@ class LossSpec(metrics.Token):
 
     table = LOSSES
     grammar = LOSS_GRAMMAR
+
+    range_row = staticmethod(lambda row: metrics.METRICS[row.counterpart])
 
 
 def parse_loss_spec(token: str, fg_prior: float | None = None) -> LossSpec:
@@ -311,7 +315,8 @@ VERTEX_TOL = 1e-12
 
 def vertex_consistency_check(spec: LossSpec, y: BinaryMask, yhat: BinaryMask):
     """Compare the surrogate on a binary prediction against 1 minus the
-    matching discrete similarity.  Returns (surrogate, discrete, equal).
+    discrete similarity it relaxes, the spec's ``counterpart`` metric at
+    the spec's parameters.  Returns (surrogate, discrete, equal).
 
     Coincidence holds for every metric-sensitive kind; CE/WCE do not
     coincide with their Hamming counterparts (the clipped log is not 0/1
@@ -319,5 +324,6 @@ def vertex_consistency_check(spec: LossSpec, y: BinaryMask, yhat: BinaryMask):
     """
     check_dims(y, yhat)
     surrogate = loss_value(spec, y.data, yhat.data)
-    discrete = 1.0 - LOSSES[spec.kind].counterpart(y, yhat, *spec.params)
+    counterpart = metrics.MetricId(LOSSES[spec.kind].counterpart, spec.params)
+    discrete = 1.0 - float(counterpart.counts(*confusion_counts(y, yhat), y.d))
     return surrogate, discrete, abs(surrogate - discrete) < VERTEX_TOL

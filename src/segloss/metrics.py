@@ -5,8 +5,9 @@ head, names the parameters with their defaults and range rule, and gives a
 vectorized ``(tp, fp, fn, d, *params)`` counts kernel or, for Hausdorff and
 absolute volume difference, a mask-pair function.  ``Token`` is the one
 token rule, which ``MetricId`` and ``losses.LossSpec`` share; the metric
-and loss parsers share ``split_token`` and ``read_params``.  ``evaluate``
-scores a token list on a mask pair.
+and loss parsers share ``split_token`` and ``read_params``.  A mask pair is
+scored only through a token: ``evaluate(tokens, y, yhat)``, or
+``MetricId(head, params).counts(*confusion_counts(y, yhat), y.d)``.
 
 Degenerate-case conventions (the formulas themselves are silent):
 
@@ -70,22 +71,26 @@ def _safe_div(num, den, fallback):
 
 
 def dice_from_counts(tp, fp, fn, d):
-    """2tp / (2tp + fp + fn), the Tversky index at 0.5/0.5."""
+    """Dice 2tp / (2tp + fp + fn) = 2|y ∩ ŷ| / (|y| + |ŷ|), the Tversky
+    index at 0.5/0.5."""
     return tversky_from_counts(tp, fp, fn, d, 0.5, 0.5)
 
 
 def jaccard_from_counts(tp, fp, fn, d):
-    """tp / (tp + fp + fn), the Tversky index at 1/1."""
+    """Jaccard tp / (tp + fp + fn) = |y ∩ ŷ| / |y ∪ ŷ|, the Tversky index
+    at 1/1; J = D/(2 - D) with D the Dice score."""
     return tversky_from_counts(tp, fp, fn, d, 1.0, 1.0)
 
 
 def hamming_from_counts(tp, fp, fn, d):
-    """1 - (fp + fn)/d, the pixel accuracy."""
+    """Hamming similarity 1 - (fp + fn)/d = 1 - |y △ ŷ|/d, the pixel
+    accuracy up to rounding (see the accuracy row of ``METRICS``)."""
     return 1.0 - (np.asarray(fp, dtype=np.float64) + np.asarray(fn)) / d
 
 
 def weighted_hamming_from_counts(tp, fp, fn, d, gamma):
-    """1 - gamma*fn/|y| - (1-gamma)*fp/(d-|y|) with 0/0 terms read as 0."""
+    """1 - gamma*fn/|y| - (1-gamma)*fp/(d-|y|) with 0/0 terms read as 0,
+    |y| = tp + fn; plain Hamming at gamma = |y|/d when 0 < |y| < d."""
     n_true = tp + fn
     fn_term = gamma * _safe_div(np.asarray(fn, dtype=np.float64), n_true, 0.0)
     fp_term = (1.0 - gamma) * _safe_div(np.asarray(fp, dtype=np.float64), d - np.asarray(n_true), 0.0)
@@ -122,42 +127,6 @@ def fbeta_from_counts(tp, fp, fn, d, b):
     inv = 1.0 / b / b  # 0 past b ~ 5e161, where the ratio is the limit itself
     return _safe_div((1.0 + inv) * tp, (1.0 + inv) * tp + np.asarray(fn) + inv * np.asarray(fp),
                      np.where(np.asarray(fp) > 0, 0.0, 1.0))
-
-
-def _mask_score(kind: str, y: BinaryMask, yhat: BinaryMask, *params: float) -> float:
-    mid = MetricId(kind, params)
-    return float(mid.counts(*confusion_counts(y, yhat), y.d))
-
-
-def dice(y: BinaryMask, yhat: BinaryMask) -> float:
-    """Dice score 2|y ∩ ŷ| / (|y| + |ŷ|)."""
-    return _mask_score("dice", y, yhat)
-
-
-def jaccard(y: BinaryMask, yhat: BinaryMask) -> float:
-    """Jaccard index |y ∩ ŷ| / |y ∪ ŷ|; satisfies J = D/(2-D)."""
-    return _mask_score("jaccard", y, yhat)
-
-
-def hamming(y: BinaryMask, yhat: BinaryMask) -> float:
-    """Hamming similarity 1 - |y △ ŷ|/d; equals accuracy up to rounding."""
-    return _mask_score("hamming", y, yhat)
-
-
-def weighted_hamming(y: BinaryMask, yhat: BinaryMask, gamma: float) -> float:
-    """Class-weighted Hamming similarity.
-
-    Equals plain Hamming when gamma = |y|/d (and 0 < |y| < d).
-    """
-    return _mask_score("whamming", y, yhat, gamma)
-
-
-def tversky(y: BinaryMask, yhat: BinaryMask, alpha: float, beta: float) -> float:
-    """Tversky index tp / (tp + alpha*fp + beta*fn), weighting false
-    positives by alpha and false negatives by beta.  Dice is its value at
-    alpha = beta = 0.5 and Jaccard at 1, 1, bit for bit: ``dice`` and
-    ``jaccard`` evaluate this same counts kernel."""
-    return _mask_score("tversky", y, yhat, alpha, beta)
 
 
 def _min_plus(g: np.ndarray, axis: int) -> np.ndarray:
@@ -279,8 +248,7 @@ def token_label(head: str, params) -> str:
 @dataclass(frozen=True)
 class Token:
     """A token head with its parameters, e.g. tversky:0.3:0.7, checked on
-    construction against the subclass's ``table`` (rows with ``params``,
-    ``valid`` and ``rule``) and ``grammar``."""
+    construction against the subclass's ``table``, ``grammar`` and ``range_row``."""
 
     kind: str
     params: tuple[float, ...] = ()
@@ -291,8 +259,11 @@ class Token:
             raise OutOfRange(f"{self.label()} is not one of {self.grammar}")
         if not all(math.isfinite(p) for p in self.params):
             raise OutOfRange(f"{self.kind} parameters must be finite, got {self.params}")
-        if not row.valid(*self.params):
-            raise OutOfRange(f"{row.rule}, got {self.label()}")
+        limits = self.range_row(row)
+        if not limits.valid(*self.params):
+            raise OutOfRange(f"{limits.rule}, got {self.label()}")
+
+    range_row = staticmethod(lambda row: row)  # the row whose valid and rule bound the parameters
 
     def label(self) -> str:
         """The token, as ``token_label`` writes it."""

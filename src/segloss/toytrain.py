@@ -591,8 +591,10 @@ def stratify_by_size(result: ExperimentResult, n_bins: int = 10) -> SizeStrata:
     same-size images always share a bin.
 
     Bins left empty by ties or by having fewer images than bins are
-    collapsed into their neighbours with a warning.
+    collapsed into their neighbours with a warning; ``n_bins`` must be >= 1.
     """
+    if n_bins < 1:
+        raise OutOfRange(f"n_bins must be >= 1, got {n_bins}")
     sizes = result.fg_sizes
     if sizes.size == 0:
         raise EmptySet("empty experiment result")

@@ -29,6 +29,7 @@ from util import (
     reference_soft_jaccard,
     reference_tversky,
     reference_wce,
+    score,
 )
 
 METRIC_SENSITIVE = [
@@ -200,6 +201,21 @@ def test_a_denominator_that_underflows_to_zero_is_degenerate():
         assert loss_value(spec, np.array([0]), np.array([5e-324])) == 0.0
     # the soft Jaccard's unscaled denominator stays 5e-324
     assert loss_value(LossSpec("soft_jaccard"), np.array([0]), np.array([5e-324])) == 1.0
+
+
+@pytest.mark.parametrize("spec, y, p, want", [
+    (LossSpec("soft_dice_l1"), [0, 0], [1e-200, 0.0], [0.0, 0.0]),
+    (LossSpec("soft_jaccard"), [0], [5e-324], [0.0]),
+    (LossSpec("soft_dice_l2"), [0, 0], [1e-100, 0.0], [0.0, 0.0]),
+    # den = 1e-200 with a foreground pixel: the gradient -1/den is finite
+    (LossSpec("tversky", (0.5, 1e-200)), [1], [0.0], [-1.0 / 1e-200]),
+], ids=["soft_dice_l1", "soft_jaccard", "soft_dice_l2", "tversky_tiny_beta"])
+def test_a_denominator_whose_square_underflows_gives_the_exact_gradient(spec, y, p, want):
+    # den * den is 0 below den ~ 1.5e-154 though den is not: the gradient
+    # divides by den twice there, with no floating-point warning
+    value, grad, degenerate = eval_loss_arrays(spec, np.array(y), np.array(p))
+    assert not degenerate and value == 1.0 and grad.tolist() == want
+    assert loss_gradient(spec, np.array(y), np.array(p)).tolist() == want
 
 
 def test_loss_values_in_range():
@@ -519,15 +535,15 @@ def test_spec_rejects_non_finite_parameters(bad):
         parse_loss_spec(f"tversky:{bad}:1")
 
 
-# one spec per LOSSES row, with the discrete similarity it must relax
+# one spec per LOSSES row, with the METRICS head of the discrete similarity it must relax
 TABLE_ROWS = [
-    (LossSpec("ce"), metrics.hamming),
-    (LossSpec("wce", (0.3,)), metrics.weighted_hamming),
-    (LossSpec("soft_dice_l1"), metrics.dice),
-    (LossSpec("soft_dice_l2"), metrics.dice),
-    (LossSpec("soft_jaccard"), metrics.jaccard),
-    (LossSpec("lovasz"), metrics.jaccard),
-    (LossSpec("tversky", (0.3, 0.7)), metrics.tversky),
+    (LossSpec("ce"), "hamming"),
+    (LossSpec("wce", (0.3,)), "whamming"),
+    (LossSpec("soft_dice_l1"), "dice"),
+    (LossSpec("soft_dice_l2"), "dice"),
+    (LossSpec("soft_jaccard"), "jaccard"),
+    (LossSpec("lovasz"), "jaccard"),
+    (LossSpec("tversky", (0.3, 0.7)), "tversky"),
 ]
 
 
@@ -535,9 +551,33 @@ def test_table_rows_cover_every_loss():
     assert [spec.kind for spec, _ in TABLE_ROWS] == list(LOSSES)
 
 
+def test_every_loss_relaxes_a_counts_metric_with_as_many_parameters():
+    for head, row in LOSSES.items():
+        kind = metrics.METRICS[row.counterpart]
+        assert kind.counts is not None and len(kind.params) == len(row.params), head
+
+
+@pytest.mark.parametrize("loss_token, metric_token", [("wce:1.5", "whamming:1.5"), ("tversky:0:1", "tversky:0:1")])
+def test_a_loss_token_takes_the_range_rule_of_its_metric(loss_token, metric_token):
+    with pytest.raises(OutOfRange) as loss_error:
+        parse_loss_spec(loss_token)
+    with pytest.raises(OutOfRange) as metric_error:
+        metrics.parse_metric_id(metric_token)
+    rule = str(metric_error.value).removesuffix(f", got {metric_token}")
+    assert rule != str(metric_error.value)
+    assert str(loss_error.value) == f"{rule}, got {loss_token}"
+
+
+def test_loss_grammar_lists_every_form():
+    assert LOSS_GRAMMAR == ("ce | wce:<gamma> | soft_dice_l1 | soft_dice_l2 | soft_jaccard | lovasz"
+                            " | tversky:<alpha>:<beta>; bare wce (or wce:auto) sets gamma from the"
+                            " foreground prior; soft_dice means soft_dice_l1")
+
+
 @pytest.mark.parametrize("spec, counterpart", TABLE_ROWS, ids=[spec.kind for spec, _ in TABLE_ROWS])
 def test_table_row_parses_evaluates_and_checks_vertices_through_its_entry(spec, counterpart):
     row = LOSSES[spec.kind]
+    assert row.counterpart == counterpart
     assert parse_loss_spec(spec.label()) == spec
     rng = np.random.default_rng(12)
     y, p = random_instance(rng, 40)
@@ -547,8 +587,7 @@ def test_table_row_parses_evaluates_and_checks_vertices_through_its_entry(spec, 
     for _ in range(20):
         yh = mask_of(rng.integers(0, 2, size=40))
         _, disc, _ = vertex_consistency_check(spec, y, yh)
-        assert disc == 1.0 - row.counterpart(y, yh, *spec.params)
-        assert disc == 1.0 - counterpart(y, yh, *spec.params)
+        assert disc == 1.0 - score(metrics.token_label(counterpart, spec.params), y, yh)
 
 
 @pytest.mark.parametrize("spec", [spec for spec, _ in TABLE_ROWS if spec.params], ids=LossSpec.label)

@@ -20,6 +20,7 @@ from util import (
     frac_weighted_hamming,
     mask_of,
     pairwise_hausdorff,
+    score,
     set_counts,
 )
 
@@ -28,62 +29,62 @@ YH = mask_of([1, 0, 1, 0])
 
 
 def test_dice_worked_pair():
-    assert metrics.dice(Y, YH) == 0.5
+    assert score("dice", Y, YH) == 0.5
 
 
 def test_dice_identity_and_empty_conventions():
     m = mask_of([1, 0, 1])
-    assert metrics.dice(m, m) == 1.0
+    assert score("dice", m, m) == 1.0
     empty = mask_of([0, 0, 0])
-    assert metrics.dice(empty, empty) == 1.0
-    assert metrics.dice(empty, m) == 0.0
-    assert metrics.dice(m, empty) == 0.0
+    assert score("dice", empty, empty) == 1.0
+    assert score("dice", empty, m) == 0.0
+    assert score("dice", m, empty) == 0.0
 
 
 def test_jaccard_worked_pair_and_conversion():
-    j = metrics.jaccard(Y, YH)
+    j = score("jaccard", Y, YH)
     assert j == pytest.approx(1 / 3, abs=1e-15)
-    d = metrics.dice(Y, YH)
+    d = score("dice", Y, YH)
     assert d / (2 - d) == pytest.approx(j, abs=1e-15)
 
 
 def test_jaccard_disjoint():
-    assert metrics.jaccard(mask_of([1, 0]), mask_of([0, 1])) == 0.0
+    assert score("jaccard", mask_of([1, 0]), mask_of([0, 1])) == 0.0
 
 
 def test_hamming_worked_pair_identity_complement():
-    assert metrics.hamming(Y, YH) == 0.5
-    assert metrics.hamming(Y, Y) == 1.0
+    assert score("hamming", Y, YH) == 0.5
+    assert score("hamming", Y, Y) == 1.0
     comp = mask_of([0, 0, 1, 1])
-    assert metrics.hamming(Y, comp) == 0.0
+    assert score("hamming", Y, comp) == 0.0
 
 
 def test_weighted_hamming_matches_plain_at_class_fraction():
     y = mask_of([1, 0, 0, 0])
     yh = mask_of([0, 1, 0, 0])
-    assert metrics.weighted_hamming(y, yh, 0.25) == pytest.approx(0.5, abs=1e-15)
-    assert metrics.hamming(y, yh) == 0.5
+    assert score("whamming:0.25", y, yh) == pytest.approx(0.5, abs=1e-15)
+    assert score("hamming", y, yh) == 0.5
 
 
 def test_weighted_hamming_identity_and_gamma_one():
-    assert metrics.weighted_hamming(Y, Y, 0.7) == 1.0
-    assert metrics.weighted_hamming(mask_of([1, 0]), mask_of([1, 1]), 1.0) == 1.0
+    assert score("whamming:0.7", Y, Y) == 1.0
+    assert score("whamming:1", mask_of([1, 0]), mask_of([1, 1])) == 1.0
 
 
 def test_weighted_hamming_gamma_range():
     with pytest.raises(OutOfRange):
-        metrics.weighted_hamming(Y, YH, 1.5)
+        score("whamming:1.5", Y, YH)
 
 
 def test_tversky_interpolates_dice_and_jaccard():
-    assert metrics.tversky(Y, YH, 0.5, 0.5) == metrics.dice(Y, YH)
-    assert metrics.tversky(Y, YH, 1.0, 1.0) == metrics.jaccard(Y, YH)
-    assert metrics.tversky(Y, YH, 0.3, 0.7) == pytest.approx(0.5, abs=1e-15)
+    assert score("tversky:0.5:0.5", Y, YH) == score("dice", Y, YH)
+    assert score("tversky:1:1", Y, YH) == score("jaccard", Y, YH)
+    assert score("tversky:0.3:0.7", Y, YH) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_tversky_weight_validation():
     with pytest.raises(OutOfRange, match="tversky weights must be > 0"):
-        metrics.tversky(Y, YH, 0.0, 0.5)
+        score("tversky:0:0.5", Y, YH)
 
 
 def test_exhaustive_small_d_against_fraction_oracle():
@@ -92,14 +93,14 @@ def test_exhaustive_small_d_against_fraction_oracle():
         for y in all_masks(d):
             for yh in all_masks(d):
                 tp, fp, fn, tn = set_counts(y.data, yh.data)
-                assert metrics.dice(y, yh) == pytest.approx(float(frac_dice(tp, fp, fn)), abs=1e-14)
-                assert metrics.jaccard(y, yh) == pytest.approx(float(frac_jaccard(tp, fp, fn)), abs=1e-14)
-                assert metrics.hamming(y, yh) == pytest.approx(float(frac_hamming(fp, fn, d)), abs=1e-14)
+                assert score("dice", y, yh) == pytest.approx(float(frac_dice(tp, fp, fn)), abs=1e-14)
+                assert score("jaccard", y, yh) == pytest.approx(float(frac_jaccard(tp, fp, fn)), abs=1e-14)
+                assert score("hamming", y, yh) == pytest.approx(float(frac_hamming(fp, fn, d)), abs=1e-14)
                 for g in gammas:
-                    assert metrics.weighted_hamming(y, yh, float(g)) == pytest.approx(
+                    assert score(f"whamming:{float(g)!r}", y, yh) == pytest.approx(
                         float(frac_weighted_hamming(fp, fn, tp + fn, d, g)), abs=1e-14
                     )
-                assert metrics.tversky(y, yh, 0.25, 2.0) == pytest.approx(
+                assert score("tversky:0.25:2", y, yh) == pytest.approx(
                     float(frac_tversky(tp, fp, fn, Fraction(1, 4), Fraction(2))), abs=1e-14
                 )
 
@@ -108,23 +109,23 @@ def test_exhaustive_invariants_small_d():
     for d in (2, 3, 5):
         for y in all_masks(d):
             for yh in all_masks(d):
-                dv = metrics.dice(y, yh)
-                jv = metrics.jaccard(y, yh)
+                dv = score("dice", y, yh)
+                jv = score("jaccard", y, yh)
                 if y.count() and yh.count():
                     assert jv <= dv
-                assert metrics.tversky(y, yh, 0.5, 0.5) == dv
-                assert metrics.tversky(y, yh, 1.0, 1.0) == jv
+                assert score("tversky:0.5:0.5", y, yh) == dv
+                assert score("tversky:1:1", y, yh) == jv
                 acc = metrics.evaluate(["accuracy"], y, yh)[0].value
-                assert metrics.hamming(y, yh) == pytest.approx(acc, abs=1e-15)
+                assert score("hamming", y, yh) == pytest.approx(acc, abs=1e-15)
                 if 0 < y.count() < d:
-                    assert metrics.weighted_hamming(y, yh, y.count() / d) == pytest.approx(
-                        metrics.hamming(y, yh), abs=1e-12
+                    assert score(f"whamming:{float(y.count() / d)!r}", y, yh) == pytest.approx(
+                        score("hamming", y, yh), abs=1e-12
                     )
                 # symmetries
-                assert metrics.dice(yh, y) == dv
-                assert metrics.jaccard(yh, y) == jv
-                assert metrics.tversky(y, yh, 0.3, 0.7) == pytest.approx(
-                    metrics.tversky(yh, y, 0.7, 0.3), abs=1e-15
+                assert score("dice", yh, y) == dv
+                assert score("jaccard", yh, y) == jv
+                assert score("tversky:0.3:0.7", y, yh) == pytest.approx(
+                    score("tversky:0.7:0.3", yh, y), abs=1e-15
                 )
 
 
@@ -134,7 +135,7 @@ def test_fbeta_one_equals_dice():
         y = mask_of(rng.integers(0, 2, size=9))
         yh = mask_of(rng.integers(0, 2, size=9))
         f1 = metrics.evaluate(["fbeta:1.0"], y, yh)[0]
-        assert f1.value == pytest.approx(metrics.dice(y, yh), abs=1e-15)
+        assert f1.value == pytest.approx(score("dice", y, yh), abs=1e-15)
 
 
 def test_fbeta_frozen_values():
@@ -407,3 +408,6 @@ def test_parse_metric_id_defaults_and_grammar():
     assert "bare whamming means whamming:0.5" in metrics.METRIC_GRAMMAR
     assert "hausdorff" in metrics.METRIC_GRAMMAR
     assert "hausdorff" not in metrics.COUNTS_METRIC_GRAMMAR
+    counts_forms = "dice | jaccard | hamming | accuracy | whamming[:<g>] | tversky:<a>:<b> | fbeta:<b>"
+    assert metrics.METRIC_GRAMMAR == counts_forms + " | hausdorff | avd; bare whamming means whamming:0.5"
+    assert metrics.COUNTS_METRIC_GRAMMAR == counts_forms + "; bare whamming means whamming:0.5"

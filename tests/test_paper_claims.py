@@ -15,13 +15,13 @@ import re
 
 import pytest
 
-from segloss import cli, metrics
+from segloss import cli
 from segloss.bounds import brute_force_sup, tversky_dice_bounds
 from segloss.fileio import read_report_json
 from segloss.losses import LossSpec, vertex_consistency_check
 
 import test_bounds
-from util import all_masks
+from util import all_masks, score
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 # test_experiment_reports_match_golden reproduces this tree byte for byte
@@ -40,21 +40,21 @@ def test_claim_1_surrogates_equal_their_metrics_on_binary_predictions():
     prediction of length d <= 4, each surrogate equals 1 minus the
     discrete similarity it relaxes."""
     specs = [
-        (LossSpec("soft_dice_l1"), metrics.dice),
-        (LossSpec("soft_dice_l2"), metrics.dice),
-        (LossSpec("soft_jaccard"), metrics.jaccard),
-        (LossSpec("lovasz"), metrics.jaccard),
+        (LossSpec("soft_dice_l1"), "dice"),
+        (LossSpec("soft_dice_l2"), "dice"),
+        (LossSpec("soft_jaccard"), "jaccard"),
+        (LossSpec("lovasz"), "jaccard"),
     ]
     for d in (1, 2, 3, 4):
         for y in all_masks(d):
             for yh in all_masks(d):
-                for spec, fn in specs:
+                for spec, metric in specs:
                     s, disc, ok = vertex_consistency_check(spec, y, yh)
                     assert ok, (spec.label(), y.data, yh.data, s, disc)
-                    assert disc == pytest.approx(1 - fn(y, yh), abs=1e-15)
+                    assert disc == pytest.approx(1 - score(metric, y, yh), abs=1e-15)
                 s, disc, ok = vertex_consistency_check(LossSpec("tversky", (0.3, 0.7)), y, yh)
                 assert ok
-                assert disc == pytest.approx(1 - metrics.tversky(y, yh, 0.3, 0.7), abs=1e-15)
+                assert disc == pytest.approx(1 - score("tversky:0.3:0.7", y, yh), abs=1e-15)
 
 
 def test_claim_2_dice_and_jaccard_approximate_each_other():
@@ -65,8 +65,8 @@ def test_claim_2_dice_and_jaccard_approximate_each_other():
     for d in (2, 3, 5):
         for y in all_masks(d):
             for yh in all_masks(d):
-                dv = metrics.dice(y, yh)
-                assert metrics.jaccard(y, yh) == pytest.approx(dv / (2 - dv), abs=1e-12)
+                dv = score("dice", y, yh)
+                assert score("jaccard", y, yh) == pytest.approx(dv / (2 - dv), abs=1e-12)
 
     test_bounds.test_dice_jaccard_closed_form()
     # the abs gap at d = 100 is 3.7e-9; the rel gap falls 0.154, 0.039, 0.020

@@ -5,7 +5,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from segloss import metrics
 from segloss.errors import (
     EmptySet,
     InfeasibleConfig,
@@ -19,7 +18,9 @@ from segloss.masks import BinaryMask, threshold
 from segloss.toytrain import (
     N_FEATURES,
     SCORE_COLUMNS,
+    ArmScores,
     EmptyBinWarning,
+    ExperimentResult,
     Sample,
     SampleSet,
     SyntheticConfig,
@@ -40,7 +41,7 @@ from segloss.toytrain import (
     train,
     warm_up,
 )
-from util import mask_of, masked_sigmoid, one_branch_sigmoid, prob_of, sample_of
+from util import mask_of, masked_sigmoid, one_branch_sigmoid, prob_of, sample_of, score
 
 SMALL = SyntheticConfig(n_images=40, dims=(32, 32), object_radius_range=(3.0, 6.0),
                         fg_prior_target=0.08, noise_sigma=0.3, seed=5)
@@ -297,6 +298,15 @@ def test_stratify_empty_bins_collapse_with_warning():
     assert all(c >= 1 for c in strata.bin_counts)
 
 
+@pytest.mark.parametrize("n_bins", [0, -2])
+def test_stratify_needs_at_least_one_bin(n_bins):
+    res = ExperimentResult([ArmScores("ce", LossSpec("ce"), {"dice": np.array([0.5, 0.7, 0.9])})],
+                           np.array([0, 1, 0]), np.array([10, 20, 30]))
+    with pytest.raises(OutOfRange, match=f"n_bins must be >= 1, got {n_bins}"):
+        stratify_by_size(res, n_bins)
+    assert stratify_by_size(res, 1).bin_counts == [3]
+
+
 def test_size_edges_are_np_quantile_bit_for_bit():
     rng = np.random.default_rng(23)
     for n in range(1, 301):
@@ -457,8 +467,8 @@ def test_score_images_equals_metrics_of_thresholded_probabilities():
             keep = slice(None) if sel is None else sel[i].data.astype(bool)
             y = mask_of(s.label.data[keep])
             yhat = threshold(prob_of(one_branch_sigmoid(s.features[keep] @ w)), 0.5)
-            assert sc["dice"][i] == metrics.dice(y, yhat)
-            assert sc["jaccard"][i] == metrics.jaccard(y, yhat)
+            assert sc["dice"][i] == score("dice", y, yhat)
+            assert sc["jaccard"][i] == score("jaccard", y, yhat)
         assert 0.0 < sc["dice"].mean() < 1.0
 
 

@@ -2,9 +2,11 @@
 full 4**d mask-pair enumeration, the pairwise Hausdorff scan, the one- and
 two-branch sigmoids, the np.clip clamp, the written-out wCE, soft-Dice,
 soft-Jaccard and Tversky kernels, a Sample built from (d, 5) features, the
-one-direction paired bootstrap and the gradient-check harness.  Apart from the 4**d bound scan, which checks the
-count-space reduction and so evaluates the library's own kernels, nothing
-here uses the library's count/metric kernels, so tests check two routes."""
+one-direction paired bootstrap and the gradient-check harness.  Apart from
+``score``, which scores a mask pair through a metric token as the library
+does, and the 4**d bound scan, which checks the count-space reduction and
+so evaluates the library's own kernels, nothing here uses the library's
+count/metric kernels, so tests check two routes."""
 
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ from segloss.bounds import BoundReport, Witness, closed_form_bounds, parse_metri
 from segloss.errors import DTooLarge, OutOfRange
 from segloss.losses import CLAMP_EPS, eval_loss_arrays, finite_diff_gradient
 from segloss.masks import BinaryMask, ProbMap
+from segloss.metrics import evaluate
 from segloss.toytrain import N_PIXEL_ROWS, Sample
 
 # 4**d ordered pairs must stay enumerable
@@ -58,6 +61,11 @@ def frac_tversky(tp, fp, fn, alpha: Fraction, beta: Fraction):
     if tp == fp == fn == 0:
         return Fraction(1)
     return Fraction(tp) / (tp + alpha * fp + beta * fn)
+
+
+def score(token: str, y: BinaryMask, yhat: BinaryMask) -> float:
+    """The value of one metric token on a mask pair."""
+    return evaluate([token], y, yhat)[0].value
 
 
 def mask_of(bits) -> BinaryMask:
