@@ -11,6 +11,9 @@ Every run with identical arguments, config and seed produces byte-identical
 report files.  Experiments run their (fold, arm) jobs one after another in
 one process; --threads is still accepted and checked, but changes nothing.
 
+`train` and `sweep` read a flat `key = value` config whose keys `--help`
+lists: each data and training key is the SyntheticConfig or TrainConfig
+field of the same name, with its default (data_seed's is a hash of seed).
 `train` compares the loss arms its config lists under `losses`, one token
 per arm (`segloss train --help` lists the forms); arms must have distinct
 labels.  The arms of a fold share one seed and one CE warm-up, so an arm's
@@ -49,6 +52,7 @@ import os
 import re
 import sys
 import warnings
+from dataclasses import fields
 
 if not any(v in os.environ for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")):
     os.environ["OMP_NUM_THREADS"] = "1"
@@ -82,6 +86,16 @@ DEFAULT_METRICS = "dice,jaccard"
 FIG1_GRID = [round(0.1 + 0.05 * k, 10) for k in range(59)]  # 0.1 .. 3.0
 SWEEP_ALPHAS = tuple(round(0.1 * k, 10) for k in range(1, 10))
 SWEEP_EQUAL_ARMS = (0.75, 1.0)
+
+
+# each config key is the field of the same name, parsed by the type of its
+# default; TrainConfig's loss and seed are set per job, so no key sets them
+_SYNTH_KEYS = {f.name: type(f.default) for f in fields(SyntheticConfig)}
+_TRAIN_KEYS = {f.name: type(f.default) for f in fields(TrainConfig) if f.name not in ("loss", "seed")}
+_COMMON_SCHEMA = {**_SYNTH_KEYS, **_TRAIN_KEYS, "folds": int, "seed": int, "n_resamples": int}
+
+TRAIN_SCHEMA = dict(_COMMON_SCHEMA, losses=fileio.cfg_str_list, fgbg_ratios=fileio.cfg_float_list)
+SWEEP_SCHEMA = dict(_COMMON_SCHEMA, alphas=fileio.cfg_float_list, equal_alphas=fileio.cfg_float_list)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -119,11 +133,12 @@ def build_parser() -> _Parser:
                            "weights over [0.1, 3.0] step 0.05 (instead of --pair)")
 
     tr = sub.add_parser("train", help="loss-comparison experiment from a config")
-    tr.add_argument("config", help=f"flat key = value config file; its losses key is a "
+    tr.add_argument("config", help=f"flat key = value config file with the keys "
+                                   f"{', '.join(TRAIN_SCHEMA)}; its losses key is a "
                                    f"comma list of: {LOSS_GRAMMAR}")
 
     sw = sub.add_parser("sweep", help="Tversky weight sweep: a train run with generated arms")
-    sw.add_argument("config", help="flat key = value config file")
+    sw.add_argument("config", help=f"flat key = value config file with the keys {', '.join(SWEEP_SCHEMA)}")
 
     rp = sub.add_parser("report", help="pretty-print a JSON report")
     rp.add_argument("path", help="a .json report produced by another command")
@@ -201,52 +216,14 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-_COMMON_SCHEMA = {
-    "n_images": int,
-    "nx": int,
-    "ny": int,
-    "radius_min": float,
-    "radius_max": float,
-    "fg_prior": float,
-    "noise_sigma": float,
-    "gain_jitter": float,
-    "data_seed": int,
-    "learning_rate": float,
-    "max_epochs": int,
-    "batch_size": int,
-    "pretrain_epochs_ce": int,
-    "early_stop_patience": int,
-    "folds": int,
-    "seed": int,
-    "n_resamples": int,
-}
-
-TRAIN_SCHEMA = dict(_COMMON_SCHEMA, losses=fileio.cfg_str_list, fgbg_ratios=fileio.cfg_float_list)
-SWEEP_SCHEMA = dict(_COMMON_SCHEMA, alphas=fileio.cfg_float_list, equal_alphas=fileio.cfg_float_list)
-
-
-# config key -> config field; a field whose keys the config leaves out
-# keeps its dataclass default
-_SYNTH_FIELDS = {"n_images": "n_images", "fg_prior": "fg_prior_target",
-                 "noise_sigma": "noise_sigma", "gain_jitter": "gain_jitter", "data_seed": "seed"}
-_SYNTH_PAIRS = {("nx", "ny"): "dims", ("radius_min", "radius_max"): "object_radius_range"}
-_TRAIN_FIELDS = ("learning_rate", "max_epochs", "batch_size", "pretrain_epochs_ce",
-                 "early_stop_patience")
-
-
 def _experiment_setup(cfg: dict, seed_override: int | None):
     seed = cfg.get("seed", 0) if seed_override is None else seed_override
     if seed < 0:
         raise OutOfRange("seed must be >= 0")
-    synth = {field: cfg[key] for key, field in _SYNTH_FIELDS.items() if key in cfg}
-    synth.setdefault("seed", derive_seed(seed, 17))
-    for keys, field in _SYNTH_PAIRS.items():
-        if any(key in cfg for key in keys):
-            synth[field] = tuple(cfg.get(key, default)
-                                 for key, default in zip(keys, getattr(SyntheticConfig, field)))
-    base = TrainConfig(loss=LossSpec("ce"), **{key: cfg[key] for key in _TRAIN_FIELDS if key in cfg})
-    return (seed, SyntheticConfig(**synth), base, cfg.get("folds", 5),
-            cfg.get("n_resamples", DEFAULT_RESAMPLES))
+    synth = SyntheticConfig(**{"data_seed": derive_seed(seed, 17),
+                               **{k: cfg[k] for k in _SYNTH_KEYS if k in cfg}})
+    base = TrainConfig(loss=LossSpec("ce"), **{k: cfg[k] for k in _TRAIN_KEYS if k in cfg})
+    return seed, synth, base, cfg.get("folds", 5), cfg.get("n_resamples", DEFAULT_RESAMPLES)
 
 
 def _arm_filename(name: str) -> str:

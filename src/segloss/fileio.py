@@ -12,10 +12,12 @@ one place that maps each header to its sample dtype and byte order, and
 
 Reports are written as a CSV and a JSON mirror carrying identical values;
 floats are serialized with 17 significant digits so they parse back
-bit-exactly.  Only the JSON mirror is read back; ``read_report_json``
-rejects rows whose width differs from the columns'.  All files are
-written to a temp name and atomically renamed, so failed commands leave
-no partial reports behind.
+bit-exactly.  A numpy scalar cell is written as its Python value, in both
+mirrors.  Only the JSON mirror is read back; ``read_report_json`` rejects
+rows whose width differs from the columns' and cells that are not null, a
+bool, a number or a string, and ``write_report`` writes neither.  All
+files are written to a temp name and atomically renamed, so failed
+commands leave no partial reports behind.
 """
 
 from __future__ import annotations
@@ -154,6 +156,11 @@ def write_mask(payload: BinaryMask | ProbMap, path: str) -> None:
     _atomic_write(path, header.encode("ascii") + body.astype(dtype).tobytes())
 
 
+# the cell types of a report: read_report_json accepts no other, and
+# write_report writes no other
+_CELL_TYPES = (type(None), bool, int, float, str)
+
+
 @dataclass
 class ReportTable:
     """A named table destined for a CSV file plus its JSON mirror."""
@@ -173,38 +180,36 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def _csv_bytes(table: ReportTable) -> bytes:
-    lines = [",".join(table.columns)]
+def _report_rows(table: ReportTable) -> list[list]:
+    """The rows both mirrors are written from: each numpy scalar becomes
+    its Python value, so the CSV and the JSON carry the same value.  A row
+    whose width differs from the columns', or a cell that is not one of
+    _CELL_TYPES, is a DataError."""
+    rows = []
     for row in table.rows:
         if len(row) != len(table.columns):
             raise DataError(f"row width {len(row)} != {len(table.columns)} columns")
-        lines.append(",".join(format_cell(v) for v in row))
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def _json_bytes(table: ReportTable) -> bytes:
-    def coerce(v):
-        if isinstance(v, (np.floating,)):
-            return float(v)
-        if isinstance(v, (np.integer,)):
-            return int(v)
-        return v
-
-    doc = {
-        "name": table.name,
-        "columns": list(table.columns),
-        "rows": [[coerce(v) for v in row] for row in table.rows],
-    }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+        cells = [v.item() if isinstance(v, np.generic) else v for v in row]
+        for v in cells:
+            if not isinstance(v, _CELL_TYPES):
+                raise DataError(f"report cell {v!r} is not null, a bool, a number or a string")
+        rows.append(cells)
+    return rows
 
 
 def write_report(table: ReportTable, out_dir: str, basename: str) -> tuple[str, str]:
-    """Write <basename>.csv and <basename>.json atomically; returns paths."""
+    """Write <basename>.csv and <basename>.json atomically, both built before
+    either is written, so a bad cell leaves no file; returns paths."""
+    rows = _report_rows(table)
+    csv_blob = "".join(",".join(map(format_cell, row)) + "\n"
+                       for row in [table.columns, *rows]).encode("utf-8")
+    doc = {"name": table.name, "columns": list(table.columns), "rows": rows}
+    json_blob = (json.dumps(doc, indent=2) + "\n").encode("utf-8")
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, basename + ".csv")
     json_path = os.path.join(out_dir, basename + ".json")
-    _atomic_write(csv_path, _csv_bytes(table))
-    _atomic_write(json_path, _json_bytes(table))
+    _atomic_write(csv_path, csv_blob)
+    _atomic_write(json_path, json_blob)
     return csv_path, json_path
 
 
@@ -224,7 +229,7 @@ def read_report_json(path: str) -> ReportTable:
         raise DataError(f"{path}: columns must be a list of names")
     if not (isinstance(rows, list) and all(isinstance(r, list) and len(r) == len(columns) for r in rows)):
         raise DataError(f"{path}: every row must be a list of {len(columns)} cells")
-    if not all(isinstance(v, (type(None), bool, int, float, str)) for r in rows for v in r):
+    if not all(isinstance(v, _CELL_TYPES) for r in rows for v in r):
         raise DataError(f"{path}: every cell must be null, a bool, a number or a string")
     return ReportTable(name, columns, rows)
 

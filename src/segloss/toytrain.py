@@ -98,12 +98,16 @@ def derive_seed(*parts: int) -> int:
 
 @dataclass(frozen=True)
 class SyntheticConfig:
+    """The synthetic dataset; each config key is the field of the same name."""
+
     n_images: int = 200
-    dims: tuple[int, int] = (64, 64)
-    object_radius_range: tuple[float, float] = (3.0, 9.0)
-    fg_prior_target: float = 0.02
+    nx: int = 64
+    ny: int = 64
+    radius_min: float = 3.0
+    radius_max: float = 9.0
+    fg_prior: float = 0.02
     noise_sigma: float = 0.3
-    seed: int = 7
+    data_seed: int = 7
     # per-image multiplicative intensity gain jitter: no single global
     # intensity threshold matches every image's label boundary, so pixel-wise
     # calibration alone cannot solve the task; 0 makes noise-free data
@@ -113,23 +117,21 @@ class SyntheticConfig:
     def __post_init__(self):
         if self.n_images < 1:
             raise OutOfRange("n_images must be >= 1")
-        nx, ny = self.dims
-        rmin, rmax = self.object_radius_range
-        if nx < 4 or ny < 4:
-            raise OutOfRange("image dims too small")
+        if self.nx < 4 or self.ny < 4:
+            raise OutOfRange("nx and ny must be >= 4")
         # each check is written so that NaN fails it
-        if not 0 < rmin <= rmax:
+        if not 0 < self.radius_min <= self.radius_max:
             raise OutOfRange("invalid radius range")
-        if 2 * rmax + 4 > min(nx, ny):
-            raise InfeasibleConfig("largest radius does not fit inside dims")
-        if not 0.0 < self.fg_prior_target < 1.0:
-            raise OutOfRange("fg_prior_target must lie in (0, 1)")
+        if 2 * self.radius_max + 4 > min(self.nx, self.ny):
+            raise InfeasibleConfig("2 * radius_max + 4 must be <= nx and ny")
+        if not 0.0 < self.fg_prior < 1.0:
+            raise OutOfRange("fg_prior must lie in (0, 1)")
         if not 0 <= self.noise_sigma < math.inf:
             raise OutOfRange("noise_sigma must be finite and >= 0")
         if not 0.0 <= self.gain_jitter < 1.0:
             raise OutOfRange("gain_jitter must lie in [0, 1)")
-        if self.seed < 0:
-            raise OutOfRange("seed must be >= 0")
+        if self.data_seed < 0:
+            raise OutOfRange("data_seed must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,10 +193,9 @@ def generate_dataset(cfg: SyntheticConfig) -> SampleSet:
     lands within +-20% (relative) of the target; infeasible radius ranges
     are rejected up front.
     """
-    nx, ny = cfg.dims
-    rmin, rmax = cfg.object_radius_range
+    nx, ny, rmin, rmax = cfg.nx, cfg.ny, cfg.radius_min, cfg.radius_max
     d_img = nx * ny
-    target = cfg.fg_prior_target * d_img
+    target = cfg.fg_prior * d_img
     area_lo = math.pi * rmin * rmin
     area_hi = 3.0 * math.pi * rmax * rmax
     if area_lo > 1.2 * target or area_hi < 0.8 * target:
@@ -203,7 +204,7 @@ def generate_dataset(cfg: SyntheticConfig) -> SampleSet:
             f"[{rmin}, {rmax}] and 1-3 blobs"
         )
 
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.data_seed))
     ys = np.arange(ny, dtype=np.float64)[:, None]
     xs = np.arange(nx, dtype=np.float64)[None, :]
     coords = np.array([np.broadcast_to(xs / (nx - 1), (ny, nx)).ravel(),

@@ -53,7 +53,7 @@ def test_probe_calls_train_score_images_and_subset_positionally():
 
 def test_probe_reads_weights_and_epochs_run_off_a_train_result():
     data = toytrain.generate_dataset(toytrain.SyntheticConfig(
-        n_images=5, dims=(16, 16), object_radius_range=(2.0, 4.0), fg_prior_target=0.08))
+        n_images=5, nx=16, ny=16, radius_min=2.0, radius_max=4.0, fg_prior=0.08))
     res = toytrain.train(data, toytrain.TrainConfig(loss=losses.LossSpec("ce"), max_epochs=2,
                                                     pretrain_epochs_ce=1))
     assert res.weights.shape == (toytrain.N_FEATURES,)
@@ -62,7 +62,7 @@ def test_probe_reads_weights_and_epochs_run_off_a_train_result():
 
 def test_probe_multiplies_sample_features_by_weights_and_training_gets_feature_major_rows():
     data = toytrain.generate_dataset(toytrain.SyntheticConfig(
-        n_images=2, dims=(16, 16), object_radius_range=(2.0, 4.0), fg_prior_target=0.08))
+        n_images=2, nx=16, ny=16, radius_min=2.0, radius_max=4.0, fg_prior=0.08))
     d = 16 * 16
     w = np.arange(1.0, toytrain.N_FEATURES + 1.0)
     for s in data:
@@ -88,7 +88,7 @@ def test_runner_fits_and_scores_through_train_and_score_images(monkeypatch, mask
     # runner's per-job work, so the runner must call exactly those; the
     # CE warm-up runs once per fold, and every arm of the fold starts from it
     data = toytrain.generate_dataset(toytrain.SyntheticConfig(
-        n_images=5, dims=(16, 16), object_radius_range=(2.0, 4.0), fg_prior_target=0.08))
+        n_images=5, nx=16, ny=16, radius_min=2.0, radius_max=4.0, fg_prior=0.08))
     masks = [BinaryMask(data.dims, np.ones(16 * 16, dtype=np.uint8))] * len(data) if masked else None
     arms = [losses.LossSpec("ce"), losses.LossSpec("soft_dice_l1")]
     base = toytrain.TrainConfig(loss=losses.LossSpec("ce"), max_epochs=2, pretrain_epochs_ce=1)

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import dataclasses
 import warnings
 from dataclasses import replace
 
@@ -597,6 +598,12 @@ def test_train_arms_equal_in_g_format_get_distinct_reports(tmp_path):
      "usage error: n_resamples must be <= 10000000, got 1000000000000"),
     ("sweep", ("n_resamples = 1000", "n_resamples = 10000001"), 1,
      "usage error: n_resamples must be <= 10000000, got 10000001"),
+    ("train", ("n_resamples = 1000", "n_resamples = 1000\ndata_seed = -1"), 1,
+     "usage error: data_seed must be >= 0"),
+    ("train", ("fg_prior = 0.08", "fg_prior = 1.5"), 1, "usage error: fg_prior must lie in (0, 1)"),
+    ("train", ("nx = 32", "nx = 3"), 1, "usage error: nx and ny must be >= 4"),
+    ("sweep", ("radius_max = 6", "radius_max = 15"), 3,
+     "numeric failure: 2 * radius_max + 4 must be <= nx and ny"),
 ])
 def test_experiment_config_errors_stop_before_training(tmp_path, capsys, monkeypatch,
                                                        command, edit, code, message):
@@ -741,16 +748,47 @@ def test_train_fgbg_ratios_equal_in_g_format_get_distinct_reports(tmp_path):
 
 def test_experiment_setup_defaults_are_the_config_dataclass_defaults():
     assert cli._experiment_setup({}, None) == (
-        0, SyntheticConfig(seed=derive_seed(0, 17)), TrainConfig(loss=LossSpec("ce")), 5,
+        0, SyntheticConfig(data_seed=derive_seed(0, 17)), TrainConfig(loss=LossSpec("ce")), 5,
         DEFAULT_RESAMPLES)
 
 
-def test_experiment_setup_fills_an_unset_half_of_a_pair_from_its_default():
+def test_experiment_setup_leaves_each_unset_key_at_its_field_default():
     seed, synth, base, folds, n_resamples = cli._experiment_setup(
         {"nx": 40, "radius_max": 8.0, "data_seed": 4, "max_epochs": 3, "folds": 3}, 2)
     assert (seed, folds, n_resamples) == (2, 3, DEFAULT_RESAMPLES)
-    assert synth == SyntheticConfig(dims=(40, 64), object_radius_range=(3.0, 8.0), seed=4)
+    assert synth == SyntheticConfig(nx=40, ny=64, radius_min=3.0, radius_max=8.0, data_seed=4)
     assert base == TrainConfig(loss=LossSpec("ce"), max_epochs=3)
+
+
+COMMON_KEYS = {"n_images": int, "nx": int, "ny": int, "radius_min": float, "radius_max": float,
+               "fg_prior": float, "noise_sigma": float, "data_seed": int, "gain_jitter": float,
+               "learning_rate": float, "max_epochs": int, "batch_size": int, "pretrain_epochs_ce": int,
+               "early_stop_patience": int, "folds": int, "seed": int, "n_resamples": int}
+
+
+def test_config_schemas_are_the_pinned_key_to_type_tables():
+    assert cli.TRAIN_SCHEMA == {**COMMON_KEYS, "losses": fileio.cfg_str_list,
+                                "fgbg_ratios": fileio.cfg_float_list}
+    assert cli.SWEEP_SCHEMA == {**COMMON_KEYS, "alphas": fileio.cfg_float_list,
+                                "equal_alphas": fileio.cfg_float_list}
+
+
+def test_config_fields_share_no_name_with_each_other_or_the_command_keys():
+    # a new field with a taken name would merge two settings into one key
+    synth = [f.name for f in dataclasses.fields(SyntheticConfig)]
+    train = [f.name for f in dataclasses.fields(TrainConfig) if f.name not in ("loss", "seed")]
+    names = [*synth, *train, "folds", "seed", "n_resamples", "losses", "fgbg_ratios", "alphas",
+             "equal_alphas"]
+    assert len(set(names)) == len(names)
+
+
+@pytest.mark.parametrize("command, schema", [("train", cli.TRAIN_SCHEMA), ("sweep", cli.SWEEP_SCHEMA)])
+def test_experiment_help_lists_every_config_key(capsys, command, schema):
+    with pytest.raises(SystemExit) as stop:
+        cli.main([command, "--help"])
+    assert stop.value.code == 0
+    listed = " ".join(capsys.readouterr().out.split()).split("with the keys ", 1)[1]
+    assert listed.split(";")[0].split(" options:")[0].split(", ") == list(schema)
 
 @pytest.mark.parametrize("loss", ["tversky:nan:1", "tversky:inf:1"])
 def test_train_non_finite_loss_weight_is_usage_error(tmp_path, capsys, loss):

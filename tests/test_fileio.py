@@ -211,6 +211,28 @@ def test_report_round_trip_17_digits(tmp_path):
     assert jback.rows == rows
 
 
+def test_report_numpy_scalar_cells_agree_in_both_mirrors(tmp_path):
+    # each numpy scalar is written as its Python value: a float32 cell is
+    # its exact value and a bool_ cell a bool, in both files
+    rows = [[np.float32(0.1), np.int64(7), np.bool_(True)], [np.float64(1 / 3), np.int32(-2), np.bool_(False)]]
+    csv_path, json_path = write_report(ReportTable("t", ["f", "i", "b"], rows), str(tmp_path), "t")
+    with open(csv_path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    assert lines == ["f,i,b", "0.10000000149011612,7,true", "0.33333333333333331,-2,false"]
+    back = read_report_json(json_path).rows
+    assert back == [[float(np.float32(0.1)), 7, True], [1 / 3, -2, False]]
+    assert [[format_cell(v) for v in row] for row in back] == [line.split(",") for line in lines[1:]]
+    assert [[type(v) for v in row] for row in back] == [[float, int, bool]] * 2
+
+
+@pytest.mark.parametrize("cell", [{"k": 1}, [3], np.datetime64("2020-01-01")], ids=["dict", "list", "datetime64"])
+def test_report_cell_the_reader_rejects_writes_no_file(tmp_path, cell):
+    out = tmp_path / "out"
+    with pytest.raises(DataError, match="is not null, a bool, a number or a string"):
+        write_report(ReportTable("t", ["a", "b"], [[1, 2], [cell, 3]]), str(out), "t")
+    assert not out.exists()
+
+
 def test_report_cell_formats():
     assert format_cell(1 / 3) == "0.33333333333333331"
     assert float(format_cell(1 / 3)) == 1 / 3

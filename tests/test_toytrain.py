@@ -43,8 +43,8 @@ from segloss.toytrain import (
 )
 from util import mask_of, masked_sigmoid, one_branch_sigmoid, prob_of, sample_of, score
 
-SMALL = SyntheticConfig(n_images=40, dims=(32, 32), object_radius_range=(3.0, 6.0),
-                        fg_prior_target=0.08, noise_sigma=0.3, seed=5)
+SMALL = SyntheticConfig(n_images=40, nx=32, ny=32, radius_min=3.0, radius_max=6.0,
+                        fg_prior=0.08, noise_sigma=0.3, data_seed=5)
 QUICK = TrainConfig(loss=LossSpec("ce"), learning_rate=4.0, max_epochs=6,
                     pretrain_epochs_ce=2, early_stop_patience=4, batch_size=4, seed=9)
 
@@ -71,7 +71,7 @@ def test_generate_is_deterministic():
 
 
 def test_generate_prior_within_band():
-    cfg = SyntheticConfig(n_images=80, dims=(64, 64), fg_prior_target=0.02, seed=3)
+    cfg = SyntheticConfig(n_images=80, nx=64, ny=64, fg_prior=0.02, data_seed=3)
     data = generate_dataset(cfg)
     prior = data.mean_fg_prior()
     assert 0.016 <= prior <= 0.024
@@ -88,8 +88,8 @@ def test_generate_feature_layout():
 
 
 def test_generate_zero_noise_path():
-    cfg = SyntheticConfig(n_images=4, dims=(32, 32), object_radius_range=(3.0, 6.0),
-                          fg_prior_target=0.08, noise_sigma=0.0, seed=5)
+    cfg = SyntheticConfig(n_images=4, nx=32, ny=32, radius_min=3.0, radius_max=6.0,
+                          fg_prior=0.08, noise_sigma=0.0, data_seed=5)
     a = generate_dataset(cfg)
     b = generate_dataset(cfg)
     assert both_datasets_equal(a, b)
@@ -99,10 +99,10 @@ def test_generate_zero_noise_path():
 
 def test_generate_infeasible_configs():
     with pytest.raises(InfeasibleConfig):
-        generate_dataset(SyntheticConfig(dims=(64, 64), object_radius_range=(2.0, 3.0),
-                                         fg_prior_target=0.5))
+        generate_dataset(SyntheticConfig(nx=64, ny=64, radius_min=2.0, radius_max=3.0,
+                                         fg_prior=0.5))
     with pytest.raises(InfeasibleConfig):
-        generate_dataset(SyntheticConfig(dims=(16, 16), object_radius_range=(3.0, 12.0)))
+        generate_dataset(SyntheticConfig(nx=16, ny=16, radius_min=3.0, radius_max=12.0))
 
 
 def test_generate_rejects_noise_that_overflows_the_float32_rows():
@@ -120,7 +120,7 @@ def test_generate_rejects_noise_that_overflows_the_float32_rows():
 def test_generate_takes_a_radius_min_whose_blob_area_underflows(rmin):
     # pi * rmin^2 is subnormal at 1e-160, where the blob-count quotient
     # overflows to inf, and 0 at the two smaller radii; up to 3 blobs fit
-    data = generate_dataset(replace(SMALL, n_images=4, object_radius_range=(rmin, 6.0)))
+    data = generate_dataset(replace(SMALL, n_images=4, radius_min=rmin, radius_max=6.0))
     assert len(data) == 4 and all(s.label.count() > 0 for s in data)
 
 
@@ -139,8 +139,8 @@ def test_train_deterministic_and_tversky_collapse():
 def test_train_learns_separable_blobs():
     # no gain jitter, tiny noise: the raw intensity feature separates the
     # classes, so CE alone must reach high training Dice
-    cfg = SyntheticConfig(n_images=30, dims=(32, 32), object_radius_range=(3.0, 6.0),
-                          fg_prior_target=0.08, noise_sigma=0.02, gain_jitter=0.0, seed=2)
+    cfg = SyntheticConfig(n_images=30, nx=32, ny=32, radius_min=3.0, radius_max=6.0,
+                          fg_prior=0.08, noise_sigma=0.02, gain_jitter=0.0, data_seed=2)
     data = generate_dataset(cfg)
     res = train(data, TrainConfig(loss=LossSpec("ce"), learning_rate=4.0, max_epochs=40,
                                   pretrain_epochs_ce=0, early_stop_patience=10, batch_size=4, seed=1))
@@ -334,7 +334,7 @@ def test_stratify_two_identical_losses_identical_curves():
 
 
 def test_fgbg_masks_hit_target_fraction():
-    data = generate_dataset(SyntheticConfig(n_images=60, seed=11))
+    data = generate_dataset(SyntheticConfig(n_images=60, data_seed=11))
     [(masks, w, h, achieved)] = build_fgbg_masks(data, [0.2])
     assert len(masks) == 60
     assert abs(achieved - 0.2) <= 0.02
